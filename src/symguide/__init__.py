@@ -21,11 +21,13 @@ from .models import (
     vjp_at_step,
 )
 from .estimator import (
+    ButcherTableau,
     CheckpointTrajectory,
     DivergenceError,
     MCurvePoint,
     SubSchedule,
     estimate_clean,
+    estimate_clean_rk,
     estimation_error_curve,
     m_curve_csv_text,
     make_sub_schedule,
@@ -33,11 +35,8 @@ from .estimator import (
 )
 from .adjoint import (
     AdjointStats,
-    ButcherTableau,
-    RkCheckpointTrajectory,
     conservation_probe,
     direct_backprop_grad,
-    estimate_clean_rk,
     rk_direct_backprop_grad,
     symplectic_euler_grad,
     symplectic_rk_grad,
@@ -89,7 +88,6 @@ __all__ = [
     "estimation_error_curve",
     "m_curve_csv_text",
     "ButcherTableau",
-    "RkCheckpointTrajectory",
     "AdjointStats",
     "symplectic_euler_grad",
     "direct_backprop_grad",

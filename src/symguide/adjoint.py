@@ -3,7 +3,7 @@
 Given grad_at_clean = dL/dx'_0, these solvers return dL/dx_t through the
 discrete forward map of the estimator.  Sign conventions: the forward pass
 steps sigma DOWN with h[tau] = sigma[tau+1] - sigma[tau] > 0, so the
-costate recursion runs sigma UP,
+costate recursion runs sigma UP.  For explicit Euler it reads
 
     lambda[tau+1] = lambda[tau] - h[tau] * J(x_bar[tau+1], sigma[tau+1])^T lambda[tau],
 
@@ -14,34 +14,44 @@ map; the vanilla adjoint (which re-integrates the state alongside lambda
 and evaluates at the current backward iterate) is kept as the approximate
 comparison solver.
 
-The Runge-Kutta pair generalizes this: the forward trajectory stores all
-stage states, and the costate is propagated by the conjugate coefficients
-A[i][j] = b[j] a[j][i] / b[i] (strictly upper triangular, so the stage
-sweep is explicit in reverse order).  Together with the state half of the
-backward pass -- whose coefficients are the reflection b[j] - a[i][j] of
-the forward tableau and whose stages are free because they are restored
+One costate sweep serves every explicit Runge-Kutta tableau, and Euler is
+its one-stage case.  The costate is propagated by the conjugate
+coefficients A[i][j] = b[j] a[j][i] / b[i] (strictly upper triangular, so
+the stage sweep is explicit in reverse order), each transpose-Jacobian
+product taken at a restored stage point.  Together with the state half of
+the backward pass -- whose coefficients are the reflection b[j] - a[i][j]
+of the forward tableau and whose stages are free because they are restored
 from checkpoints -- the pair satisfies the conjugacy identities
 
     b[i] A[i][j] + B[j] a_bwd[j][i] - b[i] B[j] = 0,   B = b,  C = c_bwd,
 
 which is the symplecticity condition guaranteeing the costate pairing
-lambda^T delta is conserved step by step (see conservation_probe).
+lambda^T delta is conserved step by step (see conservation_probe).  With
+b = [1] the sweep's arithmetic is the Euler recursion above, bit for bit.
+The stored-activation oracles direct_backprop_grad (Euler) and
+rk_direct_backprop_grad (any tableau) stay separate, as independent
+references.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import CheckpointTrajectory, SubSchedule, _check_finite, make_sub_schedule
+from .estimator import (
+    ButcherTableau,
+    CheckpointTrajectory,
+    _check_finite,
+    estimate_clean_rk,
+    make_sub_schedule,
+)
 from .models import ScoreModel
 from .schedule import NoiseSchedule
 
 __all__ = [
     "ButcherTableau",
-    "RkCheckpointTrajectory",
     "AdjointStats",
     "symplectic_euler_grad",
     "direct_backprop_grad",
@@ -62,108 +72,7 @@ class AdjointStats:
     peak_state_vectors: int # simultaneously-live state-sized work buffers
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Explicit forward RK coefficients plus conjugate costate coefficients.
-
-    a is strictly lower triangular (explicit forward method).  The costate
-    coefficients satisfy B = b, C = 1 - c (the stage abscissae seen from the
-    backward direction) and the conjugacy identity above; A is strictly
-    upper triangular, so the backward stage sweep stays explicit.
-    """
-
-    stages: int
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        s = self.stages
-        for name, shape in (
-            ("a", (s, s)), ("b", (s,)), ("c", (s,)),
-            ("A", (s, s)), ("B", (s,)), ("C", (s,)),
-        ):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"tableau field {name} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(np.triu(self.a) != 0.0):
-            raise ValueError("forward tableau must be strictly lower triangular")
-        if np.any(self.b == 0.0):
-            raise ValueError("all forward weights b[i] must be nonzero")
-        if np.any(self.B != self.b):
-            raise ValueError("costate weights must equal forward weights (B = b)")
-        if np.any(self.C != 1.0 - self.c):
-            raise ValueError("costate abscissae must be the reflected forward ones (C = 1 - c)")
-        res = self.conjugacy_residual()
-        if res > 1e-15:
-            raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
-
-    def conjugacy_residual(self) -> float:
-        """max |b_i A_ij + B_j a_bwd_ji - b_i B_j| over all i, j.
-
-        a_bwd is the state half of the backward pass, the reflection
-        b[j] - a[i][j] of the forward tableau.
-        """
-        a_bwd = self.b[None, :] - self.a
-        res = self.b[:, None] * self.A + (self.B[None, :] * a_bwd.T) - self.b[:, None] * self.B[None, :]
-        return float(np.abs(res).max())
-
-    @classmethod
-    def from_forward(cls, a, b, c, name: str = "") -> "ButcherTableau":
-        """Solve the conjugacy identities for the costate coefficients."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        s = len(b)
-        A = np.zeros((s, s))
-        for i in range(s):
-            for j in range(i + 1, s):
-                A[i, j] = b[j] * a[j, i] / b[i]
-        return cls(stages=s, a=a, b=b, c=c, A=A, B=b.copy(), C=1.0 - c, name=name)
-
-    @classmethod
-    def euler(cls) -> "ButcherTableau":
-        return cls.from_forward(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), name="euler")
-
-    @classmethod
-    def heun(cls) -> "ButcherTableau":
-        return cls.from_forward(
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            np.array([0.5, 0.5]),
-            np.array([0.0, 1.0]),
-            name="heun",
-        )
-
-
-@dataclass(frozen=True)
-class RkCheckpointTrajectory:
-    """Forward RK estimate with every stage state and slope recorded.
-
-    Step record k (k = 0..n-1) belongs to the step that produced states[k]
-    from states[k+1]: stage_states[k, i] is the i-th stage point, evaluated
-    at stage_sigmas[k, i], with slope stage_slopes[k, i].
-    """
-
-    sub: SubSchedule
-    tableau: ButcherTableau
-    states: np.ndarray        # (n+1, d)
-    stage_states: np.ndarray  # (n, s, d)
-    stage_sigmas: np.ndarray  # (n, s)
-    stage_slopes: np.ndarray  # (n, s, d)
-    clean_output: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.states, self.stage_states, self.stage_sigmas, self.stage_slopes, self.clean_output):
-            arr.setflags(write=False)
-
-
-def _check_traj(model: ScoreModel, traj, schedule: NoiseSchedule, t: int) -> None:
+def _check_traj(model: ScoreModel, traj: CheckpointTrajectory, schedule: NoiseSchedule, t: int) -> None:
     if traj.states.shape[1] != model.dim:
         raise ValueError(
             f"trajectory dimension {traj.states.shape[1]} does not match model dimension {model.dim}"
@@ -176,6 +85,66 @@ def _check_traj(model: ScoreModel, traj, schedule: NoiseSchedule, t: int) -> Non
         )
 
 
+def _require_euler(traj: CheckpointTrajectory, solver: str) -> None:
+    if traj.tableau.stages != 1:
+        raise ValueError(
+            f"{solver} differentiates the explicit Euler map, but the trajectory was "
+            f"integrated with the {traj.tableau.stages}-stage tableau '{traj.tableau.name}'"
+        )
+
+
+def _costate_start(model: ScoreModel, grad_at_clean: np.ndarray) -> np.ndarray:
+    lam = np.array(grad_at_clean, dtype=np.float64)
+    if lam.shape != (model.dim,):
+        raise ValueError(f"grad_at_clean has shape {lam.shape}, expected ({model.dim},)")
+    return lam
+
+
+def _costate_sweep(
+    model: ScoreModel, traj: CheckpointTrajectory, lam: np.ndarray, trace: np.ndarray | None = None
+) -> np.ndarray:
+    """The costate loop: pull lam from sigma = 0 up to sigma_t through every step.
+
+    Costate stages run in reverse order (A is strictly upper) and every
+    transpose-Jacobian product is evaluated at a RESTORED stage point.
+    trace, if given, receives lam after each step at rows 1..n.
+    """
+    tb = traj.tableau
+    s = tb.stages
+    A, B, c = tb.A.tolist(), tb.B.tolist(), tb.c.tolist()
+    sig = traj.sub.sub_sigma
+    vjps: list[np.ndarray | None] = [None] * s
+    for tau in range(traj.sub.n):
+        lo, hi = float(sig[tau]), float(sig[tau + 1])
+        H = hi - lo  # positive backward step
+        for i in range(s - 1, -1, -1):
+            lam_i = lam
+            for j in range(i + 1, s):
+                if A[i][j] != 0.0:
+                    lam_i = lam_i - H * A[i][j] * vjps[j]
+            # traj.stage(tau, i), inlined: this loop runs on every guided step.
+            x = traj.states[tau + 1] if i == 0 else traj.stage_states[tau, i - 1]
+            vjps[i] = model.vjp(x, hi + c[i] * (lo - hi), lam_i)
+        for i in range(s):
+            lam = lam - H * B[i] * vjps[i]
+        _check_finite(lam, tau + 1, "costate")
+        if trace is not None:
+            trace[tau + 1] = lam
+    return lam
+
+
+def _symplectic_grad(
+    model: ScoreModel,
+    traj: CheckpointTrajectory,
+    grad_at_clean: np.ndarray,
+    schedule: NoiseSchedule,
+    t: int,
+) -> np.ndarray:
+    _check_traj(model, traj, schedule, t)
+    lam = _costate_sweep(model, traj, _costate_start(model, grad_at_clean))
+    return lam / math.sqrt(schedule.alpha[t])
+
+
 def symplectic_euler_grad(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -186,21 +155,14 @@ def symplectic_euler_grad(
 ):
     """Exact dL/dx_t via the costate recursion over restored checkpoints.
 
-    Consumes the n+1 stored states and keeps O(1) extra state vectors alive
-    (the costate and the current transpose-Jacobian product).
+    Consumes the n+1 stored states of an Euler trajectory and keeps O(1)
+    extra state vectors alive (the costate and the current
+    transpose-Jacobian product).
     """
-    _check_traj(model, traj, schedule, t)
-    sig = traj.sub.sub_sigma
-    n = traj.sub.n
-    lam = np.array(grad_at_clean, dtype=np.float64)
-    if lam.shape != (model.dim,):
-        raise ValueError(f"grad_at_clean has shape {lam.shape}, expected ({model.dim},)")
-    for tau in range(n):
-        lam = lam - (sig[tau + 1] - sig[tau]) * model.vjp(traj.states[tau + 1], float(sig[tau + 1]), lam)
-        _check_finite(lam, tau + 1, "costate")
-    grad = lam / math.sqrt(schedule.alpha[t])
+    _require_euler(traj, "symplectic_euler_grad")
+    grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
     if return_stats:
-        return grad, AdjointStats(checkpoints_read=n + 1, tape_arrays=0, peak_state_vectors=2)
+        return grad, AdjointStats(checkpoints_read=traj.sub.n + 1, tape_arrays=0, peak_state_vectors=2)
     return grad
 
 
@@ -214,18 +176,17 @@ def direct_backprop_grad(
 ):
     """Ground-truth gradient oracle: stored-activation reverse mode.
 
-    Re-evaluates the model at every stored state with tape recording, holds
-    all n tapes live (the memory profile of conventional backpropagation),
-    then applies each step's exact transpose Jacobian
-    (I + h_signed J)^T with h_signed = sigma[tau] - sigma[tau+1] < 0.
+    Re-evaluates the model at every stored state of an Euler trajectory
+    with tape recording, holds all n tapes live (the memory profile of
+    conventional backpropagation), then applies each step's exact transpose
+    Jacobian (I + h_signed J)^T with h_signed = sigma[tau] - sigma[tau+1] < 0.
     """
+    _require_euler(traj, "direct_backprop_grad")
     _check_traj(model, traj, schedule, t)
     sig = traj.sub.sub_sigma
     n = traj.sub.n
     tapes = [model.eps_with_tape(traj.states[tau + 1], float(sig[tau + 1]))[1] for tau in range(n)]
-    lam = np.array(grad_at_clean, dtype=np.float64)
-    if lam.shape != (model.dim,):
-        raise ValueError(f"grad_at_clean has shape {lam.shape}, expected ({model.dim},)")
+    lam = _costate_start(model, grad_at_clean)
     for tau in range(n):
         lam = lam + (sig[tau] - sig[tau + 1]) * model.vjp_from_tape(tapes[tau], lam)
         _check_finite(lam, tau + 1, "costate")
@@ -273,107 +234,25 @@ def vanilla_adjoint_grad(
     return lam / math.sqrt(schedule.alpha[t])
 
 
-def estimate_clean_rk(
-    model: ScoreModel,
-    schedule: NoiseSchedule,
-    x_t: np.ndarray,
-    t: int,
-    n: int,
-    tableau: ButcherTableau,
-) -> RkCheckpointTrajectory:
-    """s-stage explicit RK integration of the estimate ODE, stages recorded."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (model.dim,):
-        raise ValueError(f"x_t has shape {x_t.shape}, expected ({model.dim},)")
-    sub = make_sub_schedule(schedule, t, n)
-    sig = sub.sub_sigma
-    s = tableau.stages
-    d = model.dim
-    states = np.empty((n + 1, d))
-    stage_states = np.empty((n, s, d))
-    stage_sigmas = np.empty((n, s))
-    stage_slopes = np.empty((n, s, d))
-    states[n] = schedule.to_scaled(x_t, t)
-    _check_finite(states[n], n)
-    for tau in range(n, 0, -1):
-        y = states[tau]
-        h = sig[tau - 1] - sig[tau]  # signed, negative
-        rec = tau - 1
-        for i in range(s):
-            Xi = y.copy()
-            for j in range(i):
-                if tableau.a[i, j] != 0.0:
-                    Xi = Xi + h * tableau.a[i, j] * stage_slopes[rec, j]
-            sig_i = sig[tau] + tableau.c[i] * h
-            stage_states[rec, i] = Xi
-            stage_sigmas[rec, i] = sig_i
-            stage_slopes[rec, i] = model.eps(Xi, float(sig_i))
-        y_next = y.copy()
-        for i in range(s):
-            y_next = y_next + h * tableau.b[i] * stage_slopes[rec, i]
-        states[tau - 1] = y_next
-        _check_finite(states[tau - 1], tau - 1)
-    clean = states[0] * math.sqrt(sub.sub_alpha[0])
-    return RkCheckpointTrajectory(
-        sub=sub,
-        tableau=tableau,
-        states=states,
-        stage_states=stage_states,
-        stage_sigmas=stage_sigmas,
-        stage_slopes=stage_slopes,
-        clean_output=clean,
-    )
-
-
 def symplectic_rk_grad(
     model: ScoreModel,
-    traj: RkCheckpointTrajectory,
+    traj: CheckpointTrajectory,
     grad_at_clean: np.ndarray,
     schedule: NoiseSchedule,
     t: int,
     return_stats: bool = False,
 ):
-    """Exact dL/dx_t through the RK forward map via conjugate coefficients.
-
-    Costate stages are explicit in reverse order (A is strictly upper) and
-    every transpose-Jacobian product is evaluated at a RESTORED stage state.
-    """
-    _check_traj(model, traj, schedule, t)
-    tb = traj.tableau
-    res = tb.conjugacy_residual()
-    if res > 1e-15:
-        raise ValueError(f"tableau fails the conjugacy condition (residual {res:.3e})")
-    sig = traj.sub.sub_sigma
-    n = traj.sub.n
-    s = tb.stages
-    lam = np.array(grad_at_clean, dtype=np.float64)
-    if lam.shape != (model.dim,):
-        raise ValueError(f"grad_at_clean has shape {lam.shape}, expected ({model.dim},)")
-    slopes: list[np.ndarray | None] = [None] * s
-    for tau in range(n):
-        H = sig[tau + 1] - sig[tau]  # positive backward step
-        for i in range(s - 1, -1, -1):
-            Lam_i = lam.copy()
-            for j in range(i + 1, s):
-                if tb.A[i, j] != 0.0:
-                    Lam_i = Lam_i + H * tb.A[i, j] * slopes[j]
-            slopes[i] = -model.vjp(
-                traj.stage_states[tau, i], float(traj.stage_sigmas[tau, i]), Lam_i
-            )
-        for i in range(s):
-            lam = lam + H * tb.B[i] * slopes[i]
-        _check_finite(lam, tau + 1, "costate")
-    grad = lam / math.sqrt(schedule.alpha[t])
+    """Exact dL/dx_t through the RK forward map via conjugate coefficients."""
+    grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
     if return_stats:
-        return grad, AdjointStats(
-            checkpoints_read=n + 1 + n * s, tape_arrays=0, peak_state_vectors=2 + s
-        )
+        n, s = traj.sub.n, traj.tableau.stages
+        return grad, AdjointStats(checkpoints_read=n + 1 + n * s, tape_arrays=0, peak_state_vectors=2 + s)
     return grad
 
 
 def rk_direct_backprop_grad(
     model: ScoreModel,
-    traj: RkCheckpointTrajectory,
+    traj: CheckpointTrajectory,
     grad_at_clean: np.ndarray,
     schedule: NoiseSchedule,
     t: int,
@@ -389,13 +268,10 @@ def rk_direct_backprop_grad(
     sig = traj.sub.sub_sigma
     n = traj.sub.n
     s = tb.stages
-    g = np.array(grad_at_clean, dtype=np.float64)
+    g = _costate_start(model, grad_at_clean)
     for tau in range(n):
         h = sig[tau] - sig[tau + 1]  # signed forward step, negative
-        tapes = [
-            model.eps_with_tape(traj.stage_states[tau, i], float(traj.stage_sigmas[tau, i]))[1]
-            for i in range(s)
-        ]
+        tapes = [model.eps_with_tape(*traj.stage(tau, i))[1] for i in range(s)]
         u: list[np.ndarray | None] = [None] * s
         for i in range(s - 1, -1, -1):
             acc = h * tb.b[i] * g
@@ -419,9 +295,10 @@ def conservation_probe(
 
     delta is pushed forward (tau = n..0) by exact Jacobian-vector products
     of the discrete forward steps; lambda is pulled back (tau = 0..n) by the
-    costate recursion.  Both use the restored checkpoints, so S is constant
+    costate sweep.  Both use the restored checkpoints, so S is constant
     up to roundoff.
     """
+    _require_euler(traj, "conservation_probe")
     sig = traj.sub.sub_sigma
     n = traj.sub.n
     d = traj.states.shape[1]
@@ -436,7 +313,5 @@ def conservation_probe(
         jv = model.jvp(traj.states[tau], float(sig[tau]), deltas[tau])
         deltas[tau - 1] = deltas[tau] + (sig[tau - 1] - sig[tau]) * jv
     lams[0] = lambda0
-    for tau in range(n):
-        vj = model.vjp(traj.states[tau + 1], float(sig[tau + 1]), lams[tau])
-        lams[tau + 1] = lams[tau] - (sig[tau + 1] - sig[tau]) * vj
+    _costate_sweep(model, traj, lambda0, trace=lams)
     return np.einsum("td,td->t", lams, deltas)

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--report", default=None, help="report.json path (default: OUT/report.json)")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--parallel", type=int, default=None, help="override sweep parallelism")
     return parser
 
 
@@ -62,8 +61,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         overrides["base_seed"] = int(args.seed)
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
-    if args.parallel is not None:
-        overrides["parallel"] = int(args.parallel)
     if overrides:
         resolved = config.to_resolved_dict()
         resolved.update(overrides)

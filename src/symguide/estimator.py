@@ -1,16 +1,19 @@
 """n-step estimation of the clean output from a noisy state.
 
 Starting from x_t, the clean output is predicted by integrating the
-sampling ODE d x_bar = eps_bar d sigma down to sigma = 0 with n explicit
-Euler sub-steps:
+sampling ODE d x_bar = eps_bar d sigma down to sigma = 0 in n sub-steps of
+an explicit Runge-Kutta method, given by its ButcherTableau.  Explicit
+Euler is the one-stage tableau of the same loop:
 
     x_bar[tau-1] = x_bar[tau] + (sigma[tau-1] - sigma[tau]) * eps(x_bar[tau], sigma[tau])
 
 for tau = n..1, with x_bar[n] = x_t / sqrt(alpha_t).  Sub-steps are placed
 uniformly in continuous step-index space and alpha is interpolated in log
 space, so endpoints are exact and integer knots reproduce the parent
-schedule.  The full scaled trajectory is recorded: those n+1 checkpoints
-are exactly what the symplectic adjoint solvers consume.
+schedule.  The scaled trajectory is recorded: the n+1 checkpoints plus, for
+s > 1 stages, the stage points 1..s-1 of every step (stage 0 of an explicit
+step is its start checkpoint).  That is exactly what the symplectic adjoint
+solvers consume; for Euler it is the n+1 checkpoints alone.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .schedule import NoiseSchedule
 __all__ = [
     "DivergenceError",
     "SubSchedule",
+    "ButcherTableau",
     "CheckpointTrajectory",
     "MCurvePoint",
     "make_sub_schedule",
     "estimate_clean",
+    "estimate_clean_rk",
     "one_step_estimate",
     "estimation_error_curve",
     "m_curve_csv_text",
@@ -61,24 +66,120 @@ class SubSchedule:
 
 
 @dataclass(frozen=True)
+class ButcherTableau:
+    """Explicit forward RK coefficients plus conjugate costate coefficients.
+
+    a is strictly lower triangular (explicit forward method).  The costate
+    coefficients satisfy B = b, C = 1 - c (the stage abscissae seen from the
+    backward direction) and the conjugacy identity (see the adjoint module);
+    A is strictly upper triangular, so the backward stage sweep stays
+    explicit.  The coefficient arrays are read-only, so the identity checked
+    here holds for the tableau's lifetime.
+    """
+
+    stages: int
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    name: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        s = self.stages
+        for name, shape in (
+            ("a", (s, s)), ("b", (s,)), ("c", (s,)),
+            ("A", (s, s)), ("B", (s,)), ("C", (s,)),
+        ):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"tableau field {name} has shape {arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if np.any(np.triu(self.a) != 0.0):
+            raise ValueError("forward tableau must be strictly lower triangular")
+        if np.any(self.b == 0.0):
+            raise ValueError("all forward weights b[i] must be nonzero")
+        if np.any(self.B != self.b):
+            raise ValueError("costate weights must equal forward weights (B = b)")
+        if np.any(self.C != 1.0 - self.c):
+            raise ValueError("costate abscissae must be the reflected forward ones (C = 1 - c)")
+        res = self.conjugacy_residual()
+        if res > 1e-15:
+            raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
+
+    def conjugacy_residual(self) -> float:
+        """max |b_i A_ij + B_j a_bwd_ji - b_i B_j| over all i, j.
+
+        a_bwd is the state half of the backward pass, the reflection
+        b[j] - a[i][j] of the forward tableau.
+        """
+        a_bwd = self.b[None, :] - self.a
+        res = self.b[:, None] * self.A + (self.B[None, :] * a_bwd.T) - self.b[:, None] * self.B[None, :]
+        return float(np.abs(res).max())
+
+    @classmethod
+    def from_forward(cls, a, b, c, name: str = "") -> "ButcherTableau":
+        """Solve the conjugacy identities for the costate coefficients."""
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        c = np.asarray(c, dtype=np.float64)
+        s = len(b)
+        A = np.zeros((s, s))
+        for i in range(s):
+            for j in range(i + 1, s):
+                A[i, j] = b[j] * a[j, i] / b[i]
+        return cls(stages=s, a=a, b=b, c=c, A=A, B=b.copy(), C=1.0 - c, name=name)
+
+    @classmethod
+    def euler(cls) -> "ButcherTableau":
+        return cls.from_forward(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), name="euler")
+
+    @classmethod
+    def heun(cls) -> "ButcherTableau":
+        return cls.from_forward(
+            np.array([[0.0, 0.0], [1.0, 0.0]]),
+            np.array([0.5, 0.5]),
+            np.array([0.0, 1.0]),
+            name="heun",
+        )
+
+
+_EULER = ButcherTableau.euler()
+
+
+@dataclass(frozen=True)
 class CheckpointTrajectory:
     """Stored forward states of one n-step estimate, in scaled coordinates.
 
     states[tau] is x_bar at sub-step tau (states[n] = to_scaled(x_t)), and
-    clean_output = states[0] * sqrt(alpha_0) = states[0].
+    clean_output = states[0] * sqrt(alpha_0) = states[0].  Step record k
+    (k = 0..n-1) is the step that produced states[k] from states[k+1];
+    stage_states[k, i - 1] holds its stage point i >= 1.  Stage 0 is
+    states[k+1] itself, so a one-stage (Euler) trajectory stores the n+1
+    checkpoints and nothing else.
     """
 
     sub: SubSchedule
-    states: np.ndarray  # (n+1, d)
+    tableau: ButcherTableau
+    states: np.ndarray        # (n+1, d)
+    stage_states: np.ndarray  # (n, s-1, d)
     clean_output: np.ndarray
 
     def __post_init__(self) -> None:
-        self.states.setflags(write=False)
-        self.clean_output.setflags(write=False)
+        for arr in (self.states, self.stage_states, self.clean_output):
+            arr.setflags(write=False)
 
     @property
     def checkpoint_count(self) -> int:
         return self.states.shape[0]
+
+    def stage(self, k: int, i: int) -> tuple[np.ndarray, float]:
+        """Point and sigma at which step record k evaluated its stage i."""
+        hi = float(self.sub.sub_sigma[k + 1])
+        sigma = hi + float(self.tableau.c[i]) * (float(self.sub.sub_sigma[k]) - hi)
+        return (self.states[k + 1] if i == 0 else self.stage_states[k, i - 1]), sigma
 
 
 def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> SubSchedule:
@@ -110,24 +211,65 @@ def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
         )
 
 
-def estimate_clean(
-    model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int, n: int
+def _integrate(
+    model: ScoreModel,
+    schedule: NoiseSchedule,
+    x_t: np.ndarray,
+    t: int,
+    n: int,
+    tableau: ButcherTableau,
 ) -> CheckpointTrajectory:
-    """Integrate the estimate ODE from x_t down to sigma = 0 in n Euler steps."""
+    """The forward loop: n explicit RK sub-steps of the estimate ODE, stage by stage."""
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != (model.dim,):
         raise ValueError(f"x_t has shape {x_t.shape}, expected ({model.dim},)")
     sub = make_sub_schedule(schedule, t, n)
-    sig = sub.sub_sigma
+    sig = sub.sub_sigma.tolist()
+    s = tableau.stages
+    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     states = np.empty((n + 1, model.dim))
+    stage_states = np.empty((n, s - 1, model.dim))
     states[n] = schedule.to_scaled(x_t, t)
     _check_finite(states[n], n)
+    slopes: list[np.ndarray | None] = [None] * s
     for tau in range(n, 0, -1):
-        e = model.eps(states[tau], float(sig[tau]))
-        states[tau - 1] = states[tau] + (sig[tau - 1] - sig[tau]) * e
-        _check_finite(states[tau - 1], tau - 1)
+        y = states[tau]
+        h = sig[tau - 1] - sig[tau]  # signed, negative
+        for i in range(s):
+            x = y
+            for j in range(i):
+                if a[i][j] != 0.0:
+                    x = x + h * a[i][j] * slopes[j]
+            if i:
+                stage_states[tau - 1, i - 1] = x
+            slopes[i] = model.eps(x, sig[tau] + c[i] * h)
+        for i in range(s):
+            y = y + h * b[i] * slopes[i]
+        states[tau - 1] = y
+        _check_finite(y, tau - 1)
     clean = states[0] * math.sqrt(sub.sub_alpha[0])
-    return CheckpointTrajectory(sub=sub, states=states, clean_output=clean)
+    return CheckpointTrajectory(
+        sub=sub, tableau=tableau, states=states, stage_states=stage_states, clean_output=clean
+    )
+
+
+def estimate_clean(
+    model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int, n: int
+) -> CheckpointTrajectory:
+    """Integrate the estimate ODE from x_t down to sigma = 0 in n Euler steps."""
+    return _integrate(model, schedule, x_t, t, n, _EULER)
+
+
+def estimate_clean_rk(
+    model: ScoreModel,
+    schedule: NoiseSchedule,
+    x_t: np.ndarray,
+    t: int,
+    n: int,
+    tableau: ButcherTableau,
+) -> CheckpointTrajectory:
+    """s-stage explicit RK integration of the estimate ODE, stage points recorded."""
+    return _integrate(model, schedule, x_t, t, n, tableau)
 
 
 def one_step_estimate(

@@ -47,9 +47,6 @@ class GuidanceLoss(abc.ABC):
     @abc.abstractmethod
     def grad(self, x0: np.ndarray) -> np.ndarray: ...
 
-    def value_and_grad(self, x0: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(x0), self.grad(x0)
-
 
 class L2TargetLoss(GuidanceLoss):
     """value = |x0 - target|^2 / 2, grad = x0 - target."""

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -156,13 +155,10 @@ class RunConfig:
     num_seeds: int = 10
     base_seed: int = 0
     out_dir: str = "runs/out"
-    parallel: int = 1
 
     def __post_init__(self) -> None:
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be >= 1")
-        if self.parallel < 1:
-            raise ConfigError("parallel must be >= 1")
         for key, vals in self.sweep.items():
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweep axis '{key}' must be a non-empty list")
@@ -200,7 +196,6 @@ class RunConfig:
             num_seeds=int(obj.get("num_seeds", 10)),
             base_seed=int(obj.get("base_seed", 0)),
             out_dir=str(obj.get("out_dir", "runs/out")),
-            parallel=int(obj.get("parallel", 1)),
         )
 
     @classmethod
@@ -224,7 +219,6 @@ class RunConfig:
             "num_seeds": self.num_seeds,
             "base_seed": self.base_seed,
             "out_dir": self.out_dir,
-            "parallel": self.parallel,
         }
 
     def build(self) -> tuple[NoiseSchedule, ScoreModel, GuidanceLoss, GuidanceConfig]:
@@ -329,14 +323,6 @@ class ExperimentReport:
         return paths
 
 
-def _run_cells(cells: list[Callable[[], Any]], parallel: int) -> list[Any]:
-    """Run independent sweep cells, preserving submission order."""
-    if parallel <= 1 or len(cells) <= 1:
-        return [cell() for cell in cells]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(lambda c: c(), cells))
-
-
 def _sample_cell(model, schedule, loss, gcfg, seed) -> tuple[SampleRecord | None, str]:
     try:
         return sag_sample(model, schedule, loss, gcfg, seed), ""
@@ -354,12 +340,69 @@ def _mean_loss_trajectory(records: list[SampleRecord]) -> tuple[list[int], list[
     return ts, [float(np.mean(by_t[t])) for t in ts]
 
 
+def _sweep(
+    config: RunConfig,
+    schedule: NoiseSchedule,
+    model: ScoreModel,
+    loss: GuidanceLoss,
+    cells: list[tuple[dict, GuidanceConfig]],
+    columns: list[str],
+    timing_keys: list[str],
+) -> tuple[list[dict], list[dict], list[tuple[list[int], list[float]]]]:
+    """Run every seed on each (labels, guidance) cell, in cell then seed order.
+
+    One run yields a report row (its columns) and a timing entry (its
+    timing_keys), both picked from the seed, the cell's labels, the guidance
+    settings and the outcome; a diverged run is a flagged row.  A
+    distance_to_unguided column measures each final sample against the
+    unguided rollout with the same seed.  Returns the rows, the timings and
+    each cell's mean guided-loss trajectory over its completed runs.
+    """
+    seeds = [config.base_seed + i for i in range(config.num_seeds)]
+    unguided = (
+        {s: ddim_rollout(model, schedule, s) for s in seeds}
+        if "distance_to_unguided" in columns else None
+    )
+    rows: list[dict] = []
+    timings: list[dict] = []
+    loss_curves: list[tuple[list[int], list[float]]] = []
+    for labels, gcfg in cells:
+        done = []
+        for seed in seeds:
+            rec, err = _sample_cell(model, schedule, loss, gcfg, seed)
+            run = {
+                "seed": seed,
+                "n": gcfg.n_steps,
+                "rho": gcfg.rho,
+                "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
+                "repeats": gcfg.repeats,
+                **labels,
+                "final_loss": rec.final_loss if rec else None,
+                "steps_guided": rec.steps_guided if rec else 0,
+                "diverged": rec is None,
+                "wall_time_ns": rec.wall_time_ns if rec else None,
+                "error": err or None,
+            }
+            if unguided is not None:
+                run["distance_to_unguided"] = (
+                    float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
+                )
+            rows.append({c: run[c] for c in columns})
+            timings.append({k: run[k] for k in timing_keys})
+            if rec is not None:
+                done.append(rec)
+        loss_curves.append(_mean_loss_trajectory(done))
+    return rows, timings, loss_curves
+
+
+_RUN_COLUMNS = ["seed", "n", "rho", "window", "final_loss", "steps_guided", "diverged"]
+
+
 def run_single_sample(config: RunConfig, seed: int | None = None) -> ExperimentReport:
     """One guided run; raises DivergenceError rather than flagging."""
     schedule, model, loss, gcfg = config.build()
     use_seed = config.base_seed if seed is None else int(seed)
     record = sag_sample(model, schedule, loss, gcfg, use_seed)
-    columns = ["seed", "n", "rho", "window", "final_loss", "steps_guided", "diverged"]
     row = {
         "seed": use_seed,
         "n": gcfg.n_steps,
@@ -372,7 +415,7 @@ def run_single_sample(config: RunConfig, seed: int | None = None) -> ExperimentR
     ts, losses = _mean_loss_trajectory([record])
     report = ExperimentReport(
         kind="sample",
-        columns=columns,
+        columns=_RUN_COLUMNS,
         rows=[row],
         curves={"guided_loss": {"label": f"n={gcfg.n_steps}", "t": ts, "loss": losses}},
         meta={"record": record.to_json_dict()},
@@ -385,41 +428,13 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
     """Sweep the estimate-step count with everything else fixed."""
     schedule, model, loss, _ = config.build()
     n_list = [int(n) for n in config.sweep.get("n_list", [1, 2, 4, 8])]
-    seeds = [config.base_seed + i for i in range(config.num_seeds)]
-    columns = ["seed", "n", "rho", "window", "final_loss", "steps_guided", "diverged"]
-    rows: list[dict] = []
-    timings: list[dict] = []
-    curves: dict[str, dict] = {}
-    for n in n_list:
-        gcfg = config.with_guidance(n_steps=n)
-        cells = [
-            (lambda s=s, g=gcfg: _sample_cell(model, schedule, loss, g, s)) for s in seeds
-        ]
-        results = _run_cells(cells, config.parallel)
-        records = [rec for rec, _ in results if rec is not None]
-        for seed, (rec, err) in zip(seeds, results):
-            rows.append(
-                {
-                    "seed": seed,
-                    "n": n,
-                    "rho": gcfg.rho,
-                    "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
-                    "final_loss": rec.final_loss if rec else None,
-                    "steps_guided": rec.steps_guided if rec else 0,
-                    "diverged": rec is None,
-                }
-            )
-            timings.append(
-                {
-                    "seed": seed,
-                    "n": n,
-                    "wall_time_ns": rec.wall_time_ns if rec else None,
-                    "steps_guided": rec.steps_guided if rec else 0,
-                    "error": err or None,
-                }
-            )
-        ts, losses = _mean_loss_trajectory(records)
-        curves[f"n={n}"] = {"t": ts, "loss": losses}
+    rows, timings, loss_curves = _sweep(
+        config, schedule, model, loss,
+        [({}, config.with_guidance(n_steps=n)) for n in n_list],
+        _RUN_COLUMNS,
+        ["seed", "n", "wall_time_ns", "steps_guided", "error"],
+    )
+    curves = {f"n={n}": {"t": ts, "loss": losses} for n, (ts, losses) in zip(n_list, loss_curves)}
     m_samples = int(config.sweep.get("m_curve_samples", [200])[0])
     m_curve = estimation_error_curve(
         model,
@@ -437,7 +452,7 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         kind="ablation_n",
-        columns=columns,
+        columns=_RUN_COLUMNS,
         rows=rows,
         curves=curves,
         meta={"m_curve_samples": m_samples, "m_curve_seed": config.base_seed},
@@ -449,30 +464,13 @@ def run_ablation_rho(config: RunConfig) -> ExperimentReport:
     """Sweep the guidance strength; diverged runs become flagged rows."""
     schedule, model, loss, _ = config.build()
     rho_list = [float(r) for r in config.sweep.get("rho_list", [0.0, 0.05, 0.2, 1.0])]
-    seeds = [config.base_seed + i for i in range(config.num_seeds)]
     columns = ["seed", "rho", "n", "window", "final_loss", "steps_guided", "diverged"]
-    rows: list[dict] = []
-    timings: list[dict] = []
-    for rho in rho_list:
-        gcfg = config.with_guidance(rho=rho)
-        cells = [
-            (lambda s=s, g=gcfg: _sample_cell(model, schedule, loss, g, s)) for s in seeds
-        ]
-        results = _run_cells(cells, config.parallel)
-        for seed, (rec, err) in zip(seeds, results):
-            rows.append(
-                {
-                    "seed": seed,
-                    "rho": rho,
-                    "n": gcfg.n_steps,
-                    "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
-                    "final_loss": rec.final_loss if rec else None,
-                    "steps_guided": rec.steps_guided if rec else 0,
-                    "diverged": rec is None,
-                }
-            )
-            timings.append({"seed": seed, "rho": rho, "wall_time_ns": rec.wall_time_ns if rec else None,
-                            "error": err or None})
+    rows, timings, _ = _sweep(
+        config, schedule, model, loss,
+        [({}, config.with_guidance(rho=rho)) for rho in rho_list],
+        columns,
+        ["seed", "rho", "wall_time_ns", "error"],
+    )
     return ExperimentReport(kind="ablation_rho", columns=columns, rows=rows, timings=timings)
 
 
@@ -489,48 +487,26 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
     rollout with the same seed (content-preservation proxy).
     """
     schedule, model, loss, _ = config.build()
-    T = schedule.num_steps
     windows = config.sweep.get("windows")
     if windows:
         named = {f"w{i}": (int(w[0]), int(w[1])) for i, w in enumerate(windows)}
     else:
-        named = default_window_thirds(T)
+        named = default_window_thirds(schedule.num_steps)
     repeats_list = [int(r) for r in config.sweep.get("repeats_list", [1, 2, 3])]
-    seeds = [config.base_seed + i for i in range(config.num_seeds)]
-    unguided = {s: ddim_rollout(model, schedule, s) for s in seeds}
     columns = [
         "seed", "window_name", "window", "repeats", "final_loss",
         "distance_to_unguided", "steps_guided", "diverged",
     ]
-    rows: list[dict] = []
-    timings: list[dict] = []
-    for name, window in named.items():
-        for r in repeats_list:
-            gcfg = config.with_guidance(window=list(window), repeats=r)
-            cells = [
-                (lambda s=s, g=gcfg: _sample_cell(model, schedule, loss, g, s)) for s in seeds
-            ]
-            results = _run_cells(cells, config.parallel)
-            for seed, (rec, err) in zip(seeds, results):
-                dist = (
-                    float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
-                )
-                rows.append(
-                    {
-                        "seed": seed,
-                        "window_name": name,
-                        "window": f"{window[0]}-{window[1]}",
-                        "repeats": r,
-                        "final_loss": rec.final_loss if rec else None,
-                        "distance_to_unguided": dist,
-                        "steps_guided": rec.steps_guided if rec else 0,
-                        "diverged": rec is None,
-                    }
-                )
-                timings.append(
-                    {"seed": seed, "window_name": name, "repeats": r,
-                     "wall_time_ns": rec.wall_time_ns if rec else None, "error": err or None}
-                )
+    rows, timings, _ = _sweep(
+        config, schedule, model, loss,
+        [
+            ({"window_name": name}, config.with_guidance(window=list(window), repeats=r))
+            for name, window in named.items()
+            for r in repeats_list
+        ],
+        columns,
+        ["seed", "window_name", "repeats", "wall_time_ns", "error"],
+    )
     return ExperimentReport(kind="window_study", columns=columns, rows=rows, timings=timings)
 
 

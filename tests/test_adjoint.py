@@ -186,10 +186,18 @@ class TestVanillaAdjoint:
 class TestRkForward:
     def test_single_stage_matches_euler_bitwise(self, schedule, mlp3):
         x = np.array([0.4, -0.9, 0.2])
-        euler_traj = estimate_clean(mlp3, schedule, x, 30, 4)
-        rk_traj = estimate_clean_rk(mlp3, schedule, x, 30, 4, ButcherTableau.euler())
-        assert np.array_equal(rk_traj.states, euler_traj.states)
-        assert np.array_equal(rk_traj.clean_output, euler_traj.clean_output)
+        t, n = 30, 4
+        rk_traj = estimate_clean_rk(mlp3, schedule, x, t, n, ButcherTableau.euler())
+        # hand-written explicit Euler recurrence
+        sig = make_sub_schedule(schedule, t, n).sub_sigma
+        states = [None] * (n + 1)
+        states[n] = schedule.to_scaled(x, t)
+        for tau in range(n, 0, -1):
+            e = mlp3.eps(states[tau], float(sig[tau]))
+            states[tau - 1] = states[tau] + (sig[tau - 1] - sig[tau]) * e
+        assert np.array_equal(rk_traj.states, np.array(states))
+        assert np.array_equal(rk_traj.clean_output, states[0])
+        assert rk_traj.stage_states.shape == (n, 0, 3)  # the n+1 checkpoints are all it stores
 
     def test_zero_model_any_tableau(self, schedule):
         zero = AffineModel.zero(2)
@@ -219,6 +227,7 @@ class TestRkForward:
         x = np.array([0.6, -0.2])
         tb = ButcherTableau.heun()
         traj = estimate_clean_rk(gmm2, schedule, x, 28, 4, tb)
+        assert traj.stage_states.shape == (4, tb.stages - 1, 2)
         sig = traj.sub.sub_sigma
         for tau in range(4, 0, -1):
             y = traj.states[tau]
@@ -231,10 +240,12 @@ class TestRkForward:
                     if tb.a[i, j] != 0.0:
                         Xi = Xi + h * tb.a[i, j] * slopes[j]
                 sig_i = sig[tau] + tb.c[i] * h
-                assert np.array_equal(Xi, traj.stage_states[rec, i])
-                assert sig_i == traj.stage_sigmas[rec, i]
+                point, sigma = traj.stage(rec, i)
+                assert np.array_equal(Xi, point)
+                assert sig_i == sigma
+                if i > 0:
+                    assert np.array_equal(Xi, traj.stage_states[rec, i - 1])
                 slopes.append(gmm2.eps(Xi, float(sig_i)))
-                assert np.array_equal(slopes[i], traj.stage_slopes[rec, i])
             y_next = y.copy()
             for i in range(tb.stages):
                 y_next = y_next + h * tb.b[i] * slopes[i]
@@ -242,14 +253,21 @@ class TestRkForward:
 
 
 class TestSymplecticRk:
-    def test_single_stage_matches_euler_grad_bitwise(self, schedule, mlp3):
-        x = np.array([0.4, -0.9, 0.2])
-        g = np.array([1.0, 0.3, -0.6])
-        euler_traj = estimate_clean(mlp3, schedule, x, 30, 4)
-        rk_traj = estimate_clean_rk(mlp3, schedule, x, 30, 4, ButcherTableau.euler())
-        a = symplectic_euler_grad(mlp3, euler_traj, g, schedule, 30)
-        b = symplectic_rk_grad(mlp3, rk_traj, g, schedule, 30)
-        assert np.array_equal(a, b)
+    def test_single_stage_matches_euler_grad_bitwise(self, schedule, gmm2, mlp3):
+        t, n = 30, 4
+        for model in (gmm2, mlp3):
+            rng = np.random.default_rng(model.dim)
+            x = rng.standard_normal(model.dim)
+            g = rng.standard_normal(model.dim)
+            traj = estimate_clean(model, schedule, x, t, n)
+            # hand-written symplectic Euler costate recurrence
+            sig = traj.sub.sub_sigma
+            lam = g.copy()
+            for tau in range(n):
+                lam = lam - (sig[tau + 1] - sig[tau]) * model.vjp(traj.states[tau + 1], float(sig[tau + 1]), lam)
+            expected = lam / np.sqrt(schedule.alpha[t])
+            assert np.array_equal(symplectic_euler_grad(model, traj, g, schedule, t), expected)
+            assert np.array_equal(symplectic_rk_grad(model, traj, g, schedule, t), expected)
 
     def test_zero_model(self, schedule):
         zero = AffineModel.zero(2)
@@ -287,6 +305,27 @@ class TestSymplecticRk:
             fm = float(g @ estimate_clean_rk(mlp3, schedule, xm, t, n, tb).clean_output)
             fd[j] = (fp - fm) / (2 * h)
         assert rel_err(grad, fd) < 1e-5
+
+
+class TestEulerOnlyReferences:
+    def test_reject_multi_stage_trajectory(self, schedule, mlp3):
+        traj = estimate_clean_rk(mlp3, schedule, np.full(3, 0.5), 30, 4, ButcherTableau.heun())
+        g = np.ones(3)
+        with pytest.raises(ValueError, match="Euler.*heun"):
+            direct_backprop_grad(mlp3, traj, g, schedule, 30)
+        with pytest.raises(ValueError, match="Euler.*heun"):
+            symplectic_euler_grad(mlp3, traj, g, schedule, 30)
+        with pytest.raises(ValueError, match="Euler.*heun"):
+            conservation_probe(mlp3, traj, g, g)
+
+    def test_rk_solvers_accept_euler_trajectory(self, schedule, mlp3):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(3)
+        g = rng.standard_normal(3)
+        traj = estimate_clean(mlp3, schedule, x, 30, 4)
+        oracle = direct_backprop_grad(mlp3, traj, g, schedule, 30)
+        assert rel_err(rk_direct_backprop_grad(mlp3, traj, g, schedule, 30), oracle) <= 1e-12
+        assert rel_err(symplectic_rk_grad(mlp3, traj, g, schedule, 30), oracle) <= 1e-9
 
 
 class TestConservation:

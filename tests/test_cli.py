@@ -101,8 +101,12 @@ def test_compare_adjoint_end_to_end(config_path, tmp_path):
     assert (out / "adjoint_comparison.svg").exists()
 
 
-def test_parallel_flag_keeps_outputs_identical(config_path, tmp_path):
-    out1, out2 = tmp_path / "p1", tmp_path / "p2"
-    assert main(["ablate-n", "--config", str(config_path), "--out", str(out1)]) == 0
-    assert main(["ablate-n", "--config", str(config_path), "--out", str(out2), "--parallel", "4"]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+def test_resolved_config_with_parallel_key_still_loads(config_path, tmp_path):
+    # Resolved configs written before the sweep thread pool was removed carry "parallel": 1.
+    old = json.loads(config_path.read_text())
+    old["parallel"] = 1
+    old_path = tmp_path / "config.resolved.json"
+    old_path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
+    out = tmp_path / "rerun"
+    assert main(["sample", "--config", str(old_path), "--seed", "7", "--out", str(out)]) == 0
+    assert "parallel" not in json.loads((out / "config.resolved.json").read_text())

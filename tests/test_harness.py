@@ -359,10 +359,3 @@ class TestWriteOutputs:
         obj = json.loads(paths["json"].read_text())
         assert obj["kind"] == "ablation_n"
         assert "wall_time_ns" not in paths["json"].read_text()
-
-    def test_parallel_matches_serial(self):
-        serial = run_ablation_n(task_config(num_seeds=4, sweep={"n_list": [1, 2], "m_curve_samples": [50]}))
-        par = run_ablation_n(
-            task_config(num_seeds=4, parallel=4, sweep={"n_list": [1, 2], "m_curve_samples": [50]})
-        )
-        assert par.to_json_text() == serial.to_json_text()
