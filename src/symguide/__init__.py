@@ -50,8 +50,6 @@ from .guidance import (
     SampleRecord,
     ddim_rollout,
     ddim_step,
-    gram_style_loss,
-    l2_target_loss,
     sag_sample,
     time_travel_renoise,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "GuidanceLoss",
     "L2TargetLoss",
     "GramStyleLoss",
-    "l2_target_loss",
-    "gram_style_loss",
     "GuidanceConfig",
     "SampleRecord",
     "ddim_step",

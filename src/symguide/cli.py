@@ -8,6 +8,7 @@ config next to its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from .harness import (
 )
 
 _RUNNERS = {
+    "sample": run_single_sample,
     "ablate-n": run_ablation_n,
     "ablate-rho": run_ablation_rho,
     "study-window": run_window_and_repeats_study,
@@ -58,14 +60,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_json_file(args.config)
     overrides = {}
     if args.seed is not None:
-        overrides["base_seed"] = int(args.seed)
+        overrides["base_seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
-    if overrides:
-        resolved = config.to_resolved_dict()
-        resolved.update(overrides)
-        config = RunConfig.from_dict(resolved)
-    return config
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
@@ -84,29 +82,16 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("plot needs --report and/or --out")
             out = Path(args.out) if args.out else Path(args.report).parent
             report_path = Path(args.report) if args.report else out / "report.json"
-            if not report_path.exists():
-                raise ConfigError(f"report not found: {report_path}")
-            obj = json.loads(report_path.read_text())
-            report = ExperimentReport(
-                kind=obj["kind"],
-                columns=obj["columns"],
-                rows=obj["rows"],
-                curves=obj.get("curves", {}),
-                meta=obj.get("meta", {}),
-            )
             try:
+                report = ExperimentReport(**json.loads(report_path.read_text()))
                 paths = emit_plots(report, out)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"cannot plot {report_path}: {exc!r}") from exc
             for path in paths:
                 print(path)
             return 0
         config = _load_config(args)
-        if args.command == "sample":
-            report = run_single_sample(config, seed=args.seed)
-        else:
-            report = _RUNNERS[args.command](config)
-        out = _write_outputs(report, config)
+        out = _write_outputs(_RUNNERS[args.command](config), config)
         print(out / "report.json")
         return 0
     except ConfigError as exc:

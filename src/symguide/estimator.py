@@ -304,6 +304,9 @@ def m_curve_csv_text(points: list["MCurvePoint"]) -> str:
     return "\n".join(lines) + "\n"
 
 
+MIN_ERROR_SAMPLES = 50
+
+
 def estimation_error_curve(
     model: ScoreModel,
     schedule: NoiseSchedule,
@@ -325,8 +328,8 @@ def estimation_error_curve(
         raise ValueError("all n must be >= 1")
     if n_ref < 8 * max(n_list):
         raise ValueError(f"n_ref = {n_ref} too coarse; need >= 8 * max(n_list) = {8 * max(n_list)}")
-    if num_samples < 50:
-        raise ValueError(f"num_samples must be >= 50, got {num_samples}")
+    if num_samples < MIN_ERROR_SAMPLES:
+        raise ValueError(f"num_samples must be >= {MIN_ERROR_SAMPLES}, got {num_samples}")
     rng = np.random.default_rng(seed)
     if hasattr(model, "sample_marginal"):
         xs = model.sample_marginal(rng, schedule, t, num_samples)

@@ -3,9 +3,10 @@
 The sampler walks t = T..1 with deterministic DDIM updates.  Inside a
 configured window it estimates the clean output in n sub-steps, pulls the
 loss gradient back to x_t with the symplectic Euler adjoint, and subtracts
-rho_t times that gradient from x_{t-1}.  Each step may repeat r_t times,
-renoising x_{t-1} back to step t between repeats (time travel).  A run is
-fully deterministic for a fixed seed: one RNG stream drawn in loop order.
+rho times that gradient from x_{t-1}.  Each step in the window repeats r
+times, renoising x_{t-1} back to step t between repeats (time travel).  A
+run is fully deterministic for a fixed seed: one RNG stream drawn in loop
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import abc
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "GuidanceLoss",
     "L2TargetLoss",
     "GramStyleLoss",
-    "l2_target_loss",
-    "gram_style_loss",
     "GuidanceConfig",
     "SampleRecord",
     "ddim_step",
@@ -103,42 +101,22 @@ class GramStyleLoss(GuidanceLoss):
         return self.feature_map.T @ dY.ravel()
 
 
-def l2_target_loss(x0: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    loss = L2TargetLoss(target)
-    return loss.value(x0), loss.grad(x0)
-
-
-def gram_style_loss(
-    x0: np.ndarray, target_gram: np.ndarray, feature_map: np.ndarray
-) -> tuple[float, np.ndarray]:
-    loss = GramStyleLoss(target_gram, feature_map)
-    return loss.value(x0), loss.grad(x0)
-
-
-def _coerce_int_map(obj: Mapping[int, float] | None) -> dict[int, float]:
-    return {int(k): v for k, v in obj.items()} if obj else {}
-
-
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Window, strength schedule, repeat counts and estimate-step schedule.
+    """Guidance window, strength, time-travel repeats and estimate-step count.
 
     Guidance is active for t in [window[0], window[1]] (inclusive), with
-    0 < K1 < K2 < T.  rho/repeats/n_steps are constants with optional exact
-    per-step overrides; rho is 0 and repeats is 1 outside the window.
-    Steps whose effective rho is 0 skip the gradient computation entirely
-    (output-equivalent, and keeps guidance-off runs bitwise equal to plain
-    rollouts).
+    0 < K1 < K2 < T.  Inside the window each step applies strength rho,
+    repeats `repeats` times and estimates the clean output in n_steps
+    sub-steps; outside it rho is 0 and each step runs once.  Steps whose
+    rho is 0 skip the gradient computation entirely (output-equivalent, and
+    keeps guidance-off runs bitwise equal to plain rollouts).
     """
 
     window: tuple[int, int]
     rho: float
     repeats: int = 1
     n_steps: int = 1
-    rho_by_t: Mapping[int, float] | None = None
-    repeats_by_t: Mapping[int, int] | None = None
-    n_by_t: Mapping[int, int] | None = None
-    grad_normalize: bool = False
 
     def __post_init__(self) -> None:
         k1, k2 = (int(self.window[0]), int(self.window[1]))
@@ -149,15 +127,6 @@ class GuidanceConfig:
             raise ValueError("rho must be non-negative")
         if self.repeats < 1 or self.n_steps < 1:
             raise ValueError("repeats and n_steps must be >= 1")
-        object.__setattr__(self, "rho_by_t", _coerce_int_map(self.rho_by_t))
-        object.__setattr__(self, "repeats_by_t", {int(k): int(v) for k, v in (self.repeats_by_t or {}).items()})
-        object.__setattr__(self, "n_by_t", {int(k): int(v) for k, v in (self.n_by_t or {}).items()})
-        if any(v < 0.0 for v in self.rho_by_t.values()):
-            raise ValueError("per-step rho overrides must be non-negative")
-        if any(v < 1 for v in self.repeats_by_t.values()):
-            raise ValueError("per-step repeat overrides must be >= 1")
-        if any(v < 1 for v in self.n_by_t.values()):
-            raise ValueError("per-step n overrides must be >= 1")
 
     def validate_for(self, schedule: NoiseSchedule) -> None:
         if self.window[1] >= schedule.num_steps:
@@ -169,17 +138,10 @@ class GuidanceConfig:
         return self.window[0] <= t <= self.window[1]
 
     def rho_at(self, t: int) -> float:
-        if not self.in_window(t):
-            return 0.0
-        return float(self.rho_by_t.get(t, self.rho))
+        return float(self.rho) if self.in_window(t) else 0.0
 
     def repeats_at(self, t: int) -> int:
-        if t in self.repeats_by_t:
-            return self.repeats_by_t[t]
         return self.repeats if self.in_window(t) else 1
-
-    def n_at(self, t: int) -> int:
-        return self.n_by_t.get(t, self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -206,17 +168,14 @@ class SampleRecord:
     def steps_guided(self) -> int:
         return len(self.guided_steps)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "final_state": [float(v) for v in self.final_state],
             "final_loss": self.final_loss,
             "guided_steps": self.guided_steps,
             "seed": self.seed,
             "checkpoints_stored": self.checkpoints_stored,
         }
-        if include_timing:
-            out["wall_time_ns"] = self.wall_time_ns
-        return out
 
 
 def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int) -> np.ndarray:
@@ -262,18 +221,21 @@ def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.nd
     return x
 
 
+# A sampler state whose norm passes this bound counts as diverged.
+_NORM_GUARD = 1e9
+
+
 def sag_sample(
     model: ScoreModel,
     schedule: NoiseSchedule,
     loss: GuidanceLoss,
     config: GuidanceConfig,
     seed: int,
-    norm_guard: float = 1e9,
 ) -> SampleRecord:
     """Run the full guided sampling loop and record per-step metrics.
 
     Raises DivergenceError (with step diagnostics) if a state, estimate or
-    gradient leaves the finite range or the state norm passes norm_guard.
+    gradient leaves the finite range or the state norm passes _NORM_GUARD (1e9).
     """
     config.validate_for(schedule)
     rng = np.random.default_rng(seed)
@@ -286,15 +248,14 @@ def sag_sample(
         rho_t = config.rho_at(t)
         for rep in range(r_t):
             x_prev = ddim_step(model, schedule, x, t)
-            if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > norm_guard:
+            if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > _NORM_GUARD:
                 raise DivergenceError(
                     f"sampler state diverged at t={t} repeat={rep} "
                     f"(norm {np.linalg.norm(x_prev[np.isfinite(x_prev)]):.3e})"
                 )
             if rho_t > 0.0:
                 t0 = time.perf_counter_ns()
-                n_t = config.n_at(t)
-                traj = estimate_clean(model, schedule, x, t, n_t)
+                traj = estimate_clean(model, schedule, x, t, config.n_steps)
                 checkpoints += traj.checkpoint_count
                 value = loss.value(traj.clean_output)
                 grad = symplectic_euler_grad(
@@ -303,21 +264,19 @@ def sag_sample(
                 if not np.all(np.isfinite(grad)):
                     raise DivergenceError(f"non-finite guidance gradient at t={t} repeat={rep}")
                 gnorm = float(np.linalg.norm(grad))
-                if config.grad_normalize and gnorm > 0.0:
-                    grad = grad / gnorm
                 x_prev = x_prev - rho_t * grad
                 guided_ns += time.perf_counter_ns() - t0
                 guided_steps.append(
                     {
                         "t": t,
                         "repeat": rep,
-                        "n": n_t,
+                        "n": config.n_steps,
                         "rho": rho_t,
                         "loss": value,
                         "grad_norm": gnorm,
                     }
                 )
-                if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > norm_guard:
+                if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > _NORM_GUARD:
                     raise DivergenceError(
                         f"guided state diverged at t={t} repeat={rep} (rho={rho_t})"
                     )

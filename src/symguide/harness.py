@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .adjoint import (
     vanilla_adjoint_grad,
 )
 from .estimator import (
+    MIN_ERROR_SAMPLES,
     DivergenceError,
     MCurvePoint,
     estimate_clean,
@@ -80,7 +81,7 @@ def build_schedule(spec: dict) -> NoiseSchedule:
             _require(spec, "beta_min", "schedule"),
             _require(spec, "beta_max", "schedule"),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule spec: {exc}") from exc
 
 
@@ -100,7 +101,7 @@ def build_model(spec: dict) -> ScoreModel:
             return AffineModel(np.asarray(_require(spec, "matrix", "model")), spec.get("offset"))
     except ConfigError:
         raise
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
     raise ConfigError(f"unknown model kind '{kind}'")
 
@@ -122,30 +123,72 @@ def build_loss(spec: dict) -> GuidanceLoss:
     raise ConfigError(f"unknown loss kind '{kind}'")
 
 
+_GUIDANCE_KEYS = [f.name for f in fields(GuidanceConfig)]
+# Guidance keys of earlier versions.  Resolved configs those versions wrote
+# carry them at their defaults (null, {} or false), which still load.
+_RETIRED_GUIDANCE_KEYS = ("rho_by_t", "repeats_by_t", "n_by_t", "grad_normalize")
+
+
 def build_guidance(spec: dict) -> GuidanceConfig:
     try:
         window = tuple(_require(spec, "window", "guidance"))
         if len(window) != 2:
             raise ConfigError(f"guidance window must be a [K1, K2] pair, got {list(window)}")
+        at_default = {k for k in _RETIRED_GUIDANCE_KEYS if spec.get(k) in (None, {}, False)}
+        unknown = sorted(set(spec) - set(_GUIDANCE_KEYS) - at_default)
+        if unknown:
+            raise ConfigError(f"unknown guidance key(s) {unknown}; known: {_GUIDANCE_KEYS}")
         return GuidanceConfig(
             window=window,
             rho=float(_require(spec, "rho", "guidance")),
             repeats=int(spec.get("repeats", 1)),
             n_steps=int(spec.get("n_steps", 1)),
-            rho_by_t=spec.get("rho_by_t"),
-            repeats_by_t=spec.get("repeats_by_t"),
-            n_by_t=spec.get("n_by_t"),
-            grad_normalize=bool(spec.get("grad_normalize", False)),
         )
     except ConfigError:
         raise
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad guidance spec: {exc}") from exc
+
+
+def _guidance_for(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
+    """build_guidance, plus the check that the window fits the schedule."""
+    guidance = build_guidance(spec)
+    try:
+        guidance.validate_for(schedule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return guidance
+
+
+def _count(value: Any, least: int) -> int:
+    if int(value) < least:
+        raise ValueError(f"{value} is below {least}")
+    return int(value)
+
+
+# Every sweep axis: the default a runner sweeps when the config leaves it out
+# (windows: the thirds of the step range), and the check that turns one JSON
+# value into the value swept.  A guidance axis's check builds that guidance
+# against the schedule.
+_SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = {
+    "n_list": ([1, 2, 4, 8], lambda config, v: config.with_guidance(n_steps=v).n_steps),
+    "rho_list": ([0.0, 0.05, 0.2, 1.0], lambda config, v: config.with_guidance(rho=v).rho),
+    "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
+    "windows": (None, lambda config, v: config.with_guidance(window=v).window),
+    "d_list": ([2, 4], lambda config, v: _count(v, 1)),
+    "m_curve_samples": ([200], lambda config, v: _count(v, MIN_ERROR_SAMPLES)),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated experiment configuration."""
+    """Fully validated experiment configuration.
+
+    Construction builds the schedule, model, loss and guidance once, which
+    build() returns, and parses every sweep axis the config sets, checking
+    each guidance value against the schedule, so config errors surface as
+    ConfigError before any computation.  sweep stays the raw JSON object.
+    """
 
     schedule_spec: dict
     model_spec: dict
@@ -159,19 +202,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be >= 1")
-        for key, vals in self.sweep.items():
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"sweep axis '{key}' must be a non-empty list")
-        # Fail fast: construct everything once so config errors surface
-        # before any computation.
+        if not isinstance(self.sweep, dict):
+            raise ConfigError(f"sweep section must be a JSON object, got {type(self.sweep).__name__}")
         schedule = build_schedule(self.schedule_spec)
         model = build_model(self.model_spec)
         loss = build_loss(self.loss_spec)
-        guidance = build_guidance(self.guidance_spec)
-        try:
-            guidance.validate_for(schedule)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        guidance = _guidance_for(self.guidance_spec, schedule)
         try:
             grad = loss.grad(np.zeros(model.dim))
         except Exception as exc:
@@ -182,19 +218,39 @@ class RunConfig:
             raise ConfigError(
                 f"loss gradient has shape {np.shape(grad)} for model dimension {model.dim}"
             )
+        # Frozen: the built objects and parsed axes bypass the dataclass guard.
+        object.__setattr__(self, "_built", (schedule, model, loss, guidance))
+        object.__setattr__(
+            self, "_axes", {key: self._parse_axis(key, vals) for key, vals in self.sweep.items()}
+        )
+
+    def _parse_axis(self, key: str, vals: Any) -> list:
+        if key not in _SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis '{key}'; known axes: {list(_SWEEP_AXES)}")
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(f"sweep axis '{key}' must be a non-empty list")
+        check = _SWEEP_AXES[key][1]
+        try:
+            return [check(self, v) for v in vals]
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad sweep axis '{key}': {exc}") from exc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
+        try:
+            num_seeds, base_seed = int(obj.get("num_seeds", 10)), int(obj.get("base_seed", 0))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"num_seeds and base_seed must be integers: {exc}") from exc
         return cls(
             schedule_spec=_require(obj, "schedule", "config"),
             model_spec=_require(obj, "model", "config"),
             loss_spec=_require(obj, "loss", "config"),
             guidance_spec=_require(obj, "guidance", "config"),
             sweep=obj.get("sweep", {}),
-            num_seeds=int(obj.get("num_seeds", 10)),
-            base_seed=int(obj.get("base_seed", 0)),
+            num_seeds=num_seeds,
+            base_seed=base_seed,
             out_dir=str(obj.get("out_dir", "runs/out")),
         )
 
@@ -205,7 +261,9 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             obj = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(obj)
 
@@ -222,17 +280,15 @@ class RunConfig:
         }
 
     def build(self) -> tuple[NoiseSchedule, ScoreModel, GuidanceLoss, GuidanceConfig]:
-        return (
-            build_schedule(self.schedule_spec),
-            build_model(self.model_spec),
-            build_loss(self.loss_spec),
-            build_guidance(self.guidance_spec),
-        )
+        return self._built
 
     def with_guidance(self, **overrides) -> GuidanceConfig:
-        spec = dict(self.guidance_spec)
-        spec.update(overrides)
-        return build_guidance(spec)
+        """The guidance with some keys overridden, checked against the schedule."""
+        return _guidance_for({**self.guidance_spec, **overrides}, self._built[0])
+
+    def axis(self, key: str) -> list | None:
+        """A sweep axis's parsed values, or its default if the config leaves it out."""
+        return self._axes.get(key, _SWEEP_AXES[key][0])
 
 
 def _env_fingerprint() -> dict:
@@ -427,7 +483,7 @@ def run_single_sample(config: RunConfig, seed: int | None = None) -> ExperimentR
 def run_ablation_n(config: RunConfig) -> ExperimentReport:
     """Sweep the estimate-step count with everything else fixed."""
     schedule, model, loss, _ = config.build()
-    n_list = [int(n) for n in config.sweep.get("n_list", [1, 2, 4, 8])]
+    n_list = config.axis("n_list")
     rows, timings, loss_curves = _sweep(
         config, schedule, model, loss,
         [({}, config.with_guidance(n_steps=n)) for n in n_list],
@@ -435,7 +491,7 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
         ["seed", "n", "wall_time_ns", "steps_guided", "error"],
     )
     curves = {f"n={n}": {"t": ts, "loss": losses} for n, (ts, losses) in zip(n_list, loss_curves)}
-    m_samples = int(config.sweep.get("m_curve_samples", [200])[0])
+    m_samples = config.axis("m_curve_samples")[0]
     m_curve = estimation_error_curve(
         model,
         schedule,
@@ -463,7 +519,7 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
 def run_ablation_rho(config: RunConfig) -> ExperimentReport:
     """Sweep the guidance strength; diverged runs become flagged rows."""
     schedule, model, loss, _ = config.build()
-    rho_list = [float(r) for r in config.sweep.get("rho_list", [0.0, 0.05, 0.2, 1.0])]
+    rho_list = config.axis("rho_list")
     columns = ["seed", "rho", "n", "window", "final_loss", "steps_guided", "diverged"]
     rows, timings, _ = _sweep(
         config, schedule, model, loss,
@@ -487,12 +543,12 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
     rollout with the same seed (content-preservation proxy).
     """
     schedule, model, loss, _ = config.build()
-    windows = config.sweep.get("windows")
+    windows = config.axis("windows")
     if windows:
-        named = {f"w{i}": (int(w[0]), int(w[1])) for i, w in enumerate(windows)}
+        named = {f"w{i}": window for i, window in enumerate(windows)}
     else:
         named = default_window_thirds(schedule.num_steps)
-    repeats_list = [int(r) for r in config.sweep.get("repeats_list", [1, 2, 3])]
+    repeats_list = config.axis("repeats_list")
     columns = [
         "seed", "window_name", "window", "repeats", "final_loss",
         "distance_to_unguided", "steps_guided", "diverged",
@@ -524,8 +580,8 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
     counters.
     """
     schedule, _, _, _ = config.build()
-    n_list = [int(n) for n in config.sweep.get("n_list", [1, 2, 4, 8])]
-    d_list = [int(d) for d in config.sweep.get("d_list", [2, 4])]
+    n_list = config.axis("n_list")
+    d_list = config.axis("d_list")
     t = max(1, int(round(0.7 * schedule.num_steps)))
     heun = ButcherTableau.heun()
     rng = np.random.default_rng(config.base_seed)

@@ -43,6 +43,30 @@ def test_sample_writes_resolved_config(config_path, tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["sample", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
+    # A directory exists but cannot be read as a config file.
+    assert main(["sample", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, section, values",
+    [
+        ("study-window", "sweep", {"windows": [[40, 60]]}),  # outside T = 50
+        ("study-window", "sweep", {"windows": [[5]]}),
+        ("ablate-n", "sweep", {"m_curve_samples": [10]}),
+        ("ablate-n", "sweep", {"n_list": ["a"]}),
+        ("compare-adjoint", "sweep", {"d_list": [0]}),
+        ("sample", None, {"num_seeds": "x"}),
+        ("sample", "guidance", {"n_step": 8}),
+        ("sample", "guidance", {"rho_by_t": {"20": 0.5}}),
+    ],
+)
+def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
+    obj = json.loads(config_path.read_text())
+    (obj[section] if section else obj).update(values)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_2(tmp_path):
@@ -88,6 +112,18 @@ def test_plot_from_report(config_path, tmp_path):
 
 def test_plot_missing_report_exits_2(tmp_path):
     assert main(["plot", "--out", str(tmp_path / "empty")]) == 2
+    good = {"kind": "ablation_rho", "columns": ["rho"], "rows": [{"rho": 0.1}]}
+    for name, text in [
+        ("not_json", "{not json"),
+        ("no_kind", json.dumps({k: v for k, v in good.items() if k != "kind"})),
+        ("array", json.dumps([good])),
+        ("bad_rows", json.dumps({**good, "rows": [{"seed": 0}]})),
+        ("unplottable", json.dumps(good)),  # rho rows need diverged and final_loss
+    ]:
+        report = tmp_path / name / "report.json"
+        report.parent.mkdir()
+        report.write_text(text)
+        assert main(["plot", "--report", str(report)]) == 2, name
 
 
 def test_compare_adjoint_end_to_end(config_path, tmp_path):
@@ -105,6 +141,9 @@ def test_resolved_config_with_parallel_key_still_loads(config_path, tmp_path):
     # Resolved configs written before the sweep thread pool was removed carry "parallel": 1.
     old = json.loads(config_path.read_text())
     old["parallel"] = 1
+    # ... and those written before the per-step guidance options were removed
+    # carry "grad_normalize": false.
+    old["guidance"]["grad_normalize"] = False
     old_path = tmp_path / "config.resolved.json"
     old_path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
     out = tmp_path / "rerun"
