@@ -25,7 +25,6 @@ from .estimator import (
     CheckpointTrajectory,
     DivergenceError,
     MCurvePoint,
-    SubSchedule,
     estimate_clean,
     estimate_clean_rk,
     estimation_error_curve,
@@ -76,7 +75,6 @@ __all__ = [
     "eps_at_step",
     "vjp_at_step",
     "finite_diff_vjp",
-    "SubSchedule",
     "CheckpointTrajectory",
     "DivergenceError",
     "MCurvePoint",

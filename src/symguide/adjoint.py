@@ -14,16 +14,17 @@ map; the vanilla adjoint (which re-integrates the state alongside lambda
 and evaluates at the current backward iterate) is kept as the approximate
 comparison solver.
 
-One costate sweep serves every explicit Runge-Kutta tableau, and Euler is
-its one-stage case.  The costate is propagated by the conjugate
-coefficients A[i][j] = b[j] a[j][i] / b[i] (strictly upper triangular, so
-the stage sweep is explicit in reverse order), each transpose-Jacobian
-product taken at a restored stage point.  Together with the state half of
-the backward pass -- whose coefficients are the reflection b[j] - a[i][j]
-of the forward tableau and whose stages are free because they are restored
-from checkpoints -- the pair satisfies the conjugacy identities
+One costate sweep serves every explicit Runge-Kutta tableau (a, b, c), and
+Euler is its one-stage case.  Every costate coefficient is derived from the
+forward tableau: the costate stages take the forward weights b, are
+evaluated at the restored forward stage points (abscissae c), and are
+coupled by A[i][j] = b[j] a[j][i] / b[i] (strictly upper triangular, so the
+stage sweep is explicit in reverse order).  With the state half of the
+backward pass -- the reflection a_bwd[i][j] = b[j] - a[i][j] of the forward
+tableau, whose stages are free because they are restored from checkpoints
+-- this A satisfies the conjugacy identity
 
-    b[i] A[i][j] + B[j] a_bwd[j][i] - b[i] B[j] = 0,   B = b,  C = c_bwd,
+    b[i] A[i][j] + b[j] a_bwd[j][i] - b[i] b[j] = 0,
 
 which is the symplecticity condition guaranteeing the costate pairing
 lambda^T delta is conserved step by step (see conservation_probe).  With
@@ -78,9 +79,9 @@ def _check_traj(model: ScoreModel, traj: CheckpointTrajectory, schedule: NoiseSc
             f"trajectory dimension {traj.states.shape[1]} does not match model dimension {model.dim}"
         )
     sigma_t = schedule.sigma(t)
-    if traj.sub.sub_sigma[-1] != sigma_t:
+    if traj.sigma[-1] != sigma_t:
         raise ValueError(
-            f"trajectory sigma grid ends at {traj.sub.sub_sigma[-1]!r}, "
+            f"trajectory sigma grid ends at {traj.sigma[-1]!r}, "
             f"but sigma({t}) = {sigma_t!r}; wrong schedule or step"
         )
 
@@ -111,10 +112,10 @@ def _costate_sweep(
     """
     tb = traj.tableau
     s = tb.stages
-    A, B, c = tb.A.tolist(), tb.B.tolist(), tb.c.tolist()
-    sig = traj.sub.sub_sigma
+    A, b, c = tb.A.tolist(), tb.b.tolist(), tb.c.tolist()
+    sig = traj.sigma
     vjps: list[np.ndarray | None] = [None] * s
-    for tau in range(traj.sub.n):
+    for tau in range(traj.n):
         lo, hi = float(sig[tau]), float(sig[tau + 1])
         H = hi - lo  # positive backward step
         for i in range(s - 1, -1, -1):
@@ -126,7 +127,7 @@ def _costate_sweep(
             x = traj.states[tau + 1] if i == 0 else traj.stage_states[tau, i - 1]
             vjps[i] = model.vjp(x, hi + c[i] * (lo - hi), lam_i)
         for i in range(s):
-            lam = lam - H * B[i] * vjps[i]
+            lam = lam - H * b[i] * vjps[i]
         _check_finite(lam, tau + 1, "costate")
         if trace is not None:
             trace[tau + 1] = lam
@@ -162,7 +163,7 @@ def symplectic_euler_grad(
     _require_euler(traj, "symplectic_euler_grad")
     grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
     if return_stats:
-        return grad, AdjointStats(checkpoints_read=traj.sub.n + 1, tape_arrays=0, peak_state_vectors=2)
+        return grad, AdjointStats(checkpoints_read=traj.n + 1, tape_arrays=0, peak_state_vectors=2)
     return grad
 
 
@@ -183,8 +184,8 @@ def direct_backprop_grad(
     """
     _require_euler(traj, "direct_backprop_grad")
     _check_traj(model, traj, schedule, t)
-    sig = traj.sub.sub_sigma
-    n = traj.sub.n
+    sig = traj.sigma
+    n = traj.n
     tapes = [model.eps_with_tape(traj.states[tau + 1], float(sig[tau + 1]))[1] for tau in range(n)]
     lam = _costate_start(model, grad_at_clean)
     for tau in range(n):
@@ -219,8 +220,7 @@ def vanilla_adjoint_grad(
     """
     if int(n_back) < 1:
         raise ValueError(f"n_back must be >= 1, got {n_back}")
-    sub = make_sub_schedule(schedule, t, int(n_back))
-    sig = sub.sub_sigma
+    sig = make_sub_schedule(schedule, t, int(n_back))
     x_bar = np.asarray(x_clean, dtype=np.float64).copy()  # sqrt(alpha_0) = 1
     lam = np.array(grad_at_clean, dtype=np.float64)
     for tau in range(int(n_back)):
@@ -245,7 +245,7 @@ def symplectic_rk_grad(
     """Exact dL/dx_t through the RK forward map via conjugate coefficients."""
     grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
     if return_stats:
-        n, s = traj.sub.n, traj.tableau.stages
+        n, s = traj.n, traj.tableau.stages
         return grad, AdjointStats(checkpoints_read=n + 1 + n * s, tape_arrays=0, peak_state_vectors=2 + s)
     return grad
 
@@ -265,8 +265,8 @@ def rk_direct_backprop_grad(
     """
     _check_traj(model, traj, schedule, t)
     tb = traj.tableau
-    sig = traj.sub.sub_sigma
-    n = traj.sub.n
+    sig = traj.sigma
+    n = traj.n
     s = tb.stages
     g = _costate_start(model, grad_at_clean)
     for tau in range(n):
@@ -299,8 +299,8 @@ def conservation_probe(
     up to roundoff.
     """
     _require_euler(traj, "conservation_probe")
-    sig = traj.sub.sub_sigma
-    n = traj.sub.n
+    sig = traj.sigma
+    n = traj.n
     d = traj.states.shape[1]
     v0 = np.asarray(v0, dtype=np.float64)
     lambda0 = np.asarray(lambda0, dtype=np.float64)

@@ -2,18 +2,19 @@
 
 Starting from x_t, the clean output is predicted by integrating the
 sampling ODE d x_bar = eps_bar d sigma down to sigma = 0 in n sub-steps of
-an explicit Runge-Kutta method, given by its ButcherTableau.  Explicit
-Euler is the one-stage tableau of the same loop:
+an explicit Runge-Kutta method, given by its ButcherTableau (a, b, c).
+Explicit Euler is the one-stage tableau of the same loop:
 
     x_bar[tau-1] = x_bar[tau] + (sigma[tau-1] - sigma[tau]) * eps(x_bar[tau], sigma[tau])
 
 for tau = n..1, with x_bar[n] = x_t / sqrt(alpha_t).  Sub-steps are placed
 uniformly in continuous step-index space and alpha is interpolated in log
 space, so endpoints are exact and integer knots reproduce the parent
-schedule.  The scaled trajectory is recorded: the n+1 checkpoints plus, for
-s > 1 stages, the stage points 1..s-1 of every step (stage 0 of an explicit
-step is its start checkpoint).  That is exactly what the symplectic adjoint
-solvers consume; for Euler it is the n+1 checkpoints alone.
+schedule.  The scaled trajectory is recorded with its sigma grid: the n+1
+checkpoints plus, for s > 1 stages, the stage points 1..s-1 of every step
+(stage 0 of an explicit step is its start checkpoint).  That is exactly what
+the symplectic adjoint solvers consume; for Euler it is the n+1 checkpoints
+alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "DivergenceError",
-    "SubSchedule",
     "ButcherTableau",
     "CheckpointTrajectory",
     "MCurvePoint",
@@ -46,52 +46,27 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SubSchedule:
-    """alpha/sigma values at the n+1 sub-steps of one clean-output estimate.
-
-    Index tau runs 0..n with tau = n the parent step t and tau = 0 the clean
-    end: sub_alpha[n] = alpha[t], sub_alpha[0] = 1, and sub_sigma strictly
-    increasing in tau (so strictly decreasing along the integration).
-    h[tau] = sub_sigma[tau+1] - sub_sigma[tau] > 0.
-    """
-
-    n: int
-    sub_alpha: np.ndarray
-    sub_sigma: np.ndarray
-    h: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for arr in (self.sub_alpha, self.sub_sigma, self.h):
-            arr.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class ButcherTableau:
-    """Explicit forward RK coefficients plus conjugate costate coefficients.
+    """An explicit forward RK method (a, b, c); its costate coefficients are derived.
 
-    a is strictly lower triangular (explicit forward method).  The costate
-    coefficients satisfy B = b, C = 1 - c (the stage abscissae seen from the
-    backward direction) and the conjugacy identity (see the adjoint module);
-    A is strictly upper triangular, so the backward stage sweep stays
-    explicit.  The coefficient arrays are read-only, so the identity checked
-    here holds for the tableau's lifetime.
+    a is strictly lower triangular (explicit forward method) and every
+    weight b[i] is nonzero.  The costate sweep (see the adjoint module)
+    weights its stages by b itself, evaluates them at the forward stage
+    points, and couples them by A[i][j] = b[j] a[j][i] / b[i], the solution
+    of the conjugacy identity.  A is strictly upper triangular, so the
+    backward stage sweep stays explicit.  All arrays are read-only, so the
+    identity checked here holds for the tableau's lifetime.
     """
 
-    stages: int
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
     name: str = field(default="", compare=False)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = self.stages
-        for name, shape in (
-            ("a", (s, s)), ("b", (s,)), ("c", (s,)),
-            ("A", (s, s)), ("B", (s,)), ("C", (s,)),
-        ):
+        s = np.size(self.b)
+        for name, shape in (("a", (s, s)), ("b", (s,)), ("c", (s,))):
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"tableau field {name} has shape {arr.shape}, expected {shape}")
@@ -101,44 +76,34 @@ class ButcherTableau:
             raise ValueError("forward tableau must be strictly lower triangular")
         if np.any(self.b == 0.0):
             raise ValueError("all forward weights b[i] must be nonzero")
-        if np.any(self.B != self.b):
-            raise ValueError("costate weights must equal forward weights (B = b)")
-        if np.any(self.C != 1.0 - self.c):
-            raise ValueError("costate abscissae must be the reflected forward ones (C = 1 - c)")
+        A = np.triu(self.b[None, :] * self.a.T / self.b[:, None], 1)
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
         res = self.conjugacy_residual()
-        if res > 1e-15:
+        if not res <= 1e-15:  # NaN coefficients fail too
             raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
 
+    @property
+    def stages(self) -> int:
+        return len(self.b)
+
     def conjugacy_residual(self) -> float:
-        """max |b_i A_ij + B_j a_bwd_ji - b_i B_j| over all i, j.
+        """max |b_i A_ij + b_j a_bwd_ji - b_i b_j| over all i, j.
 
         a_bwd is the state half of the backward pass, the reflection
         b[j] - a[i][j] of the forward tableau.
         """
         a_bwd = self.b[None, :] - self.a
-        res = self.b[:, None] * self.A + (self.B[None, :] * a_bwd.T) - self.b[:, None] * self.B[None, :]
+        res = self.b[:, None] * self.A + (self.b[None, :] * a_bwd.T) - self.b[:, None] * self.b[None, :]
         return float(np.abs(res).max())
 
     @classmethod
-    def from_forward(cls, a, b, c, name: str = "") -> "ButcherTableau":
-        """Solve the conjugacy identities for the costate coefficients."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        c = np.asarray(c, dtype=np.float64)
-        s = len(b)
-        A = np.zeros((s, s))
-        for i in range(s):
-            for j in range(i + 1, s):
-                A[i, j] = b[j] * a[j, i] / b[i]
-        return cls(stages=s, a=a, b=b, c=c, A=A, B=b.copy(), C=1.0 - c, name=name)
-
-    @classmethod
     def euler(cls) -> "ButcherTableau":
-        return cls.from_forward(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), name="euler")
+        return cls(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), name="euler")
 
     @classmethod
     def heun(cls) -> "ButcherTableau":
-        return cls.from_forward(
+        return cls(
             np.array([[0.0, 0.0], [1.0, 0.0]]),
             np.array([0.5, 0.5]),
             np.array([0.0, 1.0]),
@@ -153,23 +118,32 @@ _EULER = ButcherTableau.euler()
 class CheckpointTrajectory:
     """Stored forward states of one n-step estimate, in scaled coordinates.
 
-    states[tau] is x_bar at sub-step tau (states[n] = to_scaled(x_t)), and
-    clean_output = states[0] * sqrt(alpha_0) = states[0].  Step record k
-    (k = 0..n-1) is the step that produced states[k] from states[k+1];
+    sigma is the (n+1,) sub-step grid of make_sub_schedule.  states[tau] is
+    x_bar at sub-step tau (states[n] = to_scaled(x_t)); at tau = 0,
+    sqrt(alpha) = 1, so states[0] is the clean output itself.  Step record
+    k (k = 0..n-1) is the step that produced states[k] from states[k+1];
     stage_states[k, i - 1] holds its stage point i >= 1.  Stage 0 is
     states[k+1] itself, so a one-stage (Euler) trajectory stores the n+1
     checkpoints and nothing else.
     """
 
-    sub: SubSchedule
+    sigma: np.ndarray
     tableau: ButcherTableau
     states: np.ndarray        # (n+1, d)
     stage_states: np.ndarray  # (n, s-1, d)
-    clean_output: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.states, self.stage_states, self.clean_output):
+        for arr in (self.sigma, self.states, self.stage_states):
             arr.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.sigma) - 1
+
+    @property
+    def clean_output(self) -> np.ndarray:
+        """The estimate x'_0 = states[0], a read-only view."""
+        return self.states[0]
 
     @property
     def checkpoint_count(self) -> int:
@@ -177,13 +151,19 @@ class CheckpointTrajectory:
 
     def stage(self, k: int, i: int) -> tuple[np.ndarray, float]:
         """Point and sigma at which step record k evaluated its stage i."""
-        hi = float(self.sub.sub_sigma[k + 1])
-        sigma = hi + float(self.tableau.c[i]) * (float(self.sub.sub_sigma[k]) - hi)
+        hi = float(self.sigma[k + 1])
+        sigma = hi + float(self.tableau.c[i]) * (float(self.sigma[k]) - hi)
         return (self.states[k + 1] if i == 0 else self.stage_states[k, i - 1]), sigma
 
 
-def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> SubSchedule:
-    """Place n sub-steps uniformly in step-index space between t and 0."""
+def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
+    """The read-only (n+1,) sigma grid of n sub-steps between step t and 0.
+
+    Sub-steps are placed uniformly in step-index space and alpha is
+    interpolated in log space, exact at integer knots, so sigma[0] = 0,
+    sigma[n] = sigma(t), integer knots reproduce the parent schedule, and
+    the grid is strictly increasing in tau.
+    """
     t = schedule._check_step(t)
     if t < 1:
         raise ValueError("sub-schedules require t >= 1")
@@ -196,11 +176,11 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> SubSchedule:
     # Exact values at integer knots (endpoints included) beat the exp/log trip.
     on_knot = grid == np.round(grid)
     sub_alpha[on_knot] = schedule.alpha[np.round(grid[on_knot]).astype(int)]
-    sub_sigma = np.sqrt((1.0 - sub_alpha) / sub_alpha)
-    h = np.diff(sub_sigma)
-    if np.any(h <= 0.0):
+    sigma = np.sqrt((1.0 - sub_alpha) / sub_alpha)
+    if np.any(np.diff(sigma) <= 0.0):
         raise ValueError("sub-schedule sigma values are not strictly increasing")
-    return SubSchedule(n=n, sub_alpha=sub_alpha, sub_sigma=sub_sigma, h=h)
+    sigma.setflags(write=False)
+    return sigma
 
 
 def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
@@ -223,8 +203,8 @@ def _integrate(
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != (model.dim,):
         raise ValueError(f"x_t has shape {x_t.shape}, expected ({model.dim},)")
-    sub = make_sub_schedule(schedule, t, n)
-    sig = sub.sub_sigma.tolist()
+    sigma = make_sub_schedule(schedule, t, n)
+    sig = sigma.tolist()
     s = tableau.stages
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     states = np.empty((n + 1, model.dim))
@@ -247,10 +227,7 @@ def _integrate(
             y = y + h * b[i] * slopes[i]
         states[tau - 1] = y
         _check_finite(y, tau - 1)
-    clean = states[0] * math.sqrt(sub.sub_alpha[0])
-    return CheckpointTrajectory(
-        sub=sub, tableau=tableau, states=states, stage_states=stage_states, clean_output=clean
-    )
+    return CheckpointTrajectory(sigma=sigma, tableau=tableau, states=states, stage_states=stage_states)
 
 
 def estimate_clean(

@@ -51,6 +51,8 @@ class L2TargetLoss(GuidanceLoss):
 
     def __init__(self, target: np.ndarray) -> None:
         target = np.array(target, dtype=np.float64)
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target must be finite")
         target.setflags(write=False)
         self.target = target
 
@@ -74,6 +76,8 @@ class GramStyleLoss(GuidanceLoss):
         F = np.array(feature_map, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("target Gram matrix must be square")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(F))):
+            raise ValueError("target Gram matrix and feature map must be finite")
         if not np.allclose(c, c.T):
             raise ValueError("target Gram matrix must be symmetric")
         r = c.shape[0]
@@ -123,8 +127,8 @@ class GuidanceConfig:
         if not 0 < k1 < k2:
             raise ValueError(f"window must satisfy 0 < K1 < K2, got ({k1}, {k2})")
         object.__setattr__(self, "window", (k1, k2))
-        if self.rho < 0.0:
-            raise ValueError("rho must be non-negative")
+        if not (math.isfinite(self.rho) and self.rho >= 0.0):
+            raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
         if self.repeats < 1 or self.n_steps < 1:
             raise ValueError("repeats and n_steps must be >= 1")
 

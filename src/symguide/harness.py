@@ -9,6 +9,7 @@ sweep cells are flagged rows, never dropped.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -77,7 +78,7 @@ def build_schedule(spec: dict) -> NoiseSchedule:
         if "alpha" in spec:
             return NoiseSchedule(np.asarray(spec["alpha"], dtype=np.float64))
         return build_linear_schedule(
-            _require(spec, "T", "schedule"),
+            _integer(_require(spec, "T", "schedule"), 2, "schedule T"),
             _require(spec, "beta_min", "schedule"),
             _require(spec, "beta_max", "schedule"),
         )
@@ -96,7 +97,8 @@ def build_model(spec: dict) -> ScoreModel:
                 if not path.exists():
                     raise ConfigError(f"mlp weights file not found: {path}")
                 return MlpModel.from_json_dict(json.loads(path.read_text()))
-            return MlpModel.random(_require(spec, "widths", "model"), int(spec.get("seed", 0)))
+            widths = [_integer(w, 1, "mlp width") for w in _require(spec, "widths", "model")]
+            return MlpModel.random(widths, _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
             return AffineModel(np.asarray(_require(spec, "matrix", "model")), spec.get("offset"))
     except ConfigError:
@@ -134,6 +136,7 @@ def build_guidance(spec: dict) -> GuidanceConfig:
         window = tuple(_require(spec, "window", "guidance"))
         if len(window) != 2:
             raise ConfigError(f"guidance window must be a [K1, K2] pair, got {list(window)}")
+        window = tuple(_integer(k, 1, "guidance window step") for k in window)
         at_default = {k for k in _RETIRED_GUIDANCE_KEYS if spec.get(k) in (None, {}, False)}
         unknown = sorted(set(spec) - set(_GUIDANCE_KEYS) - at_default)
         if unknown:
@@ -141,8 +144,8 @@ def build_guidance(spec: dict) -> GuidanceConfig:
         return GuidanceConfig(
             window=window,
             rho=float(_require(spec, "rho", "guidance")),
-            repeats=int(spec.get("repeats", 1)),
-            n_steps=int(spec.get("n_steps", 1)),
+            repeats=_integer(spec.get("repeats", 1), 1, "guidance repeats"),
+            n_steps=_integer(spec.get("n_steps", 1), 1, "guidance n_steps"),
         )
     except ConfigError:
         raise
@@ -160,9 +163,12 @@ def _guidance_for(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     return guidance
 
 
-def _count(value: Any, least: int) -> int:
-    if int(value) < least:
-        raise ValueError(f"{value} is below {least}")
+def _integer(value: Any, least: int, what: str) -> int:
+    """A JSON integer >= least; integral floats such as 2.0 count, booleans do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -175,8 +181,8 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
     "rho_list": ([0.0, 0.05, 0.2, 1.0], lambda config, v: config.with_guidance(rho=v).rho),
     "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
     "windows": (None, lambda config, v: config.with_guidance(window=v).window),
-    "d_list": ([2, 4], lambda config, v: _count(v, 1)),
-    "m_curve_samples": ([200], lambda config, v: _count(v, MIN_ERROR_SAMPLES)),
+    "d_list": ([2, 4], lambda config, v: _integer(v, 1, "d")),
+    "m_curve_samples": ([200], lambda config, v: _integer(v, MIN_ERROR_SAMPLES, "m_curve_samples")),
 }
 
 
@@ -200,8 +206,9 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
-        if self.num_seeds < 1:
-            raise ConfigError("num_seeds must be >= 1")
+        # Frozen: parsed values and built objects bypass the dataclass guard.
+        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, 1, "num_seeds"))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, 0, "base_seed"))
         if not isinstance(self.sweep, dict):
             raise ConfigError(f"sweep section must be a JSON object, got {type(self.sweep).__name__}")
         schedule = build_schedule(self.schedule_spec)
@@ -218,7 +225,6 @@ class RunConfig:
             raise ConfigError(
                 f"loss gradient has shape {np.shape(grad)} for model dimension {model.dim}"
             )
-        # Frozen: the built objects and parsed axes bypass the dataclass guard.
         object.__setattr__(self, "_built", (schedule, model, loss, guidance))
         object.__setattr__(
             self, "_axes", {key: self._parse_axis(key, vals) for key, vals in self.sweep.items()}
@@ -239,18 +245,14 @@ class RunConfig:
     def from_dict(cls, obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
-        try:
-            num_seeds, base_seed = int(obj.get("num_seeds", 10)), int(obj.get("base_seed", 0))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"num_seeds and base_seed must be integers: {exc}") from exc
         return cls(
             schedule_spec=_require(obj, "schedule", "config"),
             model_spec=_require(obj, "model", "config"),
             loss_spec=_require(obj, "loss", "config"),
             guidance_spec=_require(obj, "guidance", "config"),
             sweep=obj.get("sweep", {}),
-            num_seeds=num_seeds,
-            base_seed=base_seed,
+            num_seeds=obj.get("num_seeds", 10),
+            base_seed=obj.get("base_seed", 0),
             out_dir=str(obj.get("out_dir", "runs/out")),
         )
 

@@ -91,6 +91,8 @@ class GmmModel(ScoreModel):
         means = np.array(means, dtype=np.float64)
         if means.ndim != 2 or len(weights) != len(means):
             raise ValueError("means must be (K, d) with one row per weight")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
+            raise ValueError("mixture weights and means must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -209,6 +211,8 @@ class MlpModel(ScoreModel):
             if W.shape != (widths[l + 1], fan_in) or b.shape != (widths[l + 1],):
                 raise ValueError(f"layer {l}: W is {W.shape}, b is {b.shape}; "
                                  f"expected ({widths[l + 1]}, {fan_in}) and ({widths[l + 1]},)")
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+                raise ValueError(f"layer {l}: W and b must be finite")
             W.setflags(write=False)
             b.setflags(write=False)
             self._Ws.append(W)
@@ -300,6 +304,8 @@ class AffineModel(ScoreModel):
         b = np.zeros(self.dim) if offset is None else np.asarray(offset, dtype=np.float64)
         if b.shape != (self.dim,):
             raise ValueError("offset dimension mismatch")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("matrix and offset must be finite")
         A = A.copy()
         b = b.copy()
         A.setflags(write=False)

@@ -1,10 +1,16 @@
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
 from symguide.cli import main
+
+NAN, INF = math.nan, math.inf
 
 
 @pytest.fixture()
@@ -58,6 +64,29 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", None, {"num_seeds": "x"}),
         ("sample", "guidance", {"n_step": 8}),
         ("sample", "guidance", {"rho_by_t": {"20": 0.5}}),
+        # Non-finite numbers (json writes and reads the NaN and Infinity literals).
+        ("sample", "guidance", {"rho": NAN}),
+        ("sample", "guidance", {"rho": INF}),
+        ("ablate-rho", "sweep", {"rho_list": [NAN]}),
+        ("sample", "model", {"means": [[NAN, 0.0], [3.0, 0.0]]}),
+        ("sample", "model", {"means": [[INF, 0.0], [3.0, 0.0]]}),
+        ("sample", "model", {"weights": [NAN, 0.5]}),
+        ("sample", "model", {"kind": "affine", "matrix": [[NAN, 0.0], [0.0, 0.1]]}),
+        ("sample", "model", {"kind": "affine", "matrix": [[INF, 0.0], [0.0, 0.1]]}),
+        ("sample", "loss", {"target": [NAN, 0.0]}),
+        ("sample", "loss", {"target": [INF, 0.0]}),
+        # Integer keys: negative seeds, booleans and fractions.
+        ("sample", None, {"base_seed": -1}),
+        ("sample --seed -1", None, {}),
+        ("sample", None, {"num_seeds": 2.5}),
+        ("sample", "schedule", {"T": 50.5}),
+        ("sample", "model", {"kind": "mlp", "widths": [2, 8.5, 2]}),
+        ("sample", "guidance", {"n_steps": 1.5}),
+        ("sample", "guidance", {"n_steps": True}),
+        ("sample", "guidance", {"repeats": 2.7}),
+        ("sample", "guidance", {"window": [15.7, 35]}),
+        ("ablate-n", "sweep", {"n_list": [1.5]}),
+        ("compare-adjoint", "sweep", {"d_list": [2.5]}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -65,7 +94,7 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, sectio
     (obj[section] if section else obj).update(values)
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(obj))
-    assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert main([*command.split(), "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
 
 
@@ -149,3 +178,41 @@ def test_resolved_config_with_parallel_key_still_loads(config_path, tmp_path):
     out = tmp_path / "rerun"
     assert main(["sample", "--config", str(old_path), "--seed", "7", "--out", str(out)]) == 0
     assert "parallel" not in json.loads((out / "config.resolved.json").read_text())
+
+
+# A small valid config, and every key the fuzz below may replace.
+_FUZZ_BASE = {
+    "schedule": {"T": 6, "beta_min": 0.05, "beta_max": 0.3},
+    "model": {"kind": "gmm", "weights": [0.5, 0.5], "means": TASK_MEANS},
+    "loss": {"kind": "l2_target", "target": TASK_TARGET},
+    "guidance": {"window": [2, 4], "rho": TASK_RHO, "repeats": 1, "n_steps": 2},
+    "num_seeds": 1,
+    "base_seed": 0,
+    "sweep": {"n_list": [1, 2], "m_curve_samples": [50]},
+}
+_FUZZ_KEYS = [(None, key) for key in [*_FUZZ_BASE, "out_dir"]] + [
+    (section, key) for section in ("guidance", "sweep") for key in _FUZZ_BASE[section]
+]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 64)
+    | st.floats(-2.0, 64.0)
+    | st.sampled_from([NAN, INF, -INF])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(target=st.sampled_from(_FUZZ_KEYS), value=_json_values)
+@example(target=(None, "base_seed"), value=-1)
+def test_config_fuzz_never_crashes(target, value):
+    section, key = target
+    obj = json.loads(json.dumps(_FUZZ_BASE))
+    (obj[section] if section else obj)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(obj))
+        assert main(["sample", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)

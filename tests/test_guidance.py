@@ -112,6 +112,10 @@ class TestLosses:
             GramStyleLoss(np.zeros((2, 2)), np.zeros((5, 4)))  # 5 rows not divisible by 2
         with pytest.raises(ValueError):
             GramStyleLoss(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((6, 4)))  # asymmetric
+        with pytest.raises(ValueError, match="finite"):
+            GramStyleLoss(np.full((2, 2), np.inf), np.zeros((6, 4)))
+        with pytest.raises(ValueError, match="finite"):
+            GramStyleLoss(np.eye(2), np.full((6, 4), np.nan))
 
 
 class TestRenoise:
@@ -154,6 +158,9 @@ class TestGuidanceConfig:
     def test_positivity(self):
         with pytest.raises(ValueError):
             GuidanceConfig(window=(1, 5), rho=-0.1)
+        for rho in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GuidanceConfig(window=(1, 5), rho=rho)
         with pytest.raises(ValueError):
             GuidanceConfig(window=(1, 5), rho=0.1, repeats=0)
         with pytest.raises(ValueError):

@@ -146,6 +146,15 @@ class TestMlp:
         with pytest.raises(ValueError):
             MlpModel([2, 2], [(np.zeros((2, 2)), np.zeros(2))])  # missing sigma column
 
+    def test_non_finite_layers_rejected(self):
+        for bad in (np.nan, np.inf):
+            W = np.zeros((2, 3))
+            W[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MlpModel([2, 2], [(W, np.zeros(2))])
+            with pytest.raises(ValueError, match="finite"):
+                MlpModel([2, 2], [(np.zeros((2, 3)), np.full(2, bad))])
+
     def test_json_round_trip(self, mlp3):
         loaded = MlpModel.from_json_dict(json.loads(json.dumps(mlp3.to_json_dict())))
         x = np.array([0.1, -0.2, 0.3])
