@@ -28,7 +28,6 @@ from .estimator import (
     estimate_clean,
     estimate_clean_rk,
     estimation_error_curve,
-    m_curve_csv_text,
     make_sub_schedule,
     one_step_estimate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_clean",
     "one_step_estimate",
     "estimation_error_curve",
-    "m_curve_csv_text",
     "ButcherTableau",
     "AdjointStats",
     "symplectic_euler_grad",

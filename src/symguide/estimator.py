@@ -37,7 +37,6 @@ __all__ = [
     "estimate_clean_rk",
     "one_step_estimate",
     "estimation_error_curve",
-    "m_curve_csv_text",
 ]
 
 
@@ -144,10 +143,6 @@ class CheckpointTrajectory:
     def clean_output(self) -> np.ndarray:
         """The estimate x'_0 = states[0], a read-only view."""
         return self.states[0]
-
-    @property
-    def checkpoint_count(self) -> int:
-        return self.states.shape[0]
 
     def stage(self, k: int, i: int) -> tuple[np.ndarray, float]:
         """Point and sigma at which step record k evaluated its stage i."""
@@ -268,17 +263,6 @@ class MCurvePoint:
     n: int
     mean_error: float
     stderr: float
-    num_samples: int
-    seed: int
-
-    def csv_row(self) -> list[str]:
-        return [str(self.n), repr(self.mean_error), repr(self.stderr), str(self.num_samples), str(self.seed)]
-
-
-def m_curve_csv_text(points: list["MCurvePoint"]) -> str:
-    lines = ["n,mean_error,stderr,num_samples,seed"]
-    lines += [",".join(p.csv_row()) for p in points]
-    return "\n".join(lines) + "\n"
 
 
 MIN_ERROR_SAMPLES = 50
@@ -326,8 +310,6 @@ def estimation_error_curve(
                 n=n,
                 mean_error=float(e.mean()),
                 stderr=float(e.std(ddof=1) / math.sqrt(num_samples)),
-                num_samples=num_samples,
-                seed=seed,
             )
         )
     return out

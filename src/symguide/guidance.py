@@ -161,7 +161,6 @@ class SampleRecord:
     final_state: np.ndarray
     guided_steps: list[dict]
     seed: int
-    checkpoints_stored: int
     wall_time_ns: int
     final_loss: float
 
@@ -171,6 +170,11 @@ class SampleRecord:
     @property
     def steps_guided(self) -> int:
         return len(self.guided_steps)
+
+    @property
+    def checkpoints_stored(self) -> int:
+        """Forward states the guided steps' n-step estimates stored, n + 1 each."""
+        return sum(step["n"] + 1 for step in self.guided_steps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,7 +249,6 @@ def sag_sample(
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.dim)
     guided_steps: list[dict] = []
-    checkpoints = 0
     guided_ns = 0
     for t in range(schedule.num_steps, 0, -1):
         r_t = config.repeats_at(t)
@@ -260,7 +263,6 @@ def sag_sample(
             if rho_t > 0.0:
                 t0 = time.perf_counter_ns()
                 traj = estimate_clean(model, schedule, x, t, config.n_steps)
-                checkpoints += traj.checkpoint_count
                 value = loss.value(traj.clean_output)
                 grad = symplectic_euler_grad(
                     model, traj, loss.grad(traj.clean_output), schedule, t
@@ -292,7 +294,6 @@ def sag_sample(
         final_state=x,
         guided_steps=guided_steps,
         seed=seed,
-        checkpoints_stored=checkpoints,
         wall_time_ns=guided_ns,
         final_loss=loss.value(x),
     )

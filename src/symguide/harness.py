@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .adjoint import (
+    AdjointStats,
     ButcherTableau,
     direct_backprop_grad,
     estimate_clean_rk,
@@ -30,10 +32,8 @@ from .adjoint import (
 from .estimator import (
     MIN_ERROR_SAMPLES,
     DivergenceError,
-    MCurvePoint,
     estimate_clean,
     estimation_error_curve,
-    m_curve_csv_text,
 )
 from .guidance import (
     GramStyleLoss,
@@ -76,11 +76,11 @@ def _require(obj: dict, key: str, where: str) -> Any:
 def build_schedule(spec: dict) -> NoiseSchedule:
     try:
         if "alpha" in spec:
-            return NoiseSchedule(np.asarray(spec["alpha"], dtype=np.float64))
+            return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         return build_linear_schedule(
             _integer(_require(spec, "T", "schedule"), 2, "schedule T"),
-            _require(spec, "beta_min", "schedule"),
-            _require(spec, "beta_max", "schedule"),
+            _real(_require(spec, "beta_min", "schedule"), "schedule beta_min"),
+            _real(_require(spec, "beta_max", "schedule"), "schedule beta_max"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad schedule spec: {exc}") from exc
@@ -90,17 +90,30 @@ def build_model(spec: dict) -> ScoreModel:
     kind = _require(spec, "kind", "model")
     try:
         if kind == "gmm":
-            return GmmModel(_require(spec, "weights", "model"), _require(spec, "means", "model"))
+            return GmmModel(
+                _real_array(_require(spec, "weights", "model"), "gmm weights"),
+                _real_array(_require(spec, "means", "model"), "gmm means"),
+            )
         if kind == "mlp":
             if "weights_file" in spec:
                 path = Path(spec["weights_file"])
                 if not path.exists():
                     raise ConfigError(f"mlp weights file not found: {path}")
-                return MlpModel.from_json_dict(json.loads(path.read_text()))
+                obj = json.loads(path.read_text())
+                for w in obj["widths"]:
+                    _integer(w, 1, "mlp width")
+                for layer in obj["layers"]:
+                    _real_array(layer["W"], "mlp layer W")
+                    _real_array(layer["b"], "mlp layer b")
+                return MlpModel.from_json_dict(obj)
             widths = [_integer(w, 1, "mlp width") for w in _require(spec, "widths", "model")]
             return MlpModel.random(widths, _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
-            return AffineModel(np.asarray(_require(spec, "matrix", "model")), spec.get("offset"))
+            offset = spec.get("offset")
+            return AffineModel(
+                _real_array(_require(spec, "matrix", "model"), "affine matrix"),
+                None if offset is None else _real_array(offset, "affine offset"),
+            )
     except ConfigError:
         raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -112,11 +125,11 @@ def build_loss(spec: dict) -> GuidanceLoss:
     kind = _require(spec, "kind", "loss")
     try:
         if kind == "l2_target":
-            return L2TargetLoss(np.asarray(_require(spec, "target", "loss"), dtype=np.float64))
+            return L2TargetLoss(_real_array(_require(spec, "target", "loss"), "loss target"))
         if kind == "gram_style":
             return GramStyleLoss(
-                np.asarray(_require(spec, "target_gram", "loss"), dtype=np.float64),
-                np.asarray(_require(spec, "feature_map", "loss"), dtype=np.float64),
+                _real_array(_require(spec, "target_gram", "loss"), "loss target_gram"),
+                _real_array(_require(spec, "feature_map", "loss"), "loss feature_map"),
             )
     except ConfigError:
         raise
@@ -143,7 +156,7 @@ def build_guidance(spec: dict) -> GuidanceConfig:
             raise ConfigError(f"unknown guidance key(s) {unknown}; known: {_GUIDANCE_KEYS}")
         return GuidanceConfig(
             window=window,
-            rho=float(_require(spec, "rho", "guidance")),
+            rho=_real(_require(spec, "rho", "guidance"), "guidance rho"),
             repeats=_integer(spec.get("repeats", 1), 1, "guidance repeats"),
             n_steps=_integer(spec.get("n_steps", 1), 1, "guidance n_steps"),
         )
@@ -170,6 +183,26 @@ def _integer(value: Any, least: int, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(value: Any, what: str) -> float:
+    """A finite JSON number; booleans, strings and null do not count."""
+    # NaN fails the bound too.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _real_array(value: Any, what: str) -> np.ndarray:
+    """A JSON number or (nested) list of them, each checked by _real, as a float64 array."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        else:
+            _real(v, what)
+    return np.asarray(value, dtype=np.float64)
 
 
 # Every sweep axis: the default a runner sweeps when the config leaves it out
@@ -294,8 +327,6 @@ class RunConfig:
 
 
 def _env_fingerprint() -> dict:
-    import sys
-
     return {
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -321,6 +352,12 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
+def _csv_text(columns: list[str], rows: list[dict]) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class ExperimentReport:
     """Rows plus optional curves; serialization is fully deterministic."""
@@ -340,10 +377,7 @@ class ExperimentReport:
                 raise ValueError(f"row {i} keys {sorted(row)} do not match columns {self.columns}")
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.columns, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -370,22 +404,29 @@ class ExperimentReport:
         paths["timing"].write_text(json.dumps({"rows": self.timings}, sort_keys=True, indent=2) + "\n")
         m = self.curves.get("m_curve")
         if m:
-            points = [
-                MCurvePoint(n=int(n), mean_error=float(e), stderr=float(se),
-                            num_samples=int(self.meta.get("m_curve_samples", 0)),
-                            seed=int(self.meta.get("m_curve_seed", 0)))
+            samples, seed = self.meta.get("m_curve_samples", 0), self.meta.get("m_curve_seed", 0)
+            rows = [
+                {"n": n, "mean_error": e, "stderr": se, "num_samples": samples, "seed": seed}
                 for n, e, se in zip(m["n"], m["mean_error"], m["stderr"])
             ]
             paths["m_curve"] = out / "m_curve.csv"
-            paths["m_curve"].write_text(m_curve_csv_text(points))
+            paths["m_curve"].write_text(_csv_text(["n", "mean_error", "stderr", "num_samples", "seed"], rows))
         return paths
 
 
-def _sample_cell(model, schedule, loss, gcfg, seed) -> tuple[SampleRecord | None, str]:
-    try:
-        return sag_sample(model, schedule, loss, gcfg, seed), ""
-    except DivergenceError as exc:
-        return None, str(exc)
+def _run_fields(seed: int, gcfg: GuidanceConfig, rec: SampleRecord | None) -> dict:
+    """One run's fields, from its seed, guidance and record (None if it diverged)."""
+    return {
+        "seed": seed,
+        "n": gcfg.n_steps,
+        "rho": gcfg.rho,
+        "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
+        "repeats": gcfg.repeats,
+        "final_loss": rec.final_loss if rec else None,
+        "steps_guided": rec.steps_guided if rec else 0,
+        "diverged": rec is None,
+        "wall_time_ns": rec.wall_time_ns if rec else None,
+    }
 
 
 def _mean_loss_trajectory(records: list[SampleRecord]) -> tuple[list[int], list[float]]:
@@ -400,9 +441,6 @@ def _mean_loss_trajectory(records: list[SampleRecord]) -> tuple[list[int], list[
 
 def _sweep(
     config: RunConfig,
-    schedule: NoiseSchedule,
-    model: ScoreModel,
-    loss: GuidanceLoss,
     cells: list[tuple[dict, GuidanceConfig]],
     columns: list[str],
     timing_keys: list[str],
@@ -410,12 +448,13 @@ def _sweep(
     """Run every seed on each (labels, guidance) cell, in cell then seed order.
 
     One run yields a report row (its columns) and a timing entry (its
-    timing_keys), both picked from the seed, the cell's labels, the guidance
-    settings and the outcome; a diverged run is a flagged row.  A
-    distance_to_unguided column measures each final sample against the
-    unguided rollout with the same seed.  Returns the rows, the timings and
+    timing_keys), both picked from its _run_fields, the cell's labels and
+    its error; a diverged run is a flagged row.  A distance_to_unguided
+    column measures each final sample against the unguided rollout with the
+    same seed.  Returns the rows, the timings and
     each cell's mean guided-loss trajectory over its completed runs.
     """
+    schedule, model, loss, _ = config.build()
     seeds = [config.base_seed + i for i in range(config.num_seeds)]
     unguided = (
         {s: ddim_rollout(model, schedule, s) for s in seeds}
@@ -427,20 +466,11 @@ def _sweep(
     for labels, gcfg in cells:
         done = []
         for seed in seeds:
-            rec, err = _sample_cell(model, schedule, loss, gcfg, seed)
-            run = {
-                "seed": seed,
-                "n": gcfg.n_steps,
-                "rho": gcfg.rho,
-                "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
-                "repeats": gcfg.repeats,
-                **labels,
-                "final_loss": rec.final_loss if rec else None,
-                "steps_guided": rec.steps_guided if rec else 0,
-                "diverged": rec is None,
-                "wall_time_ns": rec.wall_time_ns if rec else None,
-                "error": err or None,
-            }
+            try:
+                rec, err = sag_sample(model, schedule, loss, gcfg, seed), ""
+            except DivergenceError as exc:
+                rec, err = None, str(exc)
+            run = {**_run_fields(seed, gcfg, rec), **labels, "error": err or None}
             if unguided is not None:
                 run["distance_to_unguided"] = (
                     float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
@@ -456,38 +486,28 @@ def _sweep(
 _RUN_COLUMNS = ["seed", "n", "rho", "window", "final_loss", "steps_guided", "diverged"]
 
 
-def run_single_sample(config: RunConfig, seed: int | None = None) -> ExperimentReport:
-    """One guided run; raises DivergenceError rather than flagging."""
+def run_single_sample(config: RunConfig) -> ExperimentReport:
+    """One guided run at the base seed; raises DivergenceError rather than flagging."""
     schedule, model, loss, gcfg = config.build()
-    use_seed = config.base_seed if seed is None else int(seed)
-    record = sag_sample(model, schedule, loss, gcfg, use_seed)
-    row = {
-        "seed": use_seed,
-        "n": gcfg.n_steps,
-        "rho": gcfg.rho,
-        "window": f"{gcfg.window[0]}-{gcfg.window[1]}",
-        "final_loss": record.final_loss,
-        "steps_guided": record.steps_guided,
-        "diverged": False,
-    }
+    record = sag_sample(model, schedule, loss, gcfg, config.base_seed)
+    run = _run_fields(config.base_seed, gcfg, record)
     ts, losses = _mean_loss_trajectory([record])
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="sample",
         columns=_RUN_COLUMNS,
-        rows=[row],
+        rows=[{c: run[c] for c in _RUN_COLUMNS}],
         curves={"guided_loss": {"label": f"n={gcfg.n_steps}", "t": ts, "loss": losses}},
         meta={"record": record.to_json_dict()},
-        timings=[{"seed": use_seed, "wall_time_ns": record.wall_time_ns}],
+        timings=[{k: run[k] for k in ("seed", "wall_time_ns")}],
     )
-    return report
 
 
 def run_ablation_n(config: RunConfig) -> ExperimentReport:
     """Sweep the estimate-step count with everything else fixed."""
-    schedule, model, loss, _ = config.build()
+    schedule, model, _, _ = config.build()
     n_list = config.axis("n_list")
     rows, timings, loss_curves = _sweep(
-        config, schedule, model, loss,
+        config,
         [({}, config.with_guidance(n_steps=n)) for n in n_list],
         _RUN_COLUMNS,
         ["seed", "n", "wall_time_ns", "steps_guided", "error"],
@@ -520,11 +540,10 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
 
 def run_ablation_rho(config: RunConfig) -> ExperimentReport:
     """Sweep the guidance strength; diverged runs become flagged rows."""
-    schedule, model, loss, _ = config.build()
     rho_list = config.axis("rho_list")
     columns = ["seed", "rho", "n", "window", "final_loss", "steps_guided", "diverged"]
     rows, timings, _ = _sweep(
-        config, schedule, model, loss,
+        config,
         [({}, config.with_guidance(rho=rho)) for rho in rho_list],
         columns,
         ["seed", "rho", "wall_time_ns", "error"],
@@ -544,19 +563,18 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
     Also records the distance of each guided final sample to the unguided
     rollout with the same seed (content-preservation proxy).
     """
-    schedule, model, loss, _ = config.build()
     windows = config.axis("windows")
     if windows:
         named = {f"w{i}": window for i, window in enumerate(windows)}
     else:
-        named = default_window_thirds(schedule.num_steps)
+        named = default_window_thirds(config.build()[0].num_steps)
     repeats_list = config.axis("repeats_list")
     columns = [
         "seed", "window_name", "window", "repeats", "final_loss",
         "distance_to_unguided", "steps_guided", "diverged",
     ]
     rows, timings, _ = _sweep(
-        config, schedule, model, loss,
+        config,
         [
             ({"window_name": name}, config.with_guidance(window=list(window), repeats=r))
             for name, window in named.items()
@@ -566,6 +584,13 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
         ["seed", "window_name", "repeats", "wall_time_ns", "error"],
     )
     return ExperimentReport(kind="window_study", columns=columns, rows=rows, timings=timings)
+
+
+def _timed(fn: Callable, *args, **kwargs) -> tuple[Any, int]:
+    """fn's result and its wall time in nanoseconds."""
+    t_ns = time.perf_counter_ns()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter_ns() - t_ns
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -603,42 +628,31 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
                 x_t = rng.standard_normal(d)
                 g0 = rng.standard_normal(d)
                 traj = estimate_clean(model, schedule, x_t, t, n)
-                t_ns = time.perf_counter_ns()
-                oracle, o_stats = direct_backprop_grad(model, traj, g0, schedule, t, return_stats=True)
-                oracle_ns = time.perf_counter_ns() - t_ns
-                t_ns = time.perf_counter_ns()
-                sym, s_stats = symplectic_euler_grad(model, traj, g0, schedule, t, return_stats=True)
-                sym_ns = time.perf_counter_ns() - t_ns
+                (oracle, o_stats), oracle_ns = _timed(
+                    direct_backprop_grad, model, traj, g0, schedule, t, return_stats=True
+                )
+                (sym, s_stats), sym_ns = _timed(
+                    symplectic_euler_grad, model, traj, g0, schedule, t, return_stats=True
+                )
                 rk_traj = estimate_clean_rk(model, schedule, x_t, t, n, heun)
                 rk_oracle = rk_direct_backprop_grad(model, rk_traj, g0, schedule, t)
-                t_ns = time.perf_counter_ns()
-                rk, rk_stats = symplectic_rk_grad(model, rk_traj, g0, schedule, t, return_stats=True)
-                rk_ns = time.perf_counter_ns() - t_ns
-                t_ns = time.perf_counter_ns()
-                van = vanilla_adjoint_grad(model, traj.clean_output, g0, schedule, t, n_back=n)
-                van_ns = time.perf_counter_ns() - t_ns
+                (rk, rk_stats), rk_ns = _timed(
+                    symplectic_rk_grad, model, rk_traj, g0, schedule, t, return_stats=True
+                )
+                van, van_ns = _timed(
+                    vanilla_adjoint_grad, model, traj.clean_output, g0, schedule, t, n_back=n
+                )
+                # The vanilla adjoint stores nothing: it recomputes n+1 states with two work vectors.
                 entries = [
                     ("symplectic_euler", _rel_err(sym, oracle), s_stats, sym_ns),
                     ("symplectic_rk2", _rel_err(rk, rk_oracle), rk_stats, rk_ns),
-                    ("vanilla", _rel_err(van, oracle), None, van_ns),
+                    ("vanilla", _rel_err(van, oracle), AdjointStats(n + 1, 0, 2), van_ns),
                     ("oracle_backprop", 0.0, o_stats, oracle_ns),
                 ]
                 for method, err, stats, ns in entries:
-                    rows.append(
-                        {
-                            "model": model_name,
-                            "d": d,
-                            "n": n,
-                            "method": method,
-                            "rel_error_vs_oracle": err,
-                            "checkpoints_read": stats.checkpoints_read if stats else n + 1,
-                            "tape_arrays": stats.tape_arrays if stats else 0,
-                            "peak_state_vectors": stats.peak_state_vectors if stats else 2,
-                        }
-                    )
-                    timings.append(
-                        {"model": model_name, "d": d, "n": n, "method": method, "wall_time_ns": ns}
-                    )
+                    cell = {"model": model_name, "d": d, "n": n, "method": method}
+                    rows.append({**cell, "rel_error_vs_oracle": err, **asdict(stats)})
+                    timings.append({**cell, "wall_time_ns": ns})
     return ExperimentReport(kind="adjoint_comparison", columns=columns, rows=rows, timings=timings)
 
 

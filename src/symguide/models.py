@@ -152,28 +152,15 @@ class GmmModel(ScoreModel):
         dr_v = a * r * (mean_dot - per_k)  # (d r_k / d x_bar) . v contribution
         return c * (v + dr_v @ diffs)
 
-    def sample_data(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        comps = rng.choice(len(self.weights), size=size, p=self.weights)
-        return self.means[comps] + rng.standard_normal((size, self.dim))
-
     def sample_marginal(
         self, rng: np.random.Generator, schedule: NoiseSchedule, t: int, size: int
     ) -> np.ndarray:
-        """Forward-corrupt data samples to step t."""
+        """Draw data samples and forward-corrupt them to step t."""
         a = schedule.alpha[schedule._check_step(t)]
-        x0 = self.sample_data(rng, size)
+        comps = rng.choice(len(self.weights), size=size, p=self.weights)
+        x0 = self.means[comps] + rng.standard_normal((size, self.dim))
         noise = rng.standard_normal((size, self.dim))
         return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * noise
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": [float(w) for w in self.weights],
-            "means": [[float(v) for v in row] for row in self.means],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GmmModel":
-        return cls(obj["weights"], obj["means"])
 
 
 class MlpModel(ScoreModel):

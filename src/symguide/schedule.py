@@ -63,25 +63,6 @@ class NoiseSchedule:
         t = self._check_step(t)
         return np.asarray(x, dtype=np.float64) / np.sqrt(self.alpha[t])
 
-    def from_scaled(self, x_bar: np.ndarray, t: int) -> np.ndarray:
-        """Inverse of to_scaled: multiply by sqrt(alpha_t)."""
-        t = self._check_step(t)
-        return np.asarray(x_bar, dtype=np.float64) * np.sqrt(self.alpha[t])
-
-    def to_json_dict(self) -> dict:
-        return {"T": self.num_steps, "alpha": [float(a) for a in self.alpha]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NoiseSchedule":
-        try:
-            T = int(obj["T"])
-            alpha = np.asarray(obj["alpha"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed schedule object: {exc}") from exc
-        if len(alpha) != T + 1:
-            raise ValueError(f"alpha has {len(alpha)} entries, expected T+1 = {T + 1}")
-        return cls(alpha)
-
 
 def _validate_alpha(alpha: np.ndarray) -> None:
     if alpha.ndim != 1 or len(alpha) < 3:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tempfile
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
+from symguide import MlpModel
 from symguide.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -87,6 +89,16 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "guidance", {"window": [15.7, 35]}),
         ("ablate-n", "sweep", {"n_list": [1.5]}),
         ("compare-adjoint", "sweep", {"d_list": [2.5]}),
+        # Float keys: booleans and strings are not numbers.
+        ("sample", "guidance", {"rho": True}),
+        ("sample", "guidance", {"rho": "0.1"}),
+        ("sample", "schedule", {"beta_min": "0.004"}),
+        ("sample", "model", {"weights": ["0.5", "0.5"]}),
+        ("sample", "model", {"means": [["-3.0", "0.0"], ["3.0", "0.0"]]}),
+        ("sample", "loss", {"target": ["-3.0", "0.0"]}),
+        ("sample", "loss", {"target": [True, False]}),
+        ("ablate-rho", "sweep", {"rho_list": [True]}),
+        ("sample", "model", {"kind": "affine", "matrix": [[True, False], [False, True]]}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -95,6 +107,35 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, sectio
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(obj))
     assert main([*command.split(), "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def _string_first_W(weights):
+    layer = weights["layers"][0]
+    layer["W"] = [[str(v) for v in row] for row in layer["W"]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda weights: weights.update(widths=["2", "4", "2"]),
+        _string_first_W,
+        lambda weights: weights["layers"][-1].update(b=[True, False]),
+    ],
+    ids=["string-widths", "string-W", "boolean-b"],
+)
+def test_malformed_weights_file_exits_2(config_path, tmp_path, capsys, corrupt):
+    obj = json.loads(config_path.read_text())
+    weights_path = tmp_path / "weights.json"
+    obj["model"] = {"kind": "mlp", "weights_file": str(weights_path)}
+    cfg = tmp_path / "mlp.json"
+    cfg.write_text(json.dumps(obj))
+    weights = MlpModel.random([2, 4, 2], seed=0).to_json_dict()
+    weights_path.write_text(json.dumps(weights))
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    corrupt(weights)
+    weights_path.write_text(json.dumps(weights))
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
 
 
@@ -180,7 +221,8 @@ def test_resolved_config_with_parallel_key_still_loads(config_path, tmp_path):
     assert "parallel" not in json.loads((out / "config.resolved.json").read_text())
 
 
-# A small valid config, and every key the fuzz below may replace.
+# A small valid config; the other kinds of its schedule, model and loss
+# sections; and every key the fuzz below may replace.
 _FUZZ_BASE = {
     "schedule": {"T": 6, "beta_min": 0.05, "beta_max": 0.3},
     "model": {"kind": "gmm", "weights": [0.5, 0.5], "means": TASK_MEANS},
@@ -188,11 +230,31 @@ _FUZZ_BASE = {
     "guidance": {"window": [2, 4], "rho": TASK_RHO, "repeats": 1, "n_steps": 2},
     "num_seeds": 1,
     "base_seed": 0,
-    "sweep": {"n_list": [1, 2], "m_curve_samples": [50]},
+    "sweep": {"n_list": [1, 2], "rho_list": [0.0, 0.1], "m_curve_samples": [50]},
 }
-_FUZZ_KEYS = [(None, key) for key in [*_FUZZ_BASE, "out_dir"]] + [
-    (section, key) for section in ("guidance", "sweep") for key in _FUZZ_BASE[section]
-]
+_FUZZ_OTHER_KINDS = {
+    "schedule": [{"alpha": [1.0, 0.9, 0.75, 0.6, 0.45, 0.3, 0.2]}],
+    "model": [
+        {"kind": "mlp", "widths": [2, 4, 2], "seed": 0},
+        {"kind": "affine", "matrix": [[0.1, 0.0], [0.0, 0.1]], "offset": [0.0, 0.0]},
+    ],
+    "loss": [{"kind": "gram_style", "target_gram": [[1.0]], "feature_map": [[1.0, 0.0], [0.0, 1.0]]}],
+}
+
+
+def _fuzz_specs(section):
+    return [_FUZZ_BASE[section], *_FUZZ_OTHER_KINDS.get(section, [])]
+
+
+_FUZZ_KEYS = [(None, key) for key in [*_FUZZ_BASE, "out_dir"]] + list(dict.fromkeys(
+    (section, key)
+    for section in ("schedule", "model", "loss", "guidance", "sweep")
+    for spec in _fuzz_specs(section)
+    for key in spec
+))
+# Keys whose value is not a number or a list of numbers.
+_NON_NUMERIC_KEYS = {"kind", "out_dir", "schedule", "model", "loss", "guidance", "sweep"}
+_FUZZ_COMMANDS = ("sample", "ablate-rho")
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -205,14 +267,44 @@ _json_values = st.recursive(
 )
 
 
+def _fuzz_config(section, key, value):
+    """The base config with the first spec of `section` that holds `key`, key set to value."""
+    obj = copy.deepcopy(_FUZZ_BASE)
+    if section:
+        obj[section] = copy.deepcopy(next(spec for spec in _fuzz_specs(section) if key in spec))
+    (obj[section] if section else obj)[key] = value
+    return obj
+
+
+def _holds_bool_or_str(value):
+    return isinstance(value, (bool, str)) or (
+        isinstance(value, list) and any(_holds_bool_or_str(v) for v in value)
+    )
+
+
+@pytest.mark.parametrize(
+    "section, spec",
+    [(None, None)] + [(section, spec) for section, specs in _FUZZ_OTHER_KINDS.items() for spec in specs],
+)
+def test_fuzz_base_configs_run(tmp_path, section, spec):
+    obj = {**_FUZZ_BASE, section: spec} if section else _FUZZ_BASE
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(obj))
+    for command in _FUZZ_COMMANDS:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 @settings(derandomize=True, deadline=None)
 @given(target=st.sampled_from(_FUZZ_KEYS), value=_json_values)
 @example(target=(None, "base_seed"), value=-1)
+@example(target=("guidance", "rho"), value=True)
 def test_config_fuzz_never_crashes(target, value):
     section, key = target
-    obj = json.loads(json.dumps(_FUZZ_BASE))
-    (obj[section] if section else obj)[key] = value
+    obj = _fuzz_config(section, key, value)
+    # A boolean or a string is never a number: a numeric key holding one exits 2.
+    expected = (2,) if key not in _NON_NUMERIC_KEYS and _holds_bool_or_str(value) else (0, 2, 3)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(obj))
-        assert main(["sample", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+        for command in _FUZZ_COMMANDS:
+            assert main([command, "--config", str(path), "--out", str(Path(tmp) / "o")]) in expected

@@ -7,12 +7,12 @@ from conftest import rel_err
 from symguide import (
     AffineModel,
     DivergenceError,
+    ExperimentReport,
     GmmModel,
     NoiseSchedule,
     ScoreModel,
     estimate_clean,
     estimation_error_curve,
-    m_curve_csv_text,
     make_sub_schedule,
     one_step_estimate,
 )
@@ -131,7 +131,7 @@ class TestEstimateClean:
     def test_checkpoint_count(self, schedule, gmm2):
         for n in (1, 2, 4, 8):
             traj = estimate_clean(gmm2, schedule, np.zeros(2), 20, n)
-            assert traj.checkpoint_count == n + 1
+            assert traj.n == n
             assert traj.states.shape == (n + 1, 2)
 
     def test_divergence_aborts_with_diagnostics(self, schedule):
@@ -193,10 +193,22 @@ class TestErrorCurve:
         with pytest.raises(ValueError, match="num_samples"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 10, seed=0)
 
-    def test_csv_emission(self, schedule, gmm2):
+    def test_csv_emission(self, schedule, gmm2, tmp_path):
         curve = estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 50, seed=3)
-        text = m_curve_csv_text(curve)
-        lines = text.strip().split("\n")
+        report = ExperimentReport(
+            kind="m_curve",
+            columns=[],
+            rows=[],
+            curves={"m_curve": {
+                "n": [p.n for p in curve],
+                "mean_error": [p.mean_error for p in curve],
+                "stderr": [p.stderr for p in curve],
+            }},
+            meta={"m_curve_samples": 50, "m_curve_seed": 3},
+        )
+        lines = report.write(tmp_path)["m_curve"].read_text().strip().split("\n")
         assert lines[0] == "n,mean_error,stderr,num_samples,seed"
         assert len(lines) == 3
         assert all(len(line.split(",")) == 5 for line in lines)
+        for line, p in zip(lines[1:], curve):
+            assert line.split(",") == [repr(p.n), repr(p.mean_error), repr(p.stderr), "50", "3"]

@@ -92,14 +92,14 @@ class TestConfig:
 
 class TestSingleSample:
     def test_report_deterministic(self):
-        cfg = task_config()
-        a = run_single_sample(cfg, seed=7)
-        b = run_single_sample(cfg, seed=7)
+        cfg = task_config(base_seed=7)
+        a = run_single_sample(cfg)
+        b = run_single_sample(cfg)
         assert a.to_json_text() == b.to_json_text()
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_timing_outside_report_payload(self):
-        report = run_single_sample(task_config(), seed=3)
+        report = run_single_sample(task_config(base_seed=3))
         assert report.timings and "wall_time_ns" in report.timings[0]
         assert "wall_time_ns" not in report.to_json_text()
 
@@ -356,6 +356,9 @@ class TestWriteOutputs:
         m_lines = paths["m_curve"].read_text().strip().splitlines()
         assert m_lines[0] == "n,mean_error,stderr,num_samples,seed"
         assert len(m_lines) == 3
+        m = report.curves["m_curve"]
+        for line, (n, e, se) in zip(m_lines[1:], zip(m["n"], m["mean_error"], m["stderr"])):
+            assert line.split(",") == [repr(n), repr(e), repr(se), "50", "0"]
         obj = json.loads(paths["json"].read_text())
         assert obj["kind"] == "ablation_n"
         assert "wall_time_ns" not in paths["json"].read_text()

@@ -102,11 +102,6 @@ class TestGmm:
         with pytest.raises(ValueError):
             gmm2.eps(np.zeros(3), 1.0)
 
-    def test_json_round_trip(self, gmm2):
-        loaded = GmmModel.from_json_dict(json.loads(json.dumps(gmm2.to_json_dict())))
-        assert np.array_equal(loaded.weights, gmm2.weights)
-        assert np.array_equal(loaded.means, gmm2.means)
-
 
 class TestMlp:
     def test_zero_weights_dead_network(self, schedule):
