@@ -157,7 +157,10 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     Sub-steps are placed uniformly in step-index space and alpha is
     interpolated in log space, exact at integer knots, so sigma[0] = 0,
     sigma[n] = sigma(t), integer knots reproduce the parent schedule, and
-    the grid is strictly increasing in tau.
+    the grid is strictly increasing in tau.  t and n are checked on every
+    call; the grid is built once per (t, n) and memoised on the schedule,
+    so every later call for the same (t, n) returns that same read-only
+    array.
     """
     t = schedule._check_step(t)
     if t < 1:
@@ -165,6 +168,9 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    sigma = schedule._sub_grids.get((t, n))
+    if sigma is not None:
+        return sigma
     grid = np.arange(n + 1) * (t / n)  # fractional step indices, tau = 0..n
     log_alpha = schedule.log_alpha
     sub_alpha = np.exp(np.interp(grid, np.arange(len(log_alpha)), log_alpha))
@@ -175,11 +181,12 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     if np.any(np.diff(sigma) <= 0.0):
         raise ValueError("sub-schedule sigma values are not strictly increasing")
     sigma.setflags(write=False)
+    schedule._sub_grids[t, n] = sigma
     return sigma
 
 
 def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         norm = float(np.linalg.norm(x[np.isfinite(x)]))
         raise DivergenceError(
             f"non-finite {what} at sub-step tau={tau} (finite-part norm {norm:.3e})"

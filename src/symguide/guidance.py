@@ -195,11 +195,10 @@ def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: in
     t = schedule._check_step(t)
     if t < 1:
         raise ValueError("ddim_step requires t >= 1")
-    a_t = schedule.alpha[t]
-    a_prev = schedule.alpha[t - 1]
-    eps = model.eps(schedule.to_scaled(x_t, t), schedule.sigma(t))
-    xhat0 = (np.asarray(x_t, dtype=np.float64) - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-    return math.sqrt(a_prev) * xhat0 + math.sqrt(1.0 - a_prev) * eps
+    sqrt_a, sqrt_1ma = schedule.sqrt_alpha, schedule.sqrt_one_minus_alpha
+    eps = model.eps(schedule.to_scaled(x_t, t), schedule.sigmas[t])
+    xhat0 = (np.asarray(x_t, dtype=np.float64) - sqrt_1ma[t] * eps) / sqrt_a[t]
+    return sqrt_a[t - 1] * xhat0 + sqrt_1ma[t - 1] * eps
 
 
 def time_travel_renoise(
@@ -255,7 +254,7 @@ def sag_sample(
         rho_t = config.rho_at(t)
         for rep in range(r_t):
             x_prev = ddim_step(model, schedule, x, t)
-            if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > _NORM_GUARD:
+            if not np.isfinite(x_prev).all() or math.sqrt(x_prev.dot(x_prev)) > _NORM_GUARD:
                 raise DivergenceError(
                     f"sampler state diverged at t={t} repeat={rep} "
                     f"(norm {np.linalg.norm(x_prev[np.isfinite(x_prev)]):.3e})"
@@ -267,9 +266,9 @@ def sag_sample(
                 grad = symplectic_euler_grad(
                     model, traj, loss.grad(traj.clean_output), schedule, t
                 )
-                if not np.all(np.isfinite(grad)):
+                if not np.isfinite(grad).all():
                     raise DivergenceError(f"non-finite guidance gradient at t={t} repeat={rep}")
-                gnorm = float(np.linalg.norm(grad))
+                gnorm = math.sqrt(grad.dot(grad))
                 x_prev = x_prev - rho_t * grad
                 guided_ns += time.perf_counter_ns() - t0
                 guided_steps.append(
@@ -282,7 +281,7 @@ def sag_sample(
                         "grad_norm": gnorm,
                     }
                 )
-                if not np.all(np.isfinite(x_prev)) or np.linalg.norm(x_prev) > _NORM_GUARD:
+                if not np.isfinite(x_prev).all() or math.sqrt(x_prev.dot(x_prev)) > _NORM_GUARD:
                     raise DivergenceError(
                         f"guided state diverged at t={t} repeat={rep} (rho={rho_t})"
                     )

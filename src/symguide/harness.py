@@ -177,11 +177,19 @@ def _guidance_for(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
 
 
 def _integer(value: Any, least: int, what: str) -> int:
-    """A JSON integer >= least; integral floats such as 2.0 count, booleans do not."""
+    """A JSON integer in [least, sys.maxsize]; integral floats such as 2.0 count, booleans do not.
+
+    The upper bound keeps every count a machine-sized integer that numpy and
+    range() accept.
+    """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not least <= value <= sys.maxsize
+    ):
+        raise ConfigError(f"{what} must be an integer in [{least}, {sys.maxsize}], got {value!r}")
     return int(value)
 
 

@@ -67,7 +67,8 @@ class ScoreModel(abc.ABC):
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray: ...
 
     def _check_vec(self, x: np.ndarray, name: str = "x") -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"{name} has shape {x.shape}, expected ({self.dim},)")
         return x
@@ -97,18 +98,20 @@ class GmmModel(ScoreModel):
             raise ValueError("mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
-        weights.setflags(write=False)
-        means.setflags(write=False)
+        log_weights = np.log(weights)
+        for arr in (weights, means, log_weights):
+            arr.setflags(write=False)
         self.weights = weights
         self.means = means
+        self.log_weights = log_weights
         self.dim = means.shape[1]
 
     def _responsibilities(self, x_bar: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
         diffs = x_bar[None, :] - self.means  # (K, d)
-        logits = np.log(self.weights) - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
-        logits -= logits.max()
+        logits = self.log_weights - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
+        logits -= np.maximum.reduce(logits)
         r = np.exp(logits)
-        r /= r.sum()
+        r /= np.add.reduce(r)
         return r, diffs
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:

@@ -11,11 +11,14 @@ Everything downstream works in the reparameterized coordinates
 
 in which the deterministic sampler becomes an ODE d x_bar = eps_bar d sigma.
 sigma is strictly increasing in t and sigma(0) = 0.  All arithmetic is
-float64; schedules are immutable after construction.
+float64.  A schedule's values are immutable after construction; its only
+mutable part is a memo of the read-only sub-step grids that
+estimator.make_sub_schedule builds for it, at most one per (t, n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +28,22 @@ __all__ = ["NoiseSchedule", "build_linear_schedule"]
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Cumulative signal coefficients alpha[0..T] and derived sigma values."""
+    """Cumulative signal coefficients alpha[0..T] and derived sigma values.
+
+    sigmas, sqrt_alpha and sqrt_one_minus_alpha hold the per-step values as
+    Python floats, computed once, so per-step callers do no numpy-scalar
+    arithmetic.  _sub_grids memoises the read-only sigma grid that
+    estimator.make_sub_schedule builds for each (t, n): each schedule owns
+    its own dict, and a grid never changes once stored.
+    """
 
     alpha: np.ndarray
     sigma_values: np.ndarray = field(repr=False, compare=False)
     log_alpha: np.ndarray = field(repr=False, compare=False)
+    sigmas: tuple[float, ...] = field(repr=False, compare=False)
+    sqrt_alpha: tuple[float, ...] = field(repr=False, compare=False)
+    sqrt_one_minus_alpha: tuple[float, ...] = field(repr=False, compare=False)
+    _sub_grids: dict[tuple[int, int], np.ndarray] = field(repr=False, compare=False)
 
     def __init__(self, alpha: np.ndarray) -> None:
         alpha = np.asarray(alpha, dtype=np.float64)
@@ -43,6 +57,12 @@ class NoiseSchedule:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma_values", sigma_values)
         object.__setattr__(self, "log_alpha", log_alpha)
+        object.__setattr__(self, "sigmas", tuple(sigma_values.tolist()))
+        object.__setattr__(self, "sqrt_alpha", tuple(math.sqrt(a) for a in alpha.tolist()))
+        object.__setattr__(
+            self, "sqrt_one_minus_alpha", tuple(math.sqrt(1.0 - a) for a in alpha.tolist())
+        )
+        object.__setattr__(self, "_sub_grids", {})
 
     @property
     def num_steps(self) -> int:
@@ -56,12 +76,11 @@ class NoiseSchedule:
 
     def sigma(self, t: int) -> float:
         """sqrt(1 - alpha_t) / sqrt(alpha_t); exactly 0 at t = 0."""
-        return float(self.sigma_values[self._check_step(t)])
+        return self.sigmas[self._check_step(t)]
 
     def to_scaled(self, x: np.ndarray, t: int) -> np.ndarray:
         """x_bar = x / sqrt(alpha_t).  Identity at t = 0."""
-        t = self._check_step(t)
-        return np.asarray(x, dtype=np.float64) / np.sqrt(self.alpha[t])
+        return np.asarray(x, dtype=np.float64) / self.sqrt_alpha[self._check_step(t)]
 
 
 def _validate_alpha(alpha: np.ndarray) -> None:

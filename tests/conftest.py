@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symguide import GmmModel, L2TargetLoss, MlpModel, build_linear_schedule
+from symguide import GmmModel, L2TargetLoss, MlpModel, ScoreModel, build_linear_schedule
 
 # The default desk-scale task: well-separated bimodal mixture in d=2 with an
 # L2 pull toward one component mean.  All statistical-trend tests were
@@ -12,6 +12,47 @@ TASK_MEANS = [[-3.0, 0.0], [3.0, 0.0]]
 TASK_TARGET = [-3.0, 0.0]
 TASK_WINDOW = (15, 35)
 TASK_RHO = 0.1
+
+
+class NanModel(ScoreModel):
+    """Zero model that turns NaN after a set number of calls; for divergence tests.
+
+    From call healthy_calls + 1 on, eps (and eps_with_tape) put NaN in the
+    components nan_dims; vjp does the same from call healthy_vjp_calls + 1
+    (never, when None).  calls and vjp_calls count every call, the bad one
+    included, so a test can check that no call ran after the first NaN.
+    """
+
+    def __init__(self, dim, healthy_calls=0, healthy_vjp_calls=None, nan_dims=slice(None)):
+        self.dim = dim
+        self.calls = 0
+        self.vjp_calls = 0
+        self.healthy_calls = healthy_calls
+        self.healthy_vjp_calls = healthy_vjp_calls
+        self.nan_dims = nan_dims
+
+    def _output(self, calls, healthy):
+        out = np.zeros(self.dim)
+        if healthy is not None and calls > healthy:
+            out[self.nan_dims] = np.nan
+        return out
+
+    def eps(self, x_bar, sigma):
+        self.calls += 1
+        return self._output(self.calls, self.healthy_calls)
+
+    def vjp(self, x_bar, sigma, v):
+        self.vjp_calls += 1
+        return self._output(self.vjp_calls, self.healthy_vjp_calls)
+
+    def jvp(self, x_bar, sigma, v):
+        return np.zeros(self.dim)
+
+    def eps_with_tape(self, x_bar, sigma):
+        return self.eps(x_bar, sigma), []
+
+    def vjp_from_tape(self, tape, v):
+        return np.zeros(self.dim)
 
 
 def rel_err(a, b):

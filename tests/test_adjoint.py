@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err
+from conftest import NanModel, rel_err
 from symguide import (
     AffineModel,
     ButcherTableau,
+    DivergenceError,
     GmmModel,
     MlpModel,
     conservation_probe,
@@ -125,6 +126,16 @@ class TestSymplecticEuler:
             symplectic_euler_grad(mlp3, traj, np.zeros(3), schedule, 30)
         with pytest.raises(ValueError, match="sigma grid|schedule"):
             symplectic_euler_grad(gmm2, traj, np.zeros(2), schedule, 29)
+
+    def test_costate_divergence_text_and_no_call_after_it(self, schedule):
+        # The costate sweep runs tau = 0..5; the fourth vjp (tau = 3) is NaN in
+        # component 0, so the costate after it, at tau = 4, is the first bad one.
+        model = NanModel(2, healthy_calls=None, healthy_vjp_calls=3, nan_dims=[0])
+        traj = estimate_clean(model, schedule, np.array([0.5, -1.0]), 30, 6)
+        with pytest.raises(DivergenceError) as info:
+            symplectic_euler_grad(model, traj, np.array([1.0, -4.0]), schedule, 30)
+        assert str(info.value) == "non-finite costate at sub-step tau=4 (finite-part norm 4.000e+00)"
+        assert model.vjp_calls == 4
 
 
 class TestDirectBackprop:

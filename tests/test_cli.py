@@ -99,6 +99,10 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "loss", {"target": [True, False]}),
         ("ablate-rho", "sweep", {"rho_list": [True]}),
         ("sample", "model", {"kind": "affine", "matrix": [[True, False], [False, True]]}),
+        # Integer keys past sys.maxsize: no count may overflow a machine integer.
+        ("sample", "guidance", {"n_steps": 10**400}),
+        ("sample", "guidance", {"repeats": 10**400}),
+        ("sample", None, {"num_seeds": 10**400}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):

@@ -3,46 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import TASK_BETAS, TASK_T, NanModel, rel_err
 from symguide import (
     AffineModel,
     DivergenceError,
     ExperimentReport,
     GmmModel,
     NoiseSchedule,
-    ScoreModel,
+    build_linear_schedule,
     estimate_clean,
     estimation_error_curve,
     make_sub_schedule,
     one_step_estimate,
 )
-
-
-class NanModel(ScoreModel):
-    """Emits NaN after a set number of calls; for divergence handling tests."""
-
-    def __init__(self, dim, healthy_calls=0):
-        self.dim = dim
-        self.calls = 0
-        self.healthy_calls = healthy_calls
-
-    def eps(self, x_bar, sigma):
-        self.calls += 1
-        if self.calls > self.healthy_calls:
-            return np.full(self.dim, np.nan)
-        return np.zeros(self.dim)
-
-    def vjp(self, x_bar, sigma, v):
-        return np.zeros(self.dim)
-
-    def jvp(self, x_bar, sigma, v):
-        return np.zeros(self.dim)
-
-    def eps_with_tape(self, x_bar, sigma):
-        return self.eps(x_bar, sigma), []
-
-    def vjp_from_tape(self, tape, v):
-        return np.zeros(self.dim)
 
 
 class TestSubSchedule:
@@ -70,6 +43,39 @@ class TestSubSchedule:
             make_sub_schedule(schedule, 0, 2)
         with pytest.raises(ValueError):
             make_sub_schedule(schedule, schedule.num_steps + 1, 2)
+
+
+class TestSubScheduleMemo:
+    def test_memoised_grid_equals_a_fresh_build_bitwise(self, schedule):
+        for t in (1, 17, 35, 50):
+            for n in (1, 3, 4, 8, 64):
+                grid = make_sub_schedule(schedule, t, n)
+                assert make_sub_schedule(schedule, t, n) is grid
+                fresh = make_sub_schedule(NoiseSchedule(schedule.alpha), t, n)
+                assert grid.tobytes() == fresh.tobytes()
+                assert not grid.flags.writeable
+                with pytest.raises(ValueError):
+                    grid[0] = 1.0
+
+    def test_checks_run_before_the_memo(self):
+        sch = build_linear_schedule(TASK_T, *TASK_BETAS)
+        grid = make_sub_schedule(sch, 10, 2)
+        T = sch.num_steps
+        # Memo entries that no valid call could store: every call must still fail.
+        for t, n in ((0, 2), (-1, 2), (T + 1, 2), (10, 0), (10, -3)):
+            sch._sub_grids[t, n] = grid
+            with pytest.raises(ValueError):
+                make_sub_schedule(sch, t, n)
+
+    def test_schedules_never_share_grids(self):
+        a = build_linear_schedule(TASK_T, *TASK_BETAS)
+        b = build_linear_schedule(TASK_T, *TASK_BETAS)
+        c = build_linear_schedule(TASK_T, 0.01, 0.2)
+        grid_a, grid_b, grid_c = (make_sub_schedule(s, 25, 4) for s in (a, b, c))
+        assert grid_a is not grid_b
+        assert grid_a.tobytes() == grid_b.tobytes()
+        assert grid_c.tobytes() != grid_a.tobytes()
+        assert grid_c.tobytes() == make_sub_schedule(NoiseSchedule(c.alpha), 25, 4).tobytes()
 
 
 class TestEstimateClean:
@@ -137,6 +143,16 @@ class TestEstimateClean:
     def test_divergence_aborts_with_diagnostics(self, schedule):
         with pytest.raises(DivergenceError, match="tau"):
             estimate_clean(NanModel(2, healthy_calls=2), schedule, np.zeros(2), 30, 5)
+
+    def test_divergence_text_and_no_call_after_it(self, schedule):
+        # Sub-steps run tau = 5..1; the third eps call (tau = 3) is NaN in
+        # component 0, so the state at tau = 2 is the first non-finite one.
+        model = NanModel(2, healthy_calls=2, nan_dims=[0])
+        with pytest.raises(DivergenceError) as info:
+            estimate_clean(model, schedule, np.array([0.0, 2.0]), 30, 5)
+        finite_part = 2.0 / math.sqrt(schedule.alpha[30])
+        assert str(info.value) == f"non-finite state at sub-step tau=2 (finite-part norm {finite_part:.3e})"
+        assert model.calls == 3
 
     def test_dimension_mismatch(self, schedule, gmm2):
         with pytest.raises(ValueError):

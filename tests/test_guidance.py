@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TASK_RHO, TASK_WINDOW, rel_err
+from conftest import TASK_RHO, TASK_WINDOW, NanModel, rel_err
 from symguide import (
     AffineModel,
     DivergenceError,
@@ -35,7 +35,25 @@ class ZeroNoiseRng:
         return np.zeros(shape)
 
 
+def numpy_scalar_ddim_step(model, schedule, x_t, t):
+    """ddim_step as first written: numpy-scalar schedule arithmetic on every call."""
+    a_t = schedule.alpha[t]
+    a_prev = schedule.alpha[t - 1]
+    x_t = np.asarray(x_t, dtype=np.float64)
+    eps = model.eps(x_t / np.sqrt(schedule.alpha[t]), float(schedule.sigma_values[t]))
+    xhat0 = (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
+    return math.sqrt(a_prev) * xhat0 + math.sqrt(1.0 - a_prev) * eps
+
+
 class TestDdimStep:
+    def test_bitwise_equal_to_numpy_scalar_formula(self, schedule, gmm2, mlp3):
+        rng = np.random.default_rng(7)
+        for model in (gmm2, mlp3):
+            for t in range(1, schedule.num_steps + 1):
+                x = rng.standard_normal(model.dim) * 3.0
+                out = ddim_step(model, schedule, x, t)
+                assert out.tobytes() == numpy_scalar_ddim_step(model, schedule, x, t).tobytes()
+
     def test_zero_model_rescales(self, schedule):
         zero = AffineModel.zero(2)
         x = np.array([1.2, -0.6])
@@ -251,6 +269,31 @@ class TestSagSample:
         cfg = GuidanceConfig(window=TASK_WINDOW, rho=50.0, repeats=1, n_steps=4)
         with pytest.raises(DivergenceError, match="t="):
             sag_sample(gmm2, schedule, task_loss, cfg, 0)
+
+    def test_sampler_state_divergence_text_and_no_call_after_it(self, schedule, task_loss):
+        # ddim_step makes one eps call per step from t = 50; the eleventh
+        # (t = 40, before the window) is NaN in component 0, and component 1
+        # follows the zero model's rollout.
+        model = NanModel(2, healthy_calls=10, nan_dims=[0])
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=TASK_RHO, repeats=1, n_steps=4)
+        with pytest.raises(DivergenceError) as info:
+            sag_sample(model, schedule, task_loss, cfg, 0)
+        x = np.random.default_rng(0).standard_normal(2)
+        for t in range(50, 39, -1):
+            x = numpy_scalar_ddim_step(AffineModel.zero(2), schedule, x, t)
+        assert str(info.value) == f"sampler state diverged at t=40 repeat=0 (norm {abs(x[1]):.3e})"
+        assert (model.calls, model.vjp_calls) == (11, 0)
+
+    def test_guided_state_divergence_text_and_no_call_after_it(self, schedule):
+        # A zero model leaves the costate at the loss gradient, about -1e12,
+        # so the first guided update (t = 35) passes the 1e9 norm guard.
+        model = NanModel(2, healthy_calls=None)
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=1.0, repeats=1, n_steps=4)
+        with pytest.raises(DivergenceError) as info:
+            sag_sample(model, schedule, L2TargetLoss(np.array([1e12, 0.0])), cfg, 0)
+        assert str(info.value) == "guided state diverged at t=35 repeat=0 (rho=1.0)"
+        # ddim_step for t = 50..35, then the one estimate (4 eps) and sweep (4 vjp).
+        assert (model.calls, model.vjp_calls) == (16 + 4, 4)
 
     def test_record_serialization_excludes_timing_by_default(self, schedule, gmm2, task_loss):
         cfg = GuidanceConfig(window=(20, 24), rho=0.05, repeats=1, n_steps=2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
 from symguide import (
@@ -24,6 +26,34 @@ def log_density_oracle(model: GmmModel, x, alpha_t):
         comps.append(math.log(w) - 0.5 * float(diff @ diff) - 0.5 * len(x) * math.log(2 * math.pi))
     m = max(comps)
     return m + math.log(sum(math.exp(c - m) for c in comps))
+
+
+def first_gmm_eps_vjp(model: GmmModel, x_bar, sigma, v):
+    """GmmModel.eps and .vjp as first written: log(weights) and the reductions per call."""
+    a = 1.0 / (1.0 + sigma * sigma)
+    c = sigma / (1.0 + sigma * sigma)
+    diffs = x_bar[None, :] - model.means
+    logits = np.log(model.weights) - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
+    logits -= logits.max()
+    r = np.exp(logits)
+    r /= r.sum()
+    m = r @ model.means
+    centered = model.means - m[None, :]
+    cov = (centered * r[:, None]).T @ centered
+    return c * (r @ diffs), c * (v - a * (cov @ v))
+
+
+@st.composite
+def gmm_cases(draw):
+    """A mixture of K components in d dimensions, a point, a sigma and a cotangent."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    coord = st.floats(-20.0, 20.0)
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    means = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=k, max_size=k))
+    x_bar = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    v = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    return GmmModel(weights / weights.sum(), means), x_bar, draw(st.floats(0.0, 80.0)), v
 
 
 def numeric_score(model, x, alpha_t, h=1e-6):
@@ -101,6 +131,18 @@ class TestGmm:
     def test_dimension_mismatch(self, schedule, gmm2):
         with pytest.raises(ValueError):
             gmm2.eps(np.zeros(3), 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=gmm_cases())
+    def test_bitwise_equal_to_first_expressions(self, case):
+        model, x_bar, sigma, v = case
+        eps, vjp = first_gmm_eps_vjp(model, x_bar, sigma, v)
+        assert model.eps(x_bar, sigma).tobytes() == eps.tobytes()
+        assert model.vjp(x_bar, sigma, v).tobytes() == vjp.tobytes()
+        assert model.eps_with_tape(x_bar, sigma)[0].tobytes() == eps.tobytes()
+        # Inputs that are not float64 ndarrays are converted first, to the same bits.
+        assert model.eps(x_bar.tolist(), sigma).tobytes() == eps.tobytes()
+        assert model.vjp(x_bar.tolist(), sigma, v.tolist()).tobytes() == vjp.tobytes()
 
 
 class TestMlp:

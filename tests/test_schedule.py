@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,18 @@ def test_to_scaled_divides_by_sqrt_alpha():
     sch = NoiseSchedule(np.array([1.0, 0.64, 0.25]))
     out = sch.to_scaled(np.array([2.0, -4.0]), 2)
     assert np.array_equal(out, [4.0, -8.0])
+
+
+@pytest.mark.parametrize("alpha", [None, [1.0, 0.9, 0.7, 0.3, 0.05, 1e-4]])
+def test_per_step_floats_equal_numpy_scalar_arithmetic(schedule, alpha):
+    sch = schedule if alpha is None else NoiseSchedule(np.array(alpha))
+    x = np.array([0.3, -1.7, 2.5])
+    for t in range(sch.num_steps + 1):
+        a_t = sch.alpha[t]
+        assert sch.sigma(t).hex() == float(sch.sigma_values[t]).hex()
+        assert sch.sqrt_alpha[t].hex() == float(np.sqrt(a_t)).hex()
+        assert sch.sqrt_one_minus_alpha[t].hex() == math.sqrt(1.0 - a_t).hex()
+        assert sch.to_scaled(x, t).tobytes() == (x / np.sqrt(a_t)).tobytes()
 
 
 def test_to_scaled_identity_at_zero(schedule):
