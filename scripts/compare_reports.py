@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same report files as a git revision.
+
+Usage: python3 scripts/compare_reports.py REV
+
+Exports REV with `git archive` into a temporary directory.  Runs `sample`,
+`ablate-n`, `ablate-rho`, `study-window` and `compare-adjoint` on the working
+tree's configs/default.json at --seed 0 and --seed 3, once with REV's source
+and once with the working tree's.  Compares each report.json, report.csv and
+m_curve.csv byte for byte, and prints "N of M identical" plus, for each file
+that differs, the largest difference between the numbers it holds.  Exits 1
+on any difference.  The temporary directories are removed.
+
+Takes about a minute on the default config: 20 runs, each in its own
+interpreter.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "default.json"
+COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint")
+SEEDS = (0, 3)
+FILES = ("report.json", "report.csv", "m_curve.csv")
+_NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _run_all(src: Path, out: Path) -> None:
+    """Every command at every seed with the package in `src`, each into out/<command>-<seed>."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for command in COMMANDS:
+        for seed in SEEDS:
+            argv = ["--config", str(CONFIG), "--seed", str(seed), "--out", str(out / f"{command}-{seed}")]
+            subprocess.run(
+                [sys.executable, "-m", "symguide.cli", command, *argv],
+                env=env, cwd=out.parent, check=True, stdout=subprocess.DEVNULL,
+            )
+
+
+def _largest_difference(a: bytes, b: bytes) -> str:
+    xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
+    if len(xs) != len(ys):
+        return f"{len(xs)} vs {len(ys)} numbers"
+    largest = max((abs(float(x) - float(y)) for x, y in zip(xs, ys)), default=0.0)
+    return f"largest numeric difference {largest!r}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare_reports-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", argv[0]], check=True, stdout=subprocess.PIPE
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        _run_all(tmp / "rev" / "src", tmp / "rev-out")
+        _run_all(ROOT / "src", tmp / "tree-out")
+        same, differing = 0, []
+        for run in sorted(p.name for p in (tmp / "rev-out").iterdir()):
+            for name in FILES:
+                a, b = tmp / "rev-out" / run / name, tmp / "tree-out" / run / name
+                if not (a.exists() or b.exists()):
+                    continue
+                if not (a.exists() and b.exists()):
+                    differing.append(f"{run}/{name}: written on one side only")
+                elif a.read_bytes() == b.read_bytes():
+                    same += 1
+                else:
+                    differing.append(f"{run}/{name}: {_largest_difference(a.read_bytes(), b.read_bytes())}")
+    print(f"{same} of {same + len(differing)} identical")
+    for line in differing:
+        print(f"  differs: {line}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

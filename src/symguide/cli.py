@@ -8,7 +8,6 @@ config next to its outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,16 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = str(args.out)
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
 def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
     out = Path(config.out_dir)
     report.write(out)
@@ -90,7 +79,8 @@ def main(argv: list[str] | None = None) -> int:
             for path in paths:
                 print(path)
             return 0
-        config = _load_config(args)
+        overrides = {"base_seed": args.seed, "out_dir": args.out}
+        config = RunConfig.from_json_file(args.config, **{k: v for k, v in overrides.items() if v is not None})
         out = _write_outputs(_RUNNERS[args.command](config), config)
         print(out / "report.json")
         return 0

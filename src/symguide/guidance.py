@@ -35,6 +35,11 @@ __all__ = [
     "sag_sample",
 ]
 
+# Ceiling on n_steps.  Each guided step stores n_steps + 1 states and makes
+# n_steps model calls, so a count far above any useful n asks numpy for an
+# array it cannot allocate, or for a run that does not finish.
+MAX_SUB_STEPS = 2**12
+
 
 class GuidanceLoss(abc.ABC):
     """Differentiable objective on the estimated clean output."""
@@ -112,9 +117,10 @@ class GuidanceConfig:
     Guidance is active for t in [window[0], window[1]] (inclusive), with
     0 < K1 < K2 < T.  Inside the window each step applies strength rho,
     repeats `repeats` times and estimates the clean output in n_steps
-    sub-steps; outside it rho is 0 and each step runs once.  Steps whose
-    rho is 0 skip the gradient computation entirely (output-equivalent, and
-    keeps guidance-off runs bitwise equal to plain rollouts).
+    sub-steps, at most MAX_SUB_STEPS; outside it rho is 0 and each step
+    runs once.  Steps whose rho is 0 skip the gradient computation
+    entirely (output-equivalent, and keeps guidance-off runs bitwise equal
+    to plain rollouts).
     """
 
     window: tuple[int, int]
@@ -131,6 +137,8 @@ class GuidanceConfig:
             raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
         if self.repeats < 1 or self.n_steps < 1:
             raise ValueError("repeats and n_steps must be >= 1")
+        if self.n_steps > MAX_SUB_STEPS:
+            raise ValueError(f"n_steps must be at most MAX_SUB_STEPS = {MAX_SUB_STEPS}, got {self.n_steps}")
 
     def validate_for(self, schedule: NoiseSchedule) -> None:
         if self.window[1] >= schedule.num_steps:

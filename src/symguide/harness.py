@@ -144,7 +144,11 @@ _GUIDANCE_KEYS = [f.name for f in fields(GuidanceConfig)]
 _RETIRED_GUIDANCE_KEYS = ("rho_by_t", "repeats_by_t", "n_by_t", "grad_normalize")
 
 
-def build_guidance(spec: dict) -> GuidanceConfig:
+def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
+    """The guidance a config section describes, checked against the schedule.
+
+    Keys the section leaves out take their GuidanceConfig defaults.
+    """
     try:
         window = tuple(_require(spec, "window", "guidance"))
         if len(window) != 2:
@@ -154,26 +158,17 @@ def build_guidance(spec: dict) -> GuidanceConfig:
         unknown = sorted(set(spec) - set(_GUIDANCE_KEYS) - at_default)
         if unknown:
             raise ConfigError(f"unknown guidance key(s) {unknown}; known: {_GUIDANCE_KEYS}")
-        return GuidanceConfig(
+        guidance = GuidanceConfig(
             window=window,
             rho=_real(_require(spec, "rho", "guidance"), "guidance rho"),
-            repeats=_integer(spec.get("repeats", 1), 1, "guidance repeats"),
-            n_steps=_integer(spec.get("n_steps", 1), 1, "guidance n_steps"),
+            **{k: _integer(spec[k], 1, f"guidance {k}") for k in ("repeats", "n_steps") if k in spec},
         )
+        guidance.validate_for(schedule)
+        return guidance
     except ConfigError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad guidance spec: {exc}") from exc
-
-
-def _guidance_for(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
-    """build_guidance, plus the check that the window fits the schedule."""
-    guidance = build_guidance(spec)
-    try:
-        guidance.validate_for(schedule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return guidance
 
 
 def _integer(value: Any, least: int, what: str) -> int:
@@ -227,6 +222,12 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
 }
 
 
+# A config's required sections, each held as RunConfig.<name>_spec, and its
+# optional top-level keys, each a RunConfig field with a default.
+_SECTIONS = ("schedule", "model", "loss", "guidance")
+_OPTIONAL_KEYS = ("sweep", "num_seeds", "base_seed", "out_dir")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated experiment configuration.
@@ -250,12 +251,14 @@ class RunConfig:
         # Frozen: parsed values and built objects bypass the dataclass guard.
         object.__setattr__(self, "num_seeds", _integer(self.num_seeds, 1, "num_seeds"))
         object.__setattr__(self, "base_seed", _integer(self.base_seed, 0, "base_seed"))
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.sweep, dict):
             raise ConfigError(f"sweep section must be a JSON object, got {type(self.sweep).__name__}")
         schedule = build_schedule(self.schedule_spec)
         model = build_model(self.model_spec)
         loss = build_loss(self.loss_spec)
-        guidance = _guidance_for(self.guidance_spec, schedule)
+        guidance = build_guidance(self.guidance_spec, schedule)
         try:
             grad = loss.grad(np.zeros(model.dim))
         except Exception as exc:
@@ -284,21 +287,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        """Keys the object leaves out take their field defaults."""
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
-        return cls(
-            schedule_spec=_require(obj, "schedule", "config"),
-            model_spec=_require(obj, "model", "config"),
-            loss_spec=_require(obj, "loss", "config"),
-            guidance_spec=_require(obj, "guidance", "config"),
-            sweep=obj.get("sweep", {}),
-            num_seeds=obj.get("num_seeds", 10),
-            base_seed=obj.get("base_seed", 0),
-            out_dir=str(obj.get("out_dir", "runs/out")),
-        )
+        sections = {f"{name}_spec": _require(obj, name, "config") for name in _SECTIONS}
+        return cls(**sections, **{k: obj[k] for k in _OPTIONAL_KEYS if k in obj})
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "RunConfig":
+    def from_json_file(cls, path: str | Path, **overrides: Any) -> "RunConfig":
+        """The config a JSON file holds; `overrides` replace its top-level keys before any check."""
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -308,26 +305,18 @@ class RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict({**obj, **overrides} if isinstance(obj, dict) else obj)
 
     def to_resolved_dict(self) -> dict:
-        return {
-            "schedule": self.schedule_spec,
-            "model": self.model_spec,
-            "loss": self.loss_spec,
-            "guidance": self.guidance_spec,
-            "sweep": self.sweep,
-            "num_seeds": self.num_seeds,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-        }
+        sections = {name: getattr(self, f"{name}_spec") for name in _SECTIONS}
+        return {**sections, **{k: getattr(self, k) for k in _OPTIONAL_KEYS}}
 
     def build(self) -> tuple[NoiseSchedule, ScoreModel, GuidanceLoss, GuidanceConfig]:
         return self._built
 
     def with_guidance(self, **overrides) -> GuidanceConfig:
         """The guidance with some keys overridden, checked against the schedule."""
-        return _guidance_for({**self.guidance_spec, **overrides}, self._built[0])
+        return build_guidance({**self.guidance_spec, **overrides}, self._built[0])
 
     def axis(self, key: str) -> list | None:
         """A sweep axis's parsed values, or its default if the config leaves it out."""

@@ -23,6 +23,13 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _text(attrs: str, body: object) -> str:
+    """A <text> element with its body escaped: titles, labels and cells come from report data."""
+    # What xml.sax.saxutils.escape does; importing that module also imports urllib.request.
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<text {attrs}>{body}</text>"
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -71,7 +78,7 @@ def line_plot_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="22" text-anchor="middle" font-size="14">{title}</text>',
+        _text(f'x="{_W // 2}" y="22" text-anchor="middle" font-size="14"', title),
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
     ]
     for tx in _ticks(x_lo, x_hi):
@@ -79,22 +86,18 @@ def line_plot_svg(
             f'<line x1="{_fmt(px(tx))}" y1="{_MT + ph}" x2="{_fmt(px(tx))}" y2="{_MT + ph + 5}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{_fmt(px(tx))}" y="{_MT + ph + 18}" text-anchor="middle">{_fmt(tx)}</text>'
+            _text(f'x="{_fmt(px(tx))}" y="{_MT + ph + 18}" text-anchor="middle"', _fmt(tx))
         )
     for ty in _ticks(y_lo, y_hi):
         parts.append(
             f'<line x1="{_ML - 5}" y1="{_fmt(py(ty))}" x2="{_ML}" y2="{_fmt(py(ty))}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{_ML - 8}" y="{_fmt(py(ty) + 4)}" text-anchor="end">{_fmt(ty)}</text>'
+            _text(f'x="{_ML - 8}" y="{_fmt(py(ty) + 4)}" text-anchor="end"', _fmt(ty))
         )
-    parts.append(
-        f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MT + ph / 2:.0f})">{ylabel}</text>'
-    )
+    parts.append(_text(f'x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle"', xlabel))
+    cy = f"{_MT + ph / 2:.0f}"
+    parts.append(_text(f'x="18" y="{cy}" text-anchor="middle" transform="rotate(-90 18 {cy})"', ylabel))
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
@@ -104,7 +107,7 @@ def line_plot_svg(
             f'<line x1="{_W - _MR + 10}" y1="{ly - 4}" x2="{_W - _MR + 34}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(f'<text x="{_W - _MR + 40}" y="{ly}">{label}</text>')
+        parts.append(_text(f'x="{_W - _MR + 40}" y="{ly}"', label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -123,14 +126,14 @@ def table_svg(title: str, columns: list[str], rows: list[list[str]]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="13">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="30" y="24" font-size="14">{title}</text>',
+        _text('x="30" y="24" font-size="14"', title),
     ]
     for i, c in enumerate(columns):
-        parts.append(f'<text x="{x_pos[i]}" y="48" font-weight="bold">{c}</text>')
+        parts.append(_text(f'x="{x_pos[i]}" y="48" font-weight="bold"', c))
     parts.append(f'<line x1="25" y1="56" x2="{width - 25}" y2="56" stroke="black"/>')
     for j, row in enumerate(rows):
         y = 74 + 20 * j
         for i, cell in enumerate(row):
-            parts.append(f'<text x="{x_pos[i]}" y="{y}">{cell}</text>')
+            parts.append(_text(f'x="{x_pos[i]}" y="{y}"', cell))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
-from symguide import MlpModel
+from symguide import MlpModel, harness
 from symguide.cli import main
+from symguide.guidance import MAX_SUB_STEPS
 
 NAN, INF = math.nan, math.inf
 
@@ -47,6 +48,50 @@ def test_sample_writes_resolved_config(config_path, tmp_path):
     assert resolved["base_seed"] == 3
     assert resolved["out_dir"] == str(out)
     assert (out / "timing.json").exists()
+
+
+def test_seed_and_out_build_the_config_once(config_path, tmp_path, monkeypatch):
+    # --seed and --out replace keys of the JSON before the config is checked and built.
+    counts = {"build_model": 0, "build_schedule": 0}
+    for name in counts:
+        original = getattr(harness, name)
+
+        def counted(spec, name=name, original=original):
+            counts[name] += 1
+            return original(spec)
+
+        monkeypatch.setattr(harness, name, counted)
+    out = tmp_path / "run"
+    assert main(["sample", "--config", str(config_path), "--seed", "3", "--out", str(out)]) == 0
+    assert counts == {"build_model": 1, "build_schedule": 1}
+
+
+@pytest.mark.parametrize("out_dir", [None, 5, ["a"]])
+def test_non_string_out_dir_exits_2(config_path, tmp_path, monkeypatch, capsys, out_dir):
+    monkeypatch.chdir(tmp_path)
+    obj = json.loads(config_path.read_text())
+    obj["out_dir"] = out_dir
+    bad = tmp_path / "bad_out_dir.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(bad)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad_out_dir.json", "config.json"]
+    # --out replaces the key before it is checked.
+    assert main(["sample", "--config", str(bad), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_integral_float_count_gives_identical_report(config_path, tmp_path):
+    obj = json.loads(config_path.read_text())
+    reports = []
+    for n_steps in (2, 2.0):
+        obj["guidance"]["n_steps"] = n_steps
+        path = tmp_path / f"n_steps_{n_steps}.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / f"out_{n_steps}"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert b'"n_steps": 2.0' in path.read_bytes()
+    assert reports[0] == reports[1]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -103,6 +148,10 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "guidance", {"n_steps": 10**400}),
         ("sample", "guidance", {"repeats": 10**400}),
         ("sample", None, {"num_seeds": 10**400}),
+        # Sub-step counts past the ceiling, which numpy cannot allocate or the run would not finish.
+        ("sample", "guidance", {"n_steps": 2**62}),
+        ("ablate-n", "sweep", {"n_list": [2**62]}),
+        ("sample", "guidance", {"n_steps": MAX_SUB_STEPS + 1}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):

@@ -18,6 +18,7 @@ from symguide import (
     symplectic_euler_grad,
     time_travel_renoise,
 )
+from symguide.guidance import MAX_SUB_STEPS
 
 
 def loss_fd_grad(loss, x0, h=1e-6):
@@ -183,6 +184,11 @@ class TestGuidanceConfig:
             GuidanceConfig(window=(1, 5), rho=0.1, repeats=0)
         with pytest.raises(ValueError):
             GuidanceConfig(window=(1, 5), rho=0.1, n_steps=0)
+
+    def test_n_steps_ceiling(self):
+        assert GuidanceConfig(window=(1, 5), rho=0.1, n_steps=MAX_SUB_STEPS).n_steps == MAX_SUB_STEPS
+        with pytest.raises(ValueError, match="MAX_SUB_STEPS"):
+            GuidanceConfig(window=(1, 5), rho=0.1, n_steps=MAX_SUB_STEPS + 1)
 
     def test_rho_zero_outside_window(self):
         cfg = GuidanceConfig(window=(10, 20), rho=0.3, repeats=2)

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,14 @@ class TestWindowStudy:
     def test_middle_window_beats_late_at_equal_rho(self, report):
         assert self._mean(report, "middle", 1) < self._mean(report, "late", 1)
 
+    def test_configured_windows_are_named_in_order(self):
+        report = run_window_and_repeats_study(
+            task_config(num_seeds=2, sweep={"windows": [[5, 10], [20, 30]], "repeats_list": [1]})
+        )
+        assert [(r["window_name"], r["window"]) for r in report.rows] == [
+            ("w0", "5-10"), ("w0", "5-10"), ("w1", "20-30"), ("w1", "20-30")
+        ]
+
     def test_repeats_help_on_fixed_late_window(self, report):
         # same guided-step set; repeats vary the applications per step
         assert self._mean(report, "late", 2) <= self._mean(report, "late", 1)
@@ -340,6 +349,40 @@ class TestPlots:
         svg = (tmp_path / "loss_curves.svg").read_text()
         assert svg.count("<polyline") == 2
         assert ">n=1<" in svg and ">n=4<" in svg
+
+    def test_rho_curve_skips_diverged_runs(self, rho_report, tmp_path):
+        paths = emit_plots(rho_report, tmp_path)
+        assert [p.name for p in paths] == ["rho_curve.svg"]
+        points = ET.parse(paths[0]).getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert len(points.get("points").split()) == 3  # every rho = 10 run diverged
+
+    @pytest.mark.parametrize(
+        "report, labels",
+        [
+            (
+                ExperimentReport(
+                    kind="ablation_n",
+                    columns=["seed"],
+                    rows=[{"seed": 0}],
+                    curves={"n=1": {"label": "n=1 & <2>", "t": [2, 1], "loss": [1.0, 0.5]}},
+                ),
+                {"n=1 & <2>"},
+            ),
+            (
+                ExperimentReport(kind="window_study", columns=["x & y"], rows=[{"x & y": "a<b"}]),
+                {"x & y", "a<b"},
+            ),
+        ],
+        ids=["line", "table"],
+    )
+    def test_text_from_report_is_escaped(self, tmp_path, report, labels):
+        # Each file must parse as XML, and each label must come back as text.
+        texts = {
+            "".join(node.itertext())
+            for path in emit_plots(report, tmp_path)
+            for node in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        }
+        assert labels <= texts
 
     def test_table_plot_for_comparison(self, tmp_path):
         report = run_adjoint_comparison(task_config(sweep={"n_list": [1], "d_list": [2]}))
