@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# perfbench resolves ButcherTableau and estimate_clean_rk as adjoint attributes.
 from .estimator import (
     ButcherTableau,
     CheckpointTrajectory,
@@ -52,12 +53,10 @@ from .models import ScoreModel
 from .schedule import NoiseSchedule
 
 __all__ = [
-    "ButcherTableau",
     "AdjointStats",
     "symplectic_euler_grad",
     "direct_backprop_grad",
     "vanilla_adjoint_grad",
-    "estimate_clean_rk",
     "symplectic_rk_grad",
     "rk_direct_backprop_grad",
     "conservation_probe",

@@ -54,7 +54,10 @@ class ButcherTableau:
     points, and couples them by A[i][j] = b[j] a[j][i] / b[i], the solution
     of the conjugacy identity.  A is strictly upper triangular, so the
     backward stage sweep stays explicit.  All arrays are read-only, so the
-    identity checked here holds for the tableau's lifetime.
+    identity checked here holds for the tableau's lifetime.  A zero weight
+    stays rejected: A divides by b[i], and such tableaux need a separate
+    costate formulation (Sanz-Serna 2016; Matsubara et al. 2021) that no
+    caller needs.
     """
 
     a: np.ndarray

@@ -21,9 +21,7 @@ import numpy as np
 from . import __version__
 from .adjoint import (
     AdjointStats,
-    ButcherTableau,
     direct_backprop_grad,
-    estimate_clean_rk,
     rk_direct_backprop_grad,
     symplectic_euler_grad,
     symplectic_rk_grad,
@@ -31,8 +29,10 @@ from .adjoint import (
 )
 from .estimator import (
     MIN_ERROR_SAMPLES,
+    ButcherTableau,
     DivergenceError,
     estimate_clean,
+    estimate_clean_rk,
     estimation_error_curve,
 )
 from .guidance import (
@@ -78,7 +78,7 @@ def build_schedule(spec: dict) -> NoiseSchedule:
         if "alpha" in spec:
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         return build_linear_schedule(
-            _integer(_require(spec, "T", "schedule"), 2, "schedule T"),
+            _integer(_require(spec, "T", "schedule"), 2, "schedule T", MAX_SIZE),
             _real(_require(spec, "beta_min", "schedule"), "schedule beta_min"),
             _real(_require(spec, "beta_max", "schedule"), "schedule beta_max"),
         )
@@ -101,12 +101,12 @@ def build_model(spec: dict) -> ScoreModel:
                     raise ConfigError(f"mlp weights file not found: {path}")
                 obj = json.loads(path.read_text())
                 for w in obj["widths"]:
-                    _integer(w, 1, "mlp width")
+                    _integer(w, 1, "mlp width", MAX_SIZE)
                 for layer in obj["layers"]:
                     _real_array(layer["W"], "mlp layer W")
                     _real_array(layer["b"], "mlp layer b")
                 return MlpModel.from_json_dict(obj)
-            widths = [_integer(w, 1, "mlp width") for w in _require(spec, "widths", "model")]
+            widths = [_integer(w, 1, "mlp width", MAX_SIZE) for w in _require(spec, "widths", "model")]
             return MlpModel.random(widths, _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
             offset = spec.get("offset")
@@ -171,20 +171,21 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
         raise ConfigError(f"bad guidance spec: {exc}") from exc
 
 
-def _integer(value: Any, least: int, what: str) -> int:
-    """A JSON integer in [least, sys.maxsize]; integral floats such as 2.0 count, booleans do not.
+# Ceiling on every size a config sets: the schedule T, each MLP width and
+# each d_list value.  Past it numpy would be asked for terabytes.
+MAX_SIZE = 2**12
 
-    The upper bound keeps every count a machine-sized integer that numpy and
-    range() accept.
+
+def _integer(value: Any, least: int, what: str, most: int = sys.maxsize) -> int:
+    """A JSON integer in [least, most]; integral floats such as 2.0 count, booleans do not.
+
+    The default upper bound keeps every count a machine-sized integer that
+    numpy and range() accept.
     """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or not least <= value <= sys.maxsize
-    ):
-        raise ConfigError(f"{what} must be an integer in [{least}, {sys.maxsize}], got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not least <= value <= most:
+        raise ConfigError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
     return int(value)
 
 
@@ -217,7 +218,7 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
     "rho_list": ([0.0, 0.05, 0.2, 1.0], lambda config, v: config.with_guidance(rho=v).rho),
     "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
     "windows": (None, lambda config, v: config.with_guidance(window=v).window),
-    "d_list": ([2, 4], lambda config, v: _integer(v, 1, "d")),
+    "d_list": ([2, 4], lambda config, v: _integer(v, 1, "d", MAX_SIZE)),
     "m_curve_samples": ([200], lambda config, v: _integer(v, MIN_ERROR_SAMPLES, "m_curve_samples")),
 }
 
@@ -279,6 +280,8 @@ class RunConfig:
             raise ConfigError(f"unknown sweep axis '{key}'; known axes: {list(_SWEEP_AXES)}")
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"sweep axis '{key}' must be a non-empty list")
+        if key == "m_curve_samples" and len(vals) != 1:
+            raise ConfigError(f"sweep axis '{key}' takes exactly one value, got {len(vals)}")
         check = _SWEEP_AXES[key][1]
         try:
             return [check(self, v) for v in vals]
@@ -437,16 +440,13 @@ def _mean_loss_trajectory(records: list[SampleRecord]) -> tuple[list[int], list[
 
 
 def _sweep(
-    config: RunConfig,
-    cells: list[tuple[dict, GuidanceConfig]],
-    columns: list[str],
-    timing_keys: list[str],
+    config: RunConfig, cells: list[tuple[dict, GuidanceConfig]], columns: list[str]
 ) -> tuple[list[dict], list[dict], list[tuple[list[int], list[float]]]]:
     """Run every seed on each (labels, guidance) cell, in cell then seed order.
 
-    One run yields a report row (its columns) and a timing entry (its
-    timing_keys), both picked from its _run_fields, the cell's labels and
-    its error; a diverged run is a flagged row.  A distance_to_unguided
+    One run yields a report row (its columns, picked from its _run_fields
+    and the cell's labels) and a timing entry (that row plus its wall time
+    and error); a diverged run is a flagged row.  A distance_to_unguided
     column measures each final sample against the unguided rollout with the
     same seed.  Returns the rows, the timings and
     each cell's mean guided-loss trajectory over its completed runs.
@@ -473,7 +473,7 @@ def _sweep(
                     float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
                 )
             rows.append({c: run[c] for c in columns})
-            timings.append({k: run[k] for k in timing_keys})
+            timings.append({**rows[-1], "wall_time_ns": run["wall_time_ns"], "error": run["error"]})
             if rec is not None:
                 done.append(rec)
         loss_curves.append(_mean_loss_trajectory(done))
@@ -488,14 +488,15 @@ def run_single_sample(config: RunConfig) -> ExperimentReport:
     schedule, model, loss, gcfg = config.build()
     record = sag_sample(model, schedule, loss, gcfg, config.base_seed)
     run = _run_fields(config.base_seed, gcfg, record)
+    row = {c: run[c] for c in _RUN_COLUMNS}
     ts, losses = _mean_loss_trajectory([record])
     return ExperimentReport(
         kind="sample",
         columns=_RUN_COLUMNS,
-        rows=[{c: run[c] for c in _RUN_COLUMNS}],
+        rows=[row],
         curves={"guided_loss": {"label": f"n={gcfg.n_steps}", "t": ts, "loss": losses}},
         meta={"record": record.to_json_dict()},
-        timings=[{k: run[k] for k in ("seed", "wall_time_ns")}],
+        timings=[{**row, "wall_time_ns": run["wall_time_ns"]}],
     )
 
 
@@ -503,12 +504,8 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
     """Sweep the estimate-step count with everything else fixed."""
     schedule, model, _, _ = config.build()
     n_list = config.axis("n_list")
-    rows, timings, loss_curves = _sweep(
-        config,
-        [({}, config.with_guidance(n_steps=n)) for n in n_list],
-        _RUN_COLUMNS,
-        ["seed", "n", "wall_time_ns", "steps_guided", "error"],
-    )
+    cells = [({}, config.with_guidance(n_steps=n)) for n in n_list]
+    rows, timings, loss_curves = _sweep(config, cells, _RUN_COLUMNS)
     curves = {f"n={n}": {"t": ts, "loss": losses} for n, (ts, losses) in zip(n_list, loss_curves)}
     m_samples = config.axis("m_curve_samples")[0]
     m_curve = estimation_error_curve(
@@ -539,12 +536,7 @@ def run_ablation_rho(config: RunConfig) -> ExperimentReport:
     """Sweep the guidance strength; diverged runs become flagged rows."""
     rho_list = config.axis("rho_list")
     columns = ["seed", "rho", "n", "window", "final_loss", "steps_guided", "diverged"]
-    rows, timings, _ = _sweep(
-        config,
-        [({}, config.with_guidance(rho=rho)) for rho in rho_list],
-        columns,
-        ["seed", "rho", "wall_time_ns", "error"],
-    )
+    rows, timings, _ = _sweep(config, [({}, config.with_guidance(rho=rho)) for rho in rho_list], columns)
     return ExperimentReport(kind="ablation_rho", columns=columns, rows=rows, timings=timings)
 
 
@@ -564,7 +556,16 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
     if windows:
         named = {f"w{i}": window for i, window in enumerate(windows)}
     else:
-        named = default_window_thirds(config.build()[0].num_steps)
+        T = config.build()[0].num_steps
+        named = default_window_thirds(T)
+        for name, window in named.items():
+            try:
+                config.with_guidance(window=list(window))
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"{exc}; that is the default {name} third of steps 1..{T - 1}, "
+                    "and sweep.windows sets explicit windows"
+                ) from exc
     repeats_list = config.axis("repeats_list")
     columns = [
         "seed", "window_name", "window", "repeats", "final_loss",
@@ -578,7 +579,6 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
             for r in repeats_list
         ],
         columns,
-        ["seed", "window_name", "repeats", "wall_time_ns", "error"],
     )
     return ExperimentReport(kind="window_study", columns=columns, rows=rows, timings=timings)
 
@@ -649,7 +649,7 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
                 for method, err, stats, ns in entries:
                     cell = {"model": model_name, "d": d, "n": n, "method": method}
                     rows.append({**cell, "rel_error_vs_oracle": err, **asdict(stats)})
-                    timings.append({**cell, "wall_time_ns": ns})
+                    timings.append({**rows[-1], "wall_time_ns": ns})
     return ExperimentReport(kind="adjoint_comparison", columns=columns, rows=rows, timings=timings)
 
 

@@ -12,6 +12,7 @@ from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK
 from symguide import MlpModel, harness
 from symguide.cli import main
 from symguide.guidance import MAX_SUB_STEPS
+from symguide.harness import MAX_SIZE
 
 NAN, INF = math.nan, math.inf
 
@@ -152,6 +153,13 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "guidance", {"n_steps": 2**62}),
         ("ablate-n", "sweep", {"n_list": [2**62]}),
         ("sample", "guidance", {"n_steps": MAX_SUB_STEPS + 1}),
+        # Sizes past the ceiling, for which numpy would be asked for terabytes.
+        ("sample", "schedule", {"T": 2**40}),
+        ("sample", "model", {"kind": "mlp", "widths": [2, 2**40, 2]}),
+        ("compare-adjoint", "sweep", {"d_list": [2**40]}),
+        ("sample", "model", {"kind": "mlp", "widths": [2, MAX_SIZE + 1, 2]}),
+        # ablate-n draws one M-curve, so it takes one sample count.
+        ("ablate-n", "sweep", {"m_curve_samples": [50, 60]}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -283,7 +291,7 @@ _FUZZ_BASE = {
     "guidance": {"window": [2, 4], "rho": TASK_RHO, "repeats": 1, "n_steps": 2},
     "num_seeds": 1,
     "base_seed": 0,
-    "sweep": {"n_list": [1, 2], "rho_list": [0.0, 0.1], "m_curve_samples": [50]},
+    "sweep": {"n_list": [1, 2], "rho_list": [0.0, 0.1], "m_curve_samples": [50], "windows": [[2, 4]]},
 }
 _FUZZ_OTHER_KINDS = {
     "schedule": [{"alpha": [1.0, 0.9, 0.75, 0.6, 0.45, 0.3, 0.2]}],
@@ -307,7 +315,7 @@ _FUZZ_KEYS = [(None, key) for key in [*_FUZZ_BASE, "out_dir"]] + list(dict.fromk
 ))
 # Keys whose value is not a number or a list of numbers.
 _NON_NUMERIC_KEYS = {"kind", "out_dir", "schedule", "model", "loss", "guidance", "sweep"}
-_FUZZ_COMMANDS = ("sample", "ablate-rho")
+_FUZZ_COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint")
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -347,6 +355,18 @@ def test_fuzz_base_configs_run(tmp_path, section, spec):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_short_schedule_names_the_default_window(tmp_path, capsys):
+    # With T = 6 the default early third of steps 1..5 is (5, 5), which is no window.
+    obj = {k: v for k, v in _FUZZ_BASE.items() if k != "sweep"}
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["study-window", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "got (5, 5)" in err
+    assert "default early third of steps 1..5" in err
+    assert "sweep.windows sets explicit windows" in err
+
+
 @settings(derandomize=True, deadline=None)
 @given(target=st.sampled_from(_FUZZ_KEYS), value=_json_values)
 @example(target=(None, "base_seed"), value=-1)
@@ -360,4 +380,8 @@ def test_config_fuzz_never_crashes(target, value):
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(obj))
         for command in _FUZZ_COMMANDS:
-            assert main([command, "--config", str(path), "--out", str(Path(tmp) / "o")]) in expected
+            out = str(Path(tmp) / command)
+            code = main([command, "--config", str(path), "--out", out])
+            assert code in expected
+            if code == 0:
+                assert main(["plot", "--out", out]) in (0, 2)

@@ -99,10 +99,18 @@ class TestSingleSample:
         assert a.to_json_text() == b.to_json_text()
         assert a.to_csv_text() == b.to_csv_text()
 
-    def test_timing_outside_report_payload(self):
+    def test_timing_outside_report_payload(
+        self, ablation_report, rho_report, window_report, comparison_report
+    ):
         report = run_single_sample(task_config(base_seed=3))
         assert report.timings and "wall_time_ns" in report.timings[0]
         assert "wall_time_ns" not in report.to_json_text()
+        # Each timing row is its report row plus the run's wall time (and error, in a sweep).
+        for report in (report, ablation_report, rho_report, window_report, comparison_report):
+            assert len(report.timings) == len(report.rows)
+            for row, timing in zip(report.rows, report.timings):
+                assert "wall_time_ns" in timing
+                assert {k: timing[k] for k in row} == row
 
 
 @pytest.fixture(scope="module")
