@@ -36,21 +36,14 @@ references.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # perfbench resolves ButcherTableau and estimate_clean_rk as adjoint attributes.
-from .estimator import (
-    ButcherTableau,
-    CheckpointTrajectory,
-    _check_finite,
-    estimate_clean_rk,
-    make_sub_schedule,
-)
+from .estimator import ButcherTableau, CheckpointTrajectory, _check_finite, estimate_clean_rk
 from .models import ScoreModel
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, make_sub_schedule
 
 __all__ = [
     "AdjointStats",
@@ -142,7 +135,7 @@ def _symplectic_grad(
 ) -> np.ndarray:
     _check_traj(model, traj, schedule, t)
     lam = _costate_sweep(model, traj, _costate_start(model, grad_at_clean))
-    return lam / math.sqrt(schedule.alpha[t])
+    return schedule.to_scaled(lam, t)
 
 
 def symplectic_euler_grad(
@@ -190,7 +183,7 @@ def direct_backprop_grad(
     for tau in range(n):
         lam = lam + (sig[tau] - sig[tau + 1]) * model.vjp_from_tape(tapes[tau], lam)
         _check_finite(lam, tau + 1, "costate")
-    grad = lam / math.sqrt(schedule.alpha[t])
+    grad = schedule.to_scaled(lam, t)
     if return_stats:
         tape_arrays = sum(len(tp) for tp in tapes)
         stats = AdjointStats(
@@ -230,7 +223,7 @@ def vanilla_adjoint_grad(
         lam = lam - h * g
         _check_finite(x_bar, tau + 1)
         _check_finite(lam, tau + 1, "costate")
-    return lam / math.sqrt(schedule.alpha[t])
+    return schedule.to_scaled(lam, t)
 
 
 def symplectic_rk_grad(
@@ -281,7 +274,7 @@ def rk_direct_backprop_grad(
         for i in range(s):
             g = g + model.vjp_from_tape(tapes[i], u[i])
         _check_finite(g, tau + 1, "costate")
-    return g / math.sqrt(schedule.alpha[t])
+    return schedule.to_scaled(g, t)
 
 
 def conservation_probe(

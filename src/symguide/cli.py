@@ -1,8 +1,10 @@
 """Command-line driver for single runs, ablation sweeps and plotting.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when a non-sweep
-single run diverges numerically.  Every run writes its fully resolved
-config next to its outputs.
+Exit codes: 0 on success, 2 on configuration errors (an output directory
+that cannot be written among them), 3 when a non-sweep single run diverges
+numerically.  Every run writes its config next to its outputs, with --seed
+and --out applied and the top-level defaults filled in; keys left out of a
+section stay out.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
     out = Path(config.out_dir)
-    report.write(out)
     resolved = json.dumps(config.to_resolved_dict(), sort_keys=True, indent=2) + "\n"
-    (out / "config.resolved.json").write_text(resolved)
+    try:
+        report.write(out)
+        (out / "config.resolved.json").write_text(resolved)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc
     return out
 
 

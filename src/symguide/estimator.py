@@ -7,14 +7,12 @@ Explicit Euler is the one-stage tableau of the same loop:
 
     x_bar[tau-1] = x_bar[tau] + (sigma[tau-1] - sigma[tau]) * eps(x_bar[tau], sigma[tau])
 
-for tau = n..1, with x_bar[n] = x_t / sqrt(alpha_t).  Sub-steps are placed
-uniformly in continuous step-index space and alpha is interpolated in log
-space, so endpoints are exact and integer knots reproduce the parent
-schedule.  The scaled trajectory is recorded with its sigma grid: the n+1
-checkpoints plus, for s > 1 stages, the stage points 1..s-1 of every step
-(stage 0 of an explicit step is its start checkpoint).  That is exactly what
-the symplectic adjoint solvers consume; for Euler it is the n+1 checkpoints
-alone.
+for tau = n..1, with x_bar[n] = x_t / sqrt(alpha_t), on the sub-step sigma
+grid of schedule.make_sub_schedule.  The scaled trajectory is recorded with
+its sigma grid: the n+1 checkpoints plus, for s > 1 stages, the stage points
+1..s-1 of every step (stage 0 of an explicit step is its start checkpoint).
+That is exactly what the symplectic adjoint solvers consume; for Euler it is
+the n+1 checkpoints alone.
 """
 
 from __future__ import annotations
@@ -25,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ScoreModel
-from .schedule import NoiseSchedule
+# Imported by name: perfbench traces make_sub_schedule through this module's attribute.
+from .schedule import NoiseSchedule, make_sub_schedule
 
 __all__ = [
     "DivergenceError",
     "ButcherTableau",
     "CheckpointTrajectory",
     "MCurvePoint",
-    "make_sub_schedule",
     "estimate_clean",
     "estimate_clean_rk",
     "one_step_estimate",
@@ -44,7 +42,7 @@ class DivergenceError(RuntimeError):
     """A state or gradient left the finite range during integration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """An explicit forward RK method (a, b, c); its costate coefficients are derived.
 
@@ -57,14 +55,14 @@ class ButcherTableau:
     identity checked here holds for the tableau's lifetime.  A zero weight
     stays rejected: A divides by b[i], and such tableaux need a separate
     costate formulation (Sanz-Serna 2016; Matsubara et al. 2021) that no
-    caller needs.
+    caller needs.  Tableaux compare by identity.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    name: str = field(default="", compare=False)
-    A: np.ndarray = field(init=False, repr=False, compare=False)
+    name: str = ""
+    A: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s = np.size(self.b)
@@ -116,7 +114,7 @@ class ButcherTableau:
 _EULER = ButcherTableau.euler()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckpointTrajectory:
     """Stored forward states of one n-step estimate, in scaled coordinates.
 
@@ -126,7 +124,7 @@ class CheckpointTrajectory:
     k (k = 0..n-1) is the step that produced states[k] from states[k+1];
     stage_states[k, i - 1] holds its stage point i >= 1.  Stage 0 is
     states[k+1] itself, so a one-stage (Euler) trajectory stores the n+1
-    checkpoints and nothing else.
+    checkpoints and nothing else.  Trajectories compare by identity.
     """
 
     sigma: np.ndarray
@@ -152,40 +150,6 @@ class CheckpointTrajectory:
         hi = float(self.sigma[k + 1])
         sigma = hi + float(self.tableau.c[i]) * (float(self.sigma[k]) - hi)
         return (self.states[k + 1] if i == 0 else self.stage_states[k, i - 1]), sigma
-
-
-def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
-    """The read-only (n+1,) sigma grid of n sub-steps between step t and 0.
-
-    Sub-steps are placed uniformly in step-index space and alpha is
-    interpolated in log space, exact at integer knots, so sigma[0] = 0,
-    sigma[n] = sigma(t), integer knots reproduce the parent schedule, and
-    the grid is strictly increasing in tau.  t and n are checked on every
-    call; the grid is built once per (t, n) and memoised on the schedule,
-    so every later call for the same (t, n) returns that same read-only
-    array.
-    """
-    t = schedule._check_step(t)
-    if t < 1:
-        raise ValueError("sub-schedules require t >= 1")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    sigma = schedule._sub_grids.get((t, n))
-    if sigma is not None:
-        return sigma
-    grid = np.arange(n + 1) * (t / n)  # fractional step indices, tau = 0..n
-    log_alpha = schedule.log_alpha
-    sub_alpha = np.exp(np.interp(grid, np.arange(len(log_alpha)), log_alpha))
-    # Exact values at integer knots (endpoints included) beat the exp/log trip.
-    on_knot = grid == np.round(grid)
-    sub_alpha[on_knot] = schedule.alpha[np.round(grid[on_knot]).astype(int)]
-    sigma = np.sqrt((1.0 - sub_alpha) / sub_alpha)
-    if np.any(np.diff(sigma) <= 0.0):
-        raise ValueError("sub-schedule sigma values are not strictly increasing")
-    sigma.setflags(write=False)
-    schedule._sub_grids[t, n] = sigma
-    return sigma
 
 
 def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:

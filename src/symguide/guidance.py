@@ -156,14 +156,14 @@ class GuidanceConfig:
         return self.repeats if self.in_window(t) else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
     """Everything one guided run produced, serializable for reports.
 
     guided_steps holds one entry per gradient application:
     {"t", "repeat", "n", "rho", "loss", "grad_norm"}.  wall_time_ns covers
     the guided-step region only (estimate + adjoint + update) and is kept
-    out of deterministic serializations.
+    out of deterministic serializations.  Records compare by identity.
     """
 
     final_state: np.ndarray
@@ -200,9 +200,7 @@ def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: in
     x_{t-1} = sqrt(a_{t-1}) xhat_0 + sqrt(1 - a_{t-1}) eps(x_t, t) with
     xhat_0 the one-step clean estimate.
     """
-    t = schedule._check_step(t)
-    if t < 1:
-        raise ValueError("ddim_step requires t >= 1")
+    t = schedule._check_step(t, 1)
     sqrt_a, sqrt_1ma = schedule.sqrt_alpha, schedule.sqrt_one_minus_alpha
     eps = model.eps(schedule.to_scaled(x_t, t), schedule.sigmas[t])
     xhat0 = (np.asarray(x_t, dtype=np.float64) - sqrt_1ma[t] * eps) / sqrt_a[t]
@@ -217,9 +215,7 @@ def time_travel_renoise(
     x_t = sqrt(a_t / a_{t-1}) x_{t-1} + sqrt((a_{t-1} - a_t) / a_{t-1}) eps',
     eps' standard normal from the run's stream.
     """
-    t = schedule._check_step(t)
-    if t < 1:
-        raise ValueError("time_travel_renoise requires t >= 1")
+    t = schedule._check_step(t, 1)
     a_t = schedule.alpha[t]
     a_prev = schedule.alpha[t - 1]
     x_prev = np.asarray(x_prev, dtype=np.float64)
@@ -240,6 +236,9 @@ def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.nd
 _NORM_GUARD = 1e9
 
 
+# An overflow or invalid operation ends in one of the non-finite checks
+# below, as a DivergenceError, never in a floating-point warning.
+@np.errstate(over="ignore", invalid="ignore")
 def sag_sample(
     model: ScoreModel,
     schedule: NoiseSchedule,
@@ -249,8 +248,9 @@ def sag_sample(
 ) -> SampleRecord:
     """Run the full guided sampling loop and record per-step metrics.
 
-    Raises DivergenceError (with step diagnostics) if a state, estimate or
-    gradient leaves the finite range or the state norm passes _NORM_GUARD (1e9).
+    Raises DivergenceError (with step diagnostics) if a state, estimate,
+    loss value, gradient or its norm leaves the finite range or the state
+    norm passes _NORM_GUARD (1e9).  No numpy floating-point warning escapes.
     """
     config.validate_for(schedule)
     rng = np.random.default_rng(seed)
@@ -271,12 +271,14 @@ def sag_sample(
                 t0 = time.perf_counter_ns()
                 traj = estimate_clean(model, schedule, x, t, config.n_steps)
                 value = loss.value(traj.clean_output)
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite guidance loss at t={t} repeat={rep}")
                 grad = symplectic_euler_grad(
                     model, traj, loss.grad(traj.clean_output), schedule, t
                 )
-                if not np.isfinite(grad).all():
+                gnorm = math.sqrt(grad.dot(grad))  # NaN or inf if any entry is, or if it overflows
+                if not math.isfinite(gnorm):
                     raise DivergenceError(f"non-finite guidance gradient at t={t} repeat={rep}")
-                gnorm = math.sqrt(grad.dot(grad))
                 x_prev = x_prev - rho_t * grad
                 guided_ns += time.perf_counter_ns() - t0
                 guided_steps.append(
@@ -297,10 +299,13 @@ def sag_sample(
                 x = time_travel_renoise(x_prev, schedule, t, rng)
             else:
                 x = x_prev
+    final_loss = loss.value(x)
+    if not math.isfinite(final_loss):
+        raise DivergenceError(f"non-finite final loss (final-state norm {math.sqrt(x.dot(x)):.3e})")
     return SampleRecord(
         final_state=x,
         guided_steps=guided_steps,
         seed=seed,
         wall_time_ns=guided_ns,
-        final_loss=loss.value(x),
+        final_loss=final_loss,
     )

@@ -161,7 +161,11 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
         guidance = GuidanceConfig(
             window=window,
             rho=_real(_require(spec, "rho", "guidance"), "guidance rho"),
-            **{k: _integer(spec[k], 1, f"guidance {k}") for k in ("repeats", "n_steps") if k in spec},
+            **{
+                k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE)
+                for k in ("repeats", "n_steps")
+                if k in spec
+            },
         )
         guidance.validate_for(schedule)
         return guidance
@@ -171,8 +175,11 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
         raise ConfigError(f"bad guidance spec: {exc}") from exc
 
 
-# Ceiling on every size a config sets: the schedule T, each MLP width and
-# each d_list value.  Past it numpy would be asked for terabytes.
+# Ceiling on every size and count a config sets: the schedule T, each MLP
+# width, each d_list value, num_seeds, m_curve_samples, and the guidance
+# repeats and n_steps (so each repeats_list and n_list value).  Past it numpy
+# would be asked for terabytes, or a run would take hours.  GuidanceConfig
+# caps n_steps at the same value, MAX_SUB_STEPS, for library callers.
 MAX_SIZE = 2**12
 
 
@@ -219,7 +226,9 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
     "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
     "windows": (None, lambda config, v: config.with_guidance(window=v).window),
     "d_list": ([2, 4], lambda config, v: _integer(v, 1, "d", MAX_SIZE)),
-    "m_curve_samples": ([200], lambda config, v: _integer(v, MIN_ERROR_SAMPLES, "m_curve_samples")),
+    "m_curve_samples": (
+        [200], lambda config, v: _integer(v, MIN_ERROR_SAMPLES, "m_curve_samples", MAX_SIZE)
+    ),
 }
 
 
@@ -250,7 +259,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Frozen: parsed values and built objects bypass the dataclass guard.
-        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, 1, "num_seeds"))
+        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, 1, "num_seeds", MAX_SIZE))
         object.__setattr__(self, "base_seed", _integer(self.base_seed, 0, "base_seed"))
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
@@ -336,10 +345,14 @@ def _env_fingerprint() -> dict:
     }
 
 
-def _json_cell(v: Any) -> Any:
-    if isinstance(v, float) and not np.isfinite(v):
-        return None
-    return v
+def _json_row(row: dict) -> dict:
+    """The row with each non-finite float as null."""
+    return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in row.items()}
+
+
+def _json_text(obj: Any) -> str:
+    """Sorted, indented, strict JSON: a non-finite number raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(v: Any) -> str:
@@ -383,13 +396,13 @@ class ExperimentReport:
         return {
             "kind": self.kind,
             "columns": self.columns,
-            "rows": [{k: _json_cell(v) for k, v in row.items()} for row in self.rows],
+            "rows": [_json_row(row) for row in self.rows],
             "curves": self.curves,
             "meta": self.meta,
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
@@ -401,7 +414,7 @@ class ExperimentReport:
         }
         paths["csv"].write_text(self.to_csv_text())
         paths["json"].write_text(self.to_json_text())
-        paths["timing"].write_text(json.dumps({"rows": self.timings}, sort_keys=True, indent=2) + "\n")
+        paths["timing"].write_text(_json_text({"rows": [_json_row(row) for row in self.timings]}))
         m = self.curves.get("m_curve")
         if m:
             samples, seed = self.meta.get("m_curve_samples", 0), self.meta.get("m_curve_seed", 0)

@@ -92,6 +92,8 @@ class GmmModel(ScoreModel):
         means = np.array(means, dtype=np.float64)
         if means.ndim != 2 or len(weights) != len(means):
             raise ValueError("means must be (K, d) with one row per weight")
+        if means.shape[1] < 1:
+            raise ValueError("mixture dimension d must be positive")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
             raise ValueError("mixture weights and means must be finite")
         if np.any(weights <= 0.0):
@@ -288,8 +290,8 @@ class AffineModel(ScoreModel):
 
     def __init__(self, matrix: np.ndarray, offset: np.ndarray | None = None) -> None:
         A = np.asarray(matrix, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+            raise ValueError(f"matrix must be square and non-empty, got shape {A.shape}")
         self.dim = A.shape[0]
         b = np.zeros(self.dim) if offset is None else np.asarray(offset, dtype=np.float64)
         if b.shape != (self.dim,):
@@ -336,11 +338,10 @@ def vjp_at_step(
     """v^T (d eps / d x) in unscaled coordinates.
 
     The scaled-coordinate Jacobian picks up a 1/sqrt(alpha_t) factor under
-    the chain rule, so this equals model.vjp(...) / sqrt(alpha_t).
+    the chain rule, so this pulls model.vjp(...) back with to_scaled.
     """
-    t = schedule._check_step(t)
     x_bar = schedule.to_scaled(x, t)
-    return model.vjp(x_bar, schedule.sigma(t), v) / np.sqrt(schedule.alpha[t])
+    return schedule.to_scaled(model.vjp(x_bar, schedule.sigma(t), v), t)
 
 
 def finite_diff_vjp(

@@ -42,6 +42,15 @@ def test_sample_seed_7_is_byte_identical(config_path, tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def test_out_naming_a_file_exits_2(config_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["sample", "--config", str(config_path), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write outputs to {taken}")
+    assert taken.read_text() == ""
+
+
 def test_sample_writes_resolved_config(config_path, tmp_path):
     out = tmp_path / "run"
     assert main(["sample", "--config", str(config_path), "--seed", "3", "--out", str(out)]) == 0
@@ -160,6 +169,11 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "model", {"kind": "mlp", "widths": [2, MAX_SIZE + 1, 2]}),
         # ablate-n draws one M-curve, so it takes one sample count.
         ("ablate-n", "sweep", {"m_curve_samples": [50, 60]}),
+        # A 0-dimensional model: the GMM's means have no columns.
+        ("sample", None, {
+            "model": {"kind": "gmm", "weights": [1.0], "means": [[]]},
+            "loss": {"kind": "l2_target", "target": []},
+        }),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -367,10 +381,32 @@ def test_short_schedule_names_the_default_window(tmp_path, capsys):
     assert "sweep.windows sets explicit windows" in err
 
 
+def _strict_json(path):
+    """The JSON in path; NaN, Infinity and -Infinity are not JSON and fail the test."""
+    return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path} holds {c}"))
+
+
+def test_overflowing_loss_diverges_and_writes_strict_json(tmp_path, capsys):
+    # |x0 - target|^2 overflows: a single run exits 3, a sweep flags every row.
+    # At this rho the guided state stays finite, so only the loss checks see it.
+    obj = _fuzz_config("loss", "target", [1e200, 0.0])
+    obj["guidance"]["rho"] = 1e-300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "sample")]) == 3
+    assert "non-finite guidance loss" in capsys.readouterr().err
+    for command in ("ablate-n", "ablate-rho", "study-window"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert all(row["diverged"] for row in _strict_json(out / "report.json")["rows"])
+        _strict_json(out / "timing.json")
+
+
 @settings(derandomize=True, deadline=None)
 @given(target=st.sampled_from(_FUZZ_KEYS), value=_json_values)
 @example(target=(None, "base_seed"), value=-1)
 @example(target=("guidance", "rho"), value=True)
+@example(target=("loss", "target"), value=[1e200, 0.0])
 def test_config_fuzz_never_crashes(target, value):
     section, key = target
     obj = _fuzz_config(section, key, value)
@@ -384,4 +420,6 @@ def test_config_fuzz_never_crashes(target, value):
             code = main([command, "--config", str(path), "--out", out])
             assert code in expected
             if code == 0:
+                _strict_json(Path(out) / "report.json")
+                _strict_json(Path(out) / "timing.json")
                 assert main(["plot", "--out", out]) in (0, 2)

@@ -27,7 +27,7 @@ class TestSubSchedule:
     def test_integer_knots_reproduce_parent(self, schedule):
         T = schedule.num_steps
         sigma = make_sub_schedule(schedule, T, T)
-        assert sigma.tobytes() == schedule.sigma_values.tobytes()
+        assert sigma.tobytes() == np.array(schedule.sigmas).tobytes()
 
     def test_interior_interpolation_invariants(self, schedule):
         sigma = make_sub_schedule(schedule, 50, 4)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import TASK_RHO, TASK_WINDOW, NanModel, rel_err
 from symguide import (
     AffineModel,
+    ButcherTableau,
     DivergenceError,
     GramStyleLoss,
     GuidanceConfig,
@@ -41,7 +43,7 @@ def numpy_scalar_ddim_step(model, schedule, x_t, t):
     a_t = schedule.alpha[t]
     a_prev = schedule.alpha[t - 1]
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps = model.eps(x_t / np.sqrt(schedule.alpha[t]), float(schedule.sigma_values[t]))
+    eps = model.eps(x_t / np.sqrt(a_t), float(np.sqrt((1.0 - a_t) / a_t)))
     xhat0 = (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
     return math.sqrt(a_prev) * xhat0 + math.sqrt(1.0 - a_prev) * eps
 
@@ -198,6 +200,22 @@ class TestGuidanceConfig:
         assert cfg.repeats_at(12) == 2 and cfg.repeats_at(5) == 1  # one pass outside the window
 
 
+def test_value_types_compare_by_identity(schedule, gmm2, task_loss):
+    cfg = GuidanceConfig(window=(20, 24), rho=0.05, repeats=1, n_steps=2)
+    values = [
+        schedule,
+        ButcherTableau.heun(),
+        estimate_clean(gmm2, schedule, np.array([0.5, -0.2]), 30, 4),
+        sag_sample(gmm2, schedule, task_loss, cfg, 5),
+    ]
+    for x in values:
+        twin = copy.copy(x)
+        assert x == x
+        assert x != twin
+        assert hash(x) == hash(x)
+        assert len({x, twin}) == 2
+
+
 class TestSagSample:
     def test_guidance_off_is_plain_rollout_bitwise(self, schedule, gmm2, task_loss):
         cfg = GuidanceConfig(window=TASK_WINDOW, rho=0.0, repeats=1, n_steps=4)
@@ -300,6 +318,29 @@ class TestSagSample:
         assert str(info.value) == "guided state diverged at t=35 repeat=0 (rho=1.0)"
         # ddim_step for t = 50..35, then the one estimate (4 eps) and sweep (4 vjp).
         assert (model.calls, model.vjp_calls) == (16 + 4, 4)
+
+    def test_overflowing_loss_value_is_a_divergence(self, schedule, gmm2):
+        # |x0 - target|^2 overflows at the first guided step (t = 35).
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=1e-300, repeats=1, n_steps=4)
+        with pytest.raises(DivergenceError) as info:
+            sag_sample(gmm2, schedule, L2TargetLoss(np.array([1e200, 0.0])), cfg, 0)
+        assert str(info.value) == "non-finite guidance loss at t=35 repeat=0"
+
+    def test_overflowing_gradient_norm_is_a_divergence(self, schedule, gmm2):
+        class HugeGradLoss(L2TargetLoss):
+            def grad(self, x0):
+                return np.full(2, 1e200)
+
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=1e-300, repeats=1, n_steps=4)
+        loss = HugeGradLoss(np.zeros(2))
+        with pytest.raises(DivergenceError) as info:
+            sag_sample(gmm2, schedule, loss, cfg, 0)
+        assert str(info.value) == "non-finite guidance gradient at t=35 repeat=0"
+
+    def test_overflowing_final_loss_is_a_divergence(self, schedule, gmm2):
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=0.0, repeats=1, n_steps=4)
+        with pytest.raises(DivergenceError, match="non-finite final loss"):
+            sag_sample(gmm2, schedule, L2TargetLoss(np.array([1e200, 0.0])), cfg, 0)
 
     def test_record_serialization_excludes_timing_by_default(self, schedule, gmm2, task_loss):
         cfg = GuidanceConfig(window=(20, 24), rho=0.05, repeats=1, n_steps=2)

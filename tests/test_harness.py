@@ -19,7 +19,7 @@ from symguide import (
     run_window_and_repeats_study,
     sag_sample,
 )
-from symguide.harness import ExperimentReport, default_window_thirds
+from symguide.harness import MAX_SIZE, ExperimentReport, default_window_thirds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,6 +67,29 @@ class TestConfig:
             task_config(guidance={"window": [15], "rho": 0.1})
         with pytest.raises(ConfigError):
             task_config(guidance="not an object")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_seeds": MAX_SIZE + 1},
+            {"guidance": {"window": list(TASK_WINDOW), "rho": TASK_RHO, "repeats": MAX_SIZE + 1}},
+            {"sweep": {"repeats_list": [1, MAX_SIZE + 1]}},
+            {"sweep": {"m_curve_samples": [MAX_SIZE + 1]}},
+        ],
+        ids=["num_seeds", "repeats", "repeats_list", "m_curve_samples"],
+    )
+    def test_counts_past_the_ceiling_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=str(MAX_SIZE)):
+            task_config(**overrides)
+
+    def test_counts_at_the_ceiling_load(self):
+        config = task_config(
+            num_seeds=MAX_SIZE,
+            sweep={"repeats_list": [MAX_SIZE], "m_curve_samples": [MAX_SIZE]},
+        )
+        assert config.num_seeds == MAX_SIZE
+        assert config.axis("repeats_list") == [MAX_SIZE]
+        assert config.axis("m_curve_samples") == [MAX_SIZE]
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -132,6 +132,10 @@ class TestGmm:
         with pytest.raises(ValueError):
             gmm2.eps(np.zeros(3), 1.0)
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            GmmModel([1.0], [[]])
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(case=gmm_cases())
     def test_bitwise_equal_to_first_expressions(self, case):
@@ -197,6 +201,11 @@ class TestMlp:
         x = np.array([0.1, -0.2, 0.3])
         assert np.array_equal(loaded.eps(x, 1.3), mlp3.eps(x, 1.3))
         assert loaded.seed == mlp3.seed
+
+
+def test_affine_zero_dimension_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        AffineModel(np.zeros((0, 0)))
 
 
 class TestFiniteDiff:
