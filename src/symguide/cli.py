@@ -1,8 +1,8 @@
 """Command-line driver for single runs, ablation sweeps and plotting.
 
 Exit codes: 0 on success, 2 on configuration errors (an output directory
-that cannot be written among them), 3 when a non-sweep single run diverges
-numerically.  Every run writes its config next to its outputs, with --seed
+that cannot be written among them), 3 when a single run or compare-adjoint
+diverges numerically.  Every run writes its config next to its outputs, with --seed
 and --out applied and the top-level defaults filled in; keys left out of a
 section stay out.
 """
@@ -27,34 +27,44 @@ from .harness import (
     run_window_and_repeats_study,
 )
 
+
+def _plot(out: Path) -> list[Path]:
+    """Render SVG figures from the report.json in a run directory."""
+    report_path = out / "report.json"
+    try:
+        return emit_plots(ExperimentReport(**json.loads(report_path.read_text())), out)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot plot {report_path}: {exc!r}") from exc
+
+
+# Each command and the function that runs it.  The first line of its
+# docstring is the command's help text, read once on import: perfbench's
+# tracer later swaps runners here for wrappers without docstrings.
 _RUNNERS = {
     "sample": run_single_sample,
     "ablate-n": run_ablation_n,
     "ablate-rho": run_ablation_rho,
     "study-window": run_window_and_repeats_study,
     "compare-adjoint": run_adjoint_comparison,
+    "plot": _plot,
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symguide", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("sample", "run one guided sample"),
-        ("ablate-n", "sweep the estimate-step count n"),
-        ("ablate-rho", "sweep the guidance strength rho"),
-        ("study-window", "sweep guidance windows and time-travel repeats"),
-        ("compare-adjoint", "gradient accuracy and memory table per backward method"),
-        ("plot", "render SVG figures from an existing report.json"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        if name != "plot":
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__.splitlines()[0])
+        if runner is _plot:
+            p.add_argument("--out", required=True, help="run directory holding report.json")
+        else:
             p.add_argument("--config", required=True, help="path to the JSON run config")
             p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        else:
-            p.add_argument("--report", default=None, help="report.json path (default: OUT/report.json)")
-        p.add_argument("--out", default=None, help="override the output directory")
+            p.add_argument("--out", default=None, help="override the output directory")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
@@ -69,32 +79,24 @@ def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    runner = _RUNNERS[args.command]
     try:
-        if args.command == "plot":
-            if args.out is None and args.report is None:
-                raise ConfigError("plot needs --report and/or --out")
-            out = Path(args.out) if args.out else Path(args.report).parent
-            report_path = Path(args.report) if args.report else out / "report.json"
-            try:
-                report = ExperimentReport(**json.loads(report_path.read_text()))
-                paths = emit_plots(report, out)
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ConfigError(f"cannot plot {report_path}: {exc!r}") from exc
-            for path in paths:
-                print(path)
-            return 0
-        overrides = {"base_seed": args.seed, "out_dir": args.out}
-        config = RunConfig.from_json_file(args.config, **{k: v for k, v in overrides.items() if v is not None})
-        out = _write_outputs(_RUNNERS[args.command](config), config)
-        print(out / "report.json")
-        return 0
+        if runner is _plot:
+            paths = _plot(Path(args.out))
+        else:
+            overrides = {"base_seed": args.seed, "out_dir": args.out}
+            config = RunConfig.from_json_file(args.config, **{k: v for k, v in overrides.items() if v is not None})
+            paths = [_write_outputs(runner(config), config) / "report.json"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
+    for path in paths:
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,10 +35,11 @@ __all__ = [
     "sag_sample",
 ]
 
-# Ceiling on n_steps.  Each guided step stores n_steps + 1 states and makes
-# n_steps model calls, so a count far above any useful n asks numpy for an
-# array it cannot allocate, or for a run that does not finish.
-MAX_SUB_STEPS = 2**12
+# Ceiling on every size and count: n_steps here, and in a run config
+# (symguide.harness) T, each MLP width and d_list value, num_seeds,
+# m_curve_samples and repeats.  Past it numpy would be asked for terabytes,
+# or a run would take hours.
+MAX_SIZE = 2**12
 
 
 class GuidanceLoss(abc.ABC):
@@ -117,7 +118,7 @@ class GuidanceConfig:
     Guidance is active for t in [window[0], window[1]] (inclusive), with
     0 < K1 < K2 < T.  Inside the window each step applies strength rho,
     repeats `repeats` times and estimates the clean output in n_steps
-    sub-steps, at most MAX_SUB_STEPS; outside it rho is 0 and each step
+    sub-steps, at most MAX_SIZE; outside it rho is 0 and each step
     runs once.  Steps whose rho is 0 skip the gradient computation
     entirely (output-equivalent, and keeps guidance-off runs bitwise equal
     to plain rollouts).
@@ -137,8 +138,8 @@ class GuidanceConfig:
             raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
         if self.repeats < 1 or self.n_steps < 1:
             raise ValueError("repeats and n_steps must be >= 1")
-        if self.n_steps > MAX_SUB_STEPS:
-            raise ValueError(f"n_steps must be at most MAX_SUB_STEPS = {MAX_SUB_STEPS}, got {self.n_steps}")
+        if self.n_steps > MAX_SIZE:
+            raise ValueError(f"n_steps must be at most MAX_SIZE = {MAX_SIZE}, got {self.n_steps}")
 
     def validate_for(self, schedule: NoiseSchedule) -> None:
         if self.window[1] >= schedule.num_steps:

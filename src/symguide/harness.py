@@ -8,6 +8,7 @@ sweep cells are flagged rows, never dropped.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import sys
@@ -36,6 +37,7 @@ from .estimator import (
     estimation_error_curve,
 )
 from .guidance import (
+    MAX_SIZE,
     GramStyleLoss,
     GuidanceConfig,
     GuidanceLoss,
@@ -73,8 +75,17 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-def build_schedule(spec: dict) -> NoiseSchedule:
+@contextlib.contextmanager
+def _rejected_as(prefix: str):
+    """Raise what a malformed spec makes the block raise as ConfigError, its message after prefix."""
     try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def build_schedule(spec: dict) -> NoiseSchedule:
+    with _rejected_as("bad schedule spec: "):
         if "alpha" in spec:
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         return build_linear_schedule(
@@ -82,13 +93,11 @@ def build_schedule(spec: dict) -> NoiseSchedule:
             _real(_require(spec, "beta_min", "schedule"), "schedule beta_min"),
             _real(_require(spec, "beta_max", "schedule"), "schedule beta_max"),
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad schedule spec: {exc}") from exc
 
 
 def build_model(spec: dict) -> ScoreModel:
     kind = _require(spec, "kind", "model")
-    try:
+    with _rejected_as("bad model spec: "):
         if kind == "gmm":
             return GmmModel(
                 _real_array(_require(spec, "weights", "model"), "gmm weights"),
@@ -114,16 +123,12 @@ def build_model(spec: dict) -> ScoreModel:
                 _real_array(_require(spec, "matrix", "model"), "affine matrix"),
                 None if offset is None else _real_array(offset, "affine offset"),
             )
-    except ConfigError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
     raise ConfigError(f"unknown model kind '{kind}'")
 
 
 def build_loss(spec: dict) -> GuidanceLoss:
     kind = _require(spec, "kind", "loss")
-    try:
+    with _rejected_as("bad loss spec: "):
         if kind == "l2_target":
             return L2TargetLoss(_real_array(_require(spec, "target", "loss"), "loss target"))
         if kind == "gram_style":
@@ -131,10 +136,6 @@ def build_loss(spec: dict) -> GuidanceLoss:
                 _real_array(_require(spec, "target_gram", "loss"), "loss target_gram"),
                 _real_array(_require(spec, "feature_map", "loss"), "loss feature_map"),
             )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad loss spec: {exc}") from exc
     raise ConfigError(f"unknown loss kind '{kind}'")
 
 
@@ -149,7 +150,7 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
 
     Keys the section leaves out take their GuidanceConfig defaults.
     """
-    try:
+    with _rejected_as("bad guidance spec: "):
         window = tuple(_require(spec, "window", "guidance"))
         if len(window) != 2:
             raise ConfigError(f"guidance window must be a [K1, K2] pair, got {list(window)}")
@@ -169,18 +170,6 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
         )
         guidance.validate_for(schedule)
         return guidance
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad guidance spec: {exc}") from exc
-
-
-# Ceiling on every size and count a config sets: the schedule T, each MLP
-# width, each d_list value, num_seeds, m_curve_samples, and the guidance
-# repeats and n_steps (so each repeats_list and n_list value).  Past it numpy
-# would be asked for terabytes, or a run would take hours.  GuidanceConfig
-# caps n_steps at the same value, MAX_SUB_STEPS, for library callers.
-MAX_SIZE = 2**12
 
 
 def _integer(value: Any, least: int, what: str, most: int = sys.maxsize) -> int:
@@ -292,10 +281,8 @@ class RunConfig:
         if key == "m_curve_samples" and len(vals) != 1:
             raise ConfigError(f"sweep axis '{key}' takes exactly one value, got {len(vals)}")
         check = _SWEEP_AXES[key][1]
-        try:
+        with _rejected_as(f"bad sweep axis '{key}': "):
             return [check(self, v) for v in vals]
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"bad sweep axis '{key}': {exc}") from exc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -461,15 +448,13 @@ def _sweep(
     and the cell's labels) and a timing entry (that row plus its wall time
     and error); a diverged run is a flagged row.  A distance_to_unguided
     column measures each final sample against the unguided rollout with the
-    same seed.  Returns the rows, the timings and
-    each cell's mean guided-loss trajectory over its completed runs.
+    same seed, rolled out once, when a run with that seed first completes.
+    Returns the rows, the timings and each cell's mean guided-loss
+    trajectory over its completed runs.
     """
     schedule, model, loss, _ = config.build()
     seeds = [config.base_seed + i for i in range(config.num_seeds)]
-    unguided = (
-        {s: ddim_rollout(model, schedule, s) for s in seeds}
-        if "distance_to_unguided" in columns else None
-    )
+    unguided: dict[int, np.ndarray] = {}
     rows: list[dict] = []
     timings: list[dict] = []
     loss_curves: list[tuple[list[int], list[float]]] = []
@@ -481,7 +466,9 @@ def _sweep(
             except DivergenceError as exc:
                 rec, err = None, str(exc)
             run = {**_run_fields(seed, gcfg, rec), **labels, "error": err or None}
-            if unguided is not None:
+            if "distance_to_unguided" in columns:
+                if rec is not None and seed not in unguided:
+                    unguided[seed] = ddim_rollout(model, schedule, seed)
                 run["distance_to_unguided"] = (
                     float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
                 )
@@ -608,13 +595,15 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom if denom > 0 else float(np.linalg.norm(a - b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
     """Gradient accuracy and memory accounting per backward method.
 
     For each (model, d, n) cell: relative error of symplectic Euler,
     symplectic RK2 (Heun + conjugate coefficients) and the vanilla adjoint
     against the matching stored-activation oracle, plus checkpoint and tape
-    counters.
+    counters.  As in sag_sample, an overflow raises no numpy warning: a
+    relative error that is not finite raises DivergenceError.
     """
     schedule, _, _, _ = config.build()
     n_list = config.axis("n_list")
@@ -661,6 +650,8 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
                 ]
                 for method, err, stats, ns in entries:
                     cell = {"model": model_name, "d": d, "n": n, "method": method}
+                    if not np.isfinite(err):
+                        raise DivergenceError(f"non-finite rel_error_vs_oracle ({err}) at {cell}")
                     rows.append({**cell, "rel_error_vs_oracle": err, **asdict(stats)})
                     timings.append({**rows[-1], "wall_time_ns": ns})
     return ExperimentReport(kind="adjoint_comparison", columns=columns, rows=rows, timings=timings)

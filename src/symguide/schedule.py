@@ -56,7 +56,11 @@ class NoiseSchedule:
         log_alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "log_alpha", log_alpha)
-        object.__setattr__(self, "sigmas", tuple(np.sqrt((1.0 - alpha) / alpha).tolist()))
+        with np.errstate(over="ignore"):
+            sigmas = np.sqrt((1.0 - alpha) / alpha)
+        if not np.all(np.isfinite(sigmas)):
+            raise ValueError("alpha too small: sigma = sqrt((1 - alpha) / alpha) overflows float64")
+        object.__setattr__(self, "sigmas", tuple(sigmas.tolist()))
         object.__setattr__(self, "sqrt_alpha", tuple(math.sqrt(a) for a in alpha.tolist()))
         object.__setattr__(
             self, "sqrt_one_minus_alpha", tuple(math.sqrt(1.0 - a) for a in alpha.tolist())
@@ -105,7 +109,7 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     sigma = schedule._sub_grids.get((t, n))
     if sigma is not None:
         return sigma
-    grid = np.arange(n + 1) * (t / n)  # fractional step indices, tau = 0..n
+    grid = np.arange(n + 1) * t / n  # fractional step indices, tau = 0..n; exact at integers
     log_alpha = schedule.log_alpha
     sub_alpha = np.exp(np.interp(grid, np.arange(len(log_alpha)), log_alpha))
     # Exact values at integer knots (endpoints included) beat the exp/log trip.

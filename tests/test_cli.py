@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
-from symguide import MlpModel, harness
+from symguide import MlpModel, cli, harness
 from symguide.cli import main
-from symguide.guidance import MAX_SUB_STEPS
 from symguide.harness import MAX_SIZE
 
 NAN, INF = math.nan, math.inf
@@ -40,6 +39,15 @@ def test_sample_seed_7_is_byte_identical(config_path, tmp_path):
     assert main(["sample", "--config", str(config_path), "--seed", "7", "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def test_main_dispatches_through_the_runner_table(config_path, tmp_path, monkeypatch):
+    # perfbench/tracing.py replaces a runner in the table with a wrapper that has no docstring.
+    calls = []
+    original = cli._RUNNERS["sample"]
+    monkeypatch.setitem(cli._RUNNERS, "sample", lambda config: calls.append(config) or original(config))
+    assert main(["sample", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_out_naming_a_file_exits_2(config_path, tmp_path, capsys):
@@ -161,7 +169,7 @@ def test_missing_config_exits_2(tmp_path):
         # Sub-step counts past the ceiling, which numpy cannot allocate or the run would not finish.
         ("sample", "guidance", {"n_steps": 2**62}),
         ("ablate-n", "sweep", {"n_list": [2**62]}),
-        ("sample", "guidance", {"n_steps": MAX_SUB_STEPS + 1}),
+        ("sample", "guidance", {"n_steps": MAX_SIZE + 1}),
         # Sizes past the ceiling, for which numpy would be asked for terabytes.
         ("sample", "schedule", {"T": 2**40}),
         ("sample", "model", {"kind": "mlp", "widths": [2, 2**40, 2]}),
@@ -173,6 +181,11 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", None, {
             "model": {"kind": "gmm", "weights": [1.0], "means": [[]]},
             "loss": {"kind": "l2_target", "target": []},
+        }),
+        # An alpha so small that sigma = sqrt((1 - alpha) / alpha) overflows.
+        ("compare-adjoint", None, {
+            "schedule": {"alpha": [1.0, 0.5, 1e-310, 1e-320]},
+            "guidance": {"window": [1, 2], "rho": TASK_RHO},
         }),
     ],
 )
@@ -236,6 +249,42 @@ def test_divergent_single_run_exits_3(config_path, tmp_path):
     assert main(["sample", "--config", str(div), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_any_n_steps_runs(config_path, tmp_path):
+    # At t = 29 the 25 sub-steps of 29/25 must end on sigma(29) exactly.
+    obj = json.loads(config_path.read_text())
+    obj["guidance"].update(window=[5, 35], n_steps=25)
+    path = tmp_path / "n25.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_compare_adjoint_overflow_exits_3(config_path, tmp_path, capsys):
+    # sigma(3) = 1e150: the vanilla adjoint's gradient overflows, and no numpy warning escapes.
+    obj = json.loads(config_path.read_text())
+    obj["schedule"] = {"alpha": [1.0, 0.5, 1e-200, 1e-300]}
+    obj["guidance"]["window"] = [1, 2]
+    obj["sweep"] = {"d_list": [2], "n_list": [1, 2]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    assert main(["compare-adjoint", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: non-finite rel_error_vs_oracle")
+    assert all(f"'{key}'" in err for key in ("model", "d", "n", "method"))
+
+
+def test_study_window_rolls_out_only_completed_seeds(config_path, tmp_path):
+    # Every guided run diverges, so no unguided rollout, which would overflow, is made.
+    obj = json.loads(config_path.read_text())
+    obj["model"] = {"kind": "affine", "matrix": [[1e8, 0.0], [0.0, 1e8]]}
+    obj.update(num_seeds=2, sweep={"windows": [list(TASK_WINDOW)], "repeats_list": [1]})
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert main(["study-window", "--config", str(path), "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [(row["diverged"], row["distance_to_unguided"]) for row in rows] == [(True, None)] * 2
+
+
 def test_ablate_n_end_to_end(config_path, tmp_path):
     out = tmp_path / "abl"
     assert main(["ablate-n", "--config", str(config_path), "--out", str(out)]) == 0
@@ -268,7 +317,7 @@ def test_plot_missing_report_exits_2(tmp_path):
         report = tmp_path / name / "report.json"
         report.parent.mkdir()
         report.write_text(text)
-        assert main(["plot", "--report", str(report)]) == 2, name
+        assert main(["plot", "--out", str(report.parent)]) == 2, name
 
 
 def test_compare_adjoint_end_to_end(config_path, tmp_path):
@@ -402,16 +451,48 @@ def test_overflowing_loss_diverges_and_writes_strict_json(tmp_path, capsys):
         _strict_json(out / "timing.json")
 
 
-@settings(derandomize=True, deadline=None)
-@given(target=st.sampled_from(_FUZZ_KEYS), value=_json_values)
-@example(target=(None, "base_seed"), value=-1)
-@example(target=("guidance", "rho"), value=True)
-@example(target=("loss", "target"), value=[1e200, 0.0])
-def test_config_fuzz_never_crashes(target, value):
+def _one_key_case(target, value):
+    """The base config with one key set to value, and the exit codes the commands may give."""
     section, key = target
-    obj = _fuzz_config(section, key, value)
     # A boolean or a string is never a number: a numeric key holding one exits 2.
     expected = (2,) if key not in _NON_NUMERIC_KEYS and _holds_bool_or_str(value) else (0, 2, 3)
+    return _fuzz_config(section, key, value), expected
+
+
+# Explicit schedules whose tail alpha is tiny, so that sigma is huge or overflows.
+_tiny_tail_configs = st.lists(st.floats(5e-324, 1e-100), min_size=1, max_size=3).map(
+    lambda tail: _fuzz_config("schedule", "alpha", [1.0, 0.9, 0.75, 0.6, 0.45, *sorted(tail, reverse=True)])
+)
+
+
+@st.composite
+def _long_configs(draw):
+    """The base config on T >= 30 steps, with sub-step counts up to 64 and a short window anywhere."""
+    T = draw(st.integers(30, 64))
+    k1 = draw(st.integers(1, T - 2))
+    k2 = draw(st.integers(k1 + 1, min(k1 + 2, T - 1)))
+    obj = copy.deepcopy(_FUZZ_BASE)
+    obj["schedule"]["T"] = T
+    obj["guidance"].update(window=[k1, k2], n_steps=draw(st.integers(1, 64)))
+    obj["sweep"].update(n_list=draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)), windows=[[k1, k2]])
+    return obj
+
+
+# Four draws in six (about 100 of the 150) set one key of the base config;
+# the rest draw whole configs, of which a long one costs the most.
+_fuzz_cases = st.sampled_from(
+    [st.builds(_one_key_case, st.sampled_from(_FUZZ_KEYS), _json_values)] * 4
+    + [st.tuples(configs, st.just((0, 2, 3))) for configs in (_tiny_tail_configs, _long_configs())]
+).flatmap(lambda cases: cases)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=_fuzz_cases)
+@example(case=_one_key_case((None, "base_seed"), -1))
+@example(case=_one_key_case(("guidance", "rho"), True))
+@example(case=_one_key_case(("loss", "target"), [1e200, 0.0]))
+def test_config_fuzz_never_crashes(case):
+    obj, expected = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(obj))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_T, NanModel, rel_err
 from symguide import (
@@ -28,6 +30,18 @@ class TestSubSchedule:
         T = schedule.num_steps
         sigma = make_sub_schedule(schedule, T, T)
         assert sigma.tobytes() == np.array(schedule.sigmas).tobytes()
+
+    @settings(derandomize=True, deadline=None)
+    @given(T=st.integers(2, 200), t_share=st.floats(0.0, 1.0), n=st.integers(1, 256))
+    @example(T=TASK_T, t_share=0.13, n=25)  # t = 7: 25 * (7 / 25) is 7.000000000000001
+    def test_knots_are_exact_for_every_n(self, T, t_share, n):
+        sch = build_linear_schedule(T, *TASK_BETAS)
+        t = 1 + int(t_share * (T - 1))
+        sigma = make_sub_schedule(sch, t, n)
+        assert sigma[n].hex() == sch.sigma(t).hex()
+        for tau in range(n + 1):
+            if tau * t % n == 0:
+                assert sigma[tau].hex() == sch.sigmas[tau * t // n].hex()
 
     def test_interior_interpolation_invariants(self, schedule):
         sigma = make_sub_schedule(schedule, 50, 4)
