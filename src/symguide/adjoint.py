@@ -132,10 +132,20 @@ def _symplectic_grad(
     grad_at_clean: np.ndarray,
     schedule: NoiseSchedule,
     t: int,
-) -> np.ndarray:
+    return_stats: bool,
+):
+    """Both symplectic solvers; their stats follow from the trajectory and its tableau.
+
+    They read all the trajectory holds (n+1 checkpoints, n(s-1) stage points)
+    and keep the costate and s transpose-Jacobian products live, plus one
+    costate stage when A couples the stages.
+    """
     _check_traj(model, traj, schedule, t)
-    lam = _costate_sweep(model, traj, _costate_start(model, grad_at_clean))
-    return schedule.to_scaled(lam, t)
+    grad = schedule.to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
+    if not return_stats:
+        return grad
+    n, s = traj.n, traj.tableau.stages
+    return grad, AdjointStats(n + 1 + n * (s - 1), 0, 1 + s + bool(traj.tableau.A.any()))
 
 
 def symplectic_euler_grad(
@@ -153,10 +163,7 @@ def symplectic_euler_grad(
     transpose-Jacobian product).
     """
     _require_euler(traj, "symplectic_euler_grad")
-    grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
-    if return_stats:
-        return grad, AdjointStats(checkpoints_read=traj.n + 1, tape_arrays=0, peak_state_vectors=2)
-    return grad
+    return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
 
 
 def direct_backprop_grad(
@@ -235,11 +242,7 @@ def symplectic_rk_grad(
     return_stats: bool = False,
 ):
     """Exact dL/dx_t through the RK forward map via conjugate coefficients."""
-    grad = _symplectic_grad(model, traj, grad_at_clean, schedule, t)
-    if return_stats:
-        n, s = traj.n, traj.tableau.stages
-        return grad, AdjointStats(checkpoints_read=n + 1 + n * s, tape_arrays=0, peak_state_vectors=2 + s)
-    return grad
+    return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
 
 
 def rk_direct_backprop_grad(
@@ -283,16 +286,18 @@ def conservation_probe(
     v0: np.ndarray,
     lambda0: np.ndarray,
 ) -> np.ndarray:
-    """Stepwise invariant S_tau = lambda_tau . delta_tau of the Euler pair.
+    """Stepwise invariant S_tau = lambda_tau . delta_tau of the forward map and its costate sweep.
 
-    delta is pushed forward (tau = n..0) by exact Jacobian-vector products
-    of the discrete forward steps; lambda is pulled back (tau = 0..n) by the
-    costate sweep.  Both use the restored checkpoints, so S is constant
-    up to roundoff.
+    delta is pushed forward (tau = n..0) through the exact linearisation of
+    each RK step, its stage JVPs taken at the restored stage points:
+    d_i = delta + h sum_{j<i} a_ij K_j, K_i = jvp(X_i, sigma_i, d_i) and
+    delta' = delta + h sum_i b_i K_i.  lambda is pulled back (tau = 0..n)
+    by the costate sweep.  For every tableau whose costate coefficients
+    satisfy the conjugacy identity, S is constant up to roundoff.
     """
-    _require_euler(traj, "conservation_probe")
-    sig = traj.sigma
+    sig = traj.sigma.tolist()
     n = traj.n
+    a, b = traj.tableau.a.tolist(), traj.tableau.b.tolist()
     d = traj.states.shape[1]
     v0 = np.asarray(v0, dtype=np.float64)
     lambda0 = np.asarray(lambda0, dtype=np.float64)
@@ -301,9 +306,16 @@ def conservation_probe(
     deltas = np.empty((n + 1, d))
     lams = np.empty((n + 1, d))
     deltas[n] = v0
-    for tau in range(n, 0, -1):
-        jv = model.jvp(traj.states[tau], float(sig[tau]), deltas[tau])
-        deltas[tau - 1] = deltas[tau] + (sig[tau - 1] - sig[tau]) * jv
+    for k in range(n - 1, -1, -1):
+        h = sig[k] - sig[k + 1]  # signed, negative
+        K: list[np.ndarray] = []
+        for i in range(len(b)):
+            d_i = deltas[k + 1]
+            for j in range(i):
+                if a[i][j] != 0.0:
+                    d_i = d_i + h * a[i][j] * K[j]
+            K.append(model.jvp(*traj.stage(k, i), d_i))
+        deltas[k] = sum((h * b_i * K_i for b_i, K_i in zip(b, K)), deltas[k + 1])
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)
     return np.einsum("td,td->t", lams, deltas)

@@ -13,9 +13,9 @@ import json
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -67,12 +67,17 @@ class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} section must be a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ConfigError(f"missing key '{key}' in {where}")
-    return obj[key]
+def _keys(spec: Any, where: str, required: Collection[str], optional: Collection[str] = ()) -> dict:
+    """spec, checked to be a JSON object with every required key and no key but the optional ones."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(spec).__name__}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"missing key '{key}' in {where}")
+    unknown = [key for key in spec if key not in required and key not in optional]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; known: {[*required, *optional]}")
+    return spec
 
 
 @contextlib.contextmanager
@@ -86,62 +91,75 @@ def _rejected_as(prefix: str):
 
 def build_schedule(spec: dict) -> NoiseSchedule:
     with _rejected_as("bad schedule spec: "):
-        if "alpha" in spec:
+        if "alpha" in _keys(spec, "schedule", (), spec):  # each kind then checks its own keys
+            _keys(spec, "explicit schedule", ("alpha",))
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
+        _keys(spec, "linear schedule", ("T", "beta_min", "beta_max"))
         return build_linear_schedule(
-            _integer(_require(spec, "T", "schedule"), 2, "schedule T", MAX_SIZE),
-            _real(_require(spec, "beta_min", "schedule"), "schedule beta_min"),
-            _real(_require(spec, "beta_max", "schedule"), "schedule beta_max"),
+            _integer(spec["T"], 2, "schedule T", MAX_SIZE),
+            _real(spec["beta_min"], "schedule beta_min"),
+            _real(spec["beta_max"], "schedule beta_max"),
         )
 
 
+# The most weights and biases an MLP may hold (512 MiB of float64).
+MAX_MLP_PARAMETERS = 4 * MAX_SIZE**2
+
+
+def _mlp_widths(widths: Any) -> list[int]:
+    """The widths, checked before any weight is allocated; sigma is one more input to the first layer."""
+    widths = [_integer(w, 1, "mlp widths entry", MAX_SIZE) for w in widths]
+    params = sum((w + 1 + (l == 0)) * w_out for l, (w, w_out) in enumerate(zip(widths, widths[1:])))
+    if params > MAX_MLP_PARAMETERS:
+        raise ConfigError(f"mlp widths hold {params} parameters, over MAX_MLP_PARAMETERS = {MAX_MLP_PARAMETERS}")
+    return widths
+
+
 def build_model(spec: dict) -> ScoreModel:
-    kind = _require(spec, "kind", "model")
     with _rejected_as("bad model spec: "):
+        kind = _keys(spec, "model", ("kind",), spec)["kind"]  # each kind then checks its own keys
         if kind == "gmm":
-            return GmmModel(
-                _real_array(_require(spec, "weights", "model"), "gmm weights"),
-                _real_array(_require(spec, "means", "model"), "gmm means"),
-            )
+            _keys(spec, "gmm model", ("kind", "weights", "means"))
+            return GmmModel(_real_array(spec["weights"], "gmm weights"), _real_array(spec["means"], "gmm means"))
         if kind == "mlp":
             if "weights_file" in spec:
-                path = Path(spec["weights_file"])
+                path = Path(_keys(spec, "mlp model", ("kind", "weights_file"))["weights_file"])
                 if not path.exists():
                     raise ConfigError(f"mlp weights file not found: {path}")
                 obj = json.loads(path.read_text())
-                for w in obj["widths"]:
-                    _integer(w, 1, "mlp width", MAX_SIZE)
+                _mlp_widths(obj["widths"])
                 for layer in obj["layers"]:
                     _real_array(layer["W"], "mlp layer W")
                     _real_array(layer["b"], "mlp layer b")
                 return MlpModel.from_json_dict(obj)
-            widths = [_integer(w, 1, "mlp width", MAX_SIZE) for w in _require(spec, "widths", "model")]
-            return MlpModel.random(widths, _integer(spec.get("seed", 0), 0, "mlp seed"))
+            _keys(spec, "mlp model", ("kind", "widths"), ("seed",))
+            return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
-            offset = spec.get("offset")
-            return AffineModel(
-                _real_array(_require(spec, "matrix", "model"), "affine matrix"),
-                None if offset is None else _real_array(offset, "affine offset"),
-            )
-    raise ConfigError(f"unknown model kind '{kind}'")
+            _keys(spec, "affine model", ("kind", "matrix"), ("offset",))
+            offset = None if spec.get("offset") is None else _real_array(spec["offset"], "affine offset")
+            return AffineModel(_real_array(spec["matrix"], "affine matrix"), offset)
+        raise ConfigError(f"unknown model kind '{kind}'")
 
 
 def build_loss(spec: dict) -> GuidanceLoss:
-    kind = _require(spec, "kind", "loss")
     with _rejected_as("bad loss spec: "):
+        kind = _keys(spec, "loss", ("kind",), spec)["kind"]  # each kind then checks its own keys
         if kind == "l2_target":
-            return L2TargetLoss(_real_array(_require(spec, "target", "loss"), "loss target"))
+            _keys(spec, "l2_target loss", ("kind", "target"))
+            return L2TargetLoss(_real_array(spec["target"], "loss target"))
         if kind == "gram_style":
+            _keys(spec, "gram_style loss", ("kind", "target_gram", "feature_map"))
             return GramStyleLoss(
-                _real_array(_require(spec, "target_gram", "loss"), "loss target_gram"),
-                _real_array(_require(spec, "feature_map", "loss"), "loss feature_map"),
+                _real_array(spec["target_gram"], "loss target_gram"),
+                _real_array(spec["feature_map"], "loss feature_map"),
             )
-    raise ConfigError(f"unknown loss kind '{kind}'")
+        raise ConfigError(f"unknown loss kind '{kind}'")
 
 
-_GUIDANCE_KEYS = [f.name for f in fields(GuidanceConfig)]
-# Guidance keys of earlier versions.  Resolved configs those versions wrote
-# carry them at their defaults (null, {} or false), which still load.
+# GuidanceConfig's fields are the guidance keys: required without a default, counts otherwise.  Resolved
+# configs of earlier versions carry the retired keys at off values (null, {} or false), which still load.
+_GUIDANCE_REQUIRED = [f.name for f in fields(GuidanceConfig) if f.default is MISSING]
+_GUIDANCE_OPTIONAL = [f.name for f in fields(GuidanceConfig) if f.default is not MISSING]
 _RETIRED_GUIDANCE_KEYS = ("rho_by_t", "repeats_by_t", "n_by_t", "grad_normalize")
 
 
@@ -151,22 +169,15 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     Keys the section leaves out take their GuidanceConfig defaults.
     """
     with _rejected_as("bad guidance spec: "):
-        window = tuple(_require(spec, "window", "guidance"))
+        off = [k for k in _RETIRED_GUIDANCE_KEYS if isinstance(spec, dict) and spec.get(k) in (None, {}, False)]
+        _keys(spec, "guidance", _GUIDANCE_REQUIRED, (*_GUIDANCE_OPTIONAL, *off))
+        window = tuple(spec["window"])
         if len(window) != 2:
             raise ConfigError(f"guidance window must be a [K1, K2] pair, got {list(window)}")
-        window = tuple(_integer(k, 1, "guidance window step") for k in window)
-        at_default = {k for k in _RETIRED_GUIDANCE_KEYS if spec.get(k) in (None, {}, False)}
-        unknown = sorted(set(spec) - set(_GUIDANCE_KEYS) - at_default)
-        if unknown:
-            raise ConfigError(f"unknown guidance key(s) {unknown}; known: {_GUIDANCE_KEYS}")
         guidance = GuidanceConfig(
-            window=window,
-            rho=_real(_require(spec, "rho", "guidance"), "guidance rho"),
-            **{
-                k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE)
-                for k in ("repeats", "n_steps")
-                if k in spec
-            },
+            window=tuple(_integer(k, 1, "guidance window step") for k in window),
+            rho=_real(spec["rho"], "guidance rho"),
+            **{k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
         )
         guidance.validate_for(schedule)
         return guidance
@@ -222,7 +233,8 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
 
 
 # A config's required sections, each held as RunConfig.<name>_spec, and its
-# optional top-level keys, each a RunConfig field with a default.
+# optional top-level keys, each a RunConfig field with a default.  Resolved configs of
+# earlier versions carry "parallel" (the retired thread pool), which loads and is dropped.
 _SECTIONS = ("schedule", "model", "loss", "guidance")
 _OPTIONAL_KEYS = ("sweep", "num_seeds", "base_seed", "out_dir")
 
@@ -252,8 +264,7 @@ class RunConfig:
         object.__setattr__(self, "base_seed", _integer(self.base_seed, 0, "base_seed"))
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        if not isinstance(self.sweep, dict):
-            raise ConfigError(f"sweep section must be a JSON object, got {type(self.sweep).__name__}")
+        _keys(self.sweep, "sweep", (), _SWEEP_AXES)
         schedule = build_schedule(self.schedule_spec)
         model = build_model(self.model_spec)
         loss = build_loss(self.loss_spec)
@@ -274,8 +285,6 @@ class RunConfig:
         )
 
     def _parse_axis(self, key: str, vals: Any) -> list:
-        if key not in _SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis '{key}'; known axes: {list(_SWEEP_AXES)}")
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"sweep axis '{key}' must be a non-empty list")
         if key == "m_curve_samples" and len(vals) != 1:
@@ -287,9 +296,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         """Keys the object leaves out take their field defaults."""
-        if not isinstance(obj, dict):
-            raise ConfigError("config root must be a JSON object")
-        sections = {f"{name}_spec": _require(obj, name, "config") for name in _SECTIONS}
+        _keys(obj, "config", _SECTIONS, (*_OPTIONAL_KEYS, "parallel"))
+        sections = {f"{name}_spec": obj[name] for name in _SECTIONS}
         return cls(**sections, **{k: obj[k] for k in _OPTIONAL_KEYS if k in obj})
 
     @classmethod

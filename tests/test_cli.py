@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -187,15 +188,29 @@ def test_missing_config_exits_2(tmp_path):
             "schedule": {"alpha": [1.0, 0.5, 1e-310, 1e-320]},
             "guidance": {"window": [1, 2], "rho": TASK_RHO},
         }),
+        # A key that nothing reads: misspelt, or another kind's.
+        ("sample", None, {"num_seed": 2}),
+        ("sample", None, {"base-seed": 5}),
+        ("sample", "model", {"widths": [2, 3]}),
+        ("sample", "loss", {"feature_map": [[1.0]]}),
+        ("sample", "schedule", {"alpha": [1.0, 0.9, 0.5]}),
+        # An MLP whose weights would fill gigabytes, though each width is within the ceiling.
+        ("sample", "model", {"kind": "mlp", "widths": [2] + 100 * [MAX_SIZE] + [2]}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
     obj = json.loads(config_path.read_text())
-    (obj[section] if section else obj).update(values)
+    target = obj[section] if section else obj
+    if "kind" in values:  # the section's other keys belong to its old kind
+        target.clear()
+    target.update(values)
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(obj))
     assert main([*command.split(), "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    # The message names a key the case sets (--seed sets base_seed).
+    assert any(re.search(rf"\b{re.escape(key)}\b", err) for key in values or ["base_seed"]), err
 
 
 def _string_first_W(weights):

@@ -19,7 +19,7 @@ from symguide import (
     run_window_and_repeats_study,
     sag_sample,
 )
-from symguide.harness import MAX_SIZE, ExperimentReport, default_window_thirds
+from symguide.harness import MAX_SIZE, ExperimentReport, build_model, default_window_thirds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,6 +90,18 @@ class TestConfig:
         assert config.num_seeds == MAX_SIZE
         assert config.axis("repeats_list") == [MAX_SIZE]
         assert config.axis("m_curve_samples") == [MAX_SIZE]
+
+    def test_mlp_parameter_ceiling(self, tmp_path):
+        # 100 layers of MAX_SIZE x MAX_SIZE weights: ~13 GB, refused before any weight is allocated.
+        wide = [2] + 100 * [MAX_SIZE] + [2]
+        with pytest.raises(ConfigError, match="MAX_MLP_PARAMETERS"):
+            build_model({"kind": "mlp", "widths": wide})
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"widths": wide, "layers": []}))
+        with pytest.raises(ConfigError, match="MAX_MLP_PARAMETERS"):
+            build_model({"kind": "mlp", "weights_file": str(path)})
+        for widths in ([2, MAX_SIZE, 2], [16, 256, 256, 16]):
+            assert build_model({"kind": "mlp", "widths": widths}).widths == widths
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
