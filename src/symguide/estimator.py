@@ -242,6 +242,9 @@ class MCurvePoint:
 MIN_ERROR_SAMPLES = 50
 
 
+# As in the guided sampler, an overflow or invalid operation ends in a
+# non-finite check, as a DivergenceError, never in a floating-point warning.
+@np.errstate(over="ignore", invalid="ignore")
 def estimation_error_curve(
     model: ScoreModel,
     schedule: NoiseSchedule,
@@ -257,6 +260,9 @@ def estimation_error_curve(
     data distribution fall back to standard-normal draws), solves the same
     estimate at every n in n_list and at a high-resolution reference n_ref,
     and averages the l2 gap per n.  Deterministic for a fixed seed.
+
+    Raises DivergenceError if an estimate leaves the finite range, or if a
+    point's mean error or stderr is not finite.
     """
     n_list = [int(n) for n in n_list]
     if min(n_list) < 1:
@@ -279,11 +285,10 @@ def estimation_error_curve(
     out = []
     for n in n_list:
         e = errors[n]
-        out.append(
-            MCurvePoint(
-                n=n,
-                mean_error=float(e.mean()),
-                stderr=float(e.std(ddof=1) / math.sqrt(num_samples)),
-            )
+        point = MCurvePoint(
+            n=n, mean_error=float(e.mean()), stderr=float(e.std(ddof=1) / math.sqrt(num_samples))
         )
+        if not (math.isfinite(point.mean_error) and math.isfinite(point.stderr)):
+            raise DivergenceError(f"non-finite M-curve point at n={n}: {point}")
+        out.append(point)
     return out

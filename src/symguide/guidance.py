@@ -43,7 +43,9 @@ MAX_SIZE = 2**12
 
 
 class GuidanceLoss(abc.ABC):
-    """Differentiable objective on the estimated clean output."""
+    """Differentiable objective on the estimated clean output, a vector of length dim."""
+
+    dim: int
 
     @abc.abstractmethod
     def value(self, x0: np.ndarray) -> float: ...
@@ -57,10 +59,13 @@ class L2TargetLoss(GuidanceLoss):
 
     def __init__(self, target: np.ndarray) -> None:
         target = np.array(target, dtype=np.float64)
+        if target.ndim != 1:
+            raise ValueError(f"target must be a vector, got shape {target.shape}")
         if not np.all(np.isfinite(target)):
             raise ValueError("target must be finite")
         target.setflags(write=False)
         self.target = target
+        self.dim = len(target)
 
     def value(self, x0: np.ndarray) -> float:
         diff = np.asarray(x0, dtype=np.float64) - self.target
@@ -74,7 +79,8 @@ class GramStyleLoss(GuidanceLoss):
     """Squared Frobenius gap between feature Gram matrices.
 
     Features are F @ x0 reshaped to (r, k) rows; the loss compares their
-    Gram matrix Y Y^T against a fixed r x r symmetric target.
+    Gram matrix Y Y^T against a fixed r x r symmetric target.  x0 has one
+    entry per feature-map column.
     """
 
     def __init__(self, target_gram: np.ndarray, feature_map: np.ndarray) -> None:
@@ -95,6 +101,7 @@ class GramStyleLoss(GuidanceLoss):
         self.feature_map = F
         self.rows = r
         self.cols = F.shape[0] // r
+        self.dim = F.shape[1]
 
     def _gram(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Y = (self.feature_map @ np.asarray(x0, dtype=np.float64)).reshape(self.rows, self.cols)
@@ -233,7 +240,9 @@ def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.nd
     return x
 
 
-# A sampler state whose norm passes this bound counts as diverged.
+# A sampler state whose norm passes this bound counts as diverged.  The check is
+# one comparison, `not norm <= _NORM_GUARD`: a NaN or inf entry, or a dot
+# product that overflows, makes the norm NaN or inf, which fails it too.
 _NORM_GUARD = 1e9
 
 
@@ -263,7 +272,7 @@ def sag_sample(
         rho_t = config.rho_at(t)
         for rep in range(r_t):
             x_prev = ddim_step(model, schedule, x, t)
-            if not np.isfinite(x_prev).all() or math.sqrt(x_prev.dot(x_prev)) > _NORM_GUARD:
+            if not math.sqrt(x_prev.dot(x_prev)) <= _NORM_GUARD:
                 raise DivergenceError(
                     f"sampler state diverged at t={t} repeat={rep} "
                     f"(norm {np.linalg.norm(x_prev[np.isfinite(x_prev)]):.3e})"
@@ -292,7 +301,7 @@ def sag_sample(
                         "grad_norm": gnorm,
                     }
                 )
-                if not np.isfinite(x_prev).all() or math.sqrt(x_prev.dot(x_prev)) > _NORM_GUARD:
+                if not math.sqrt(x_prev.dot(x_prev)) <= _NORM_GUARD:
                     raise DivergenceError(
                         f"guided state diverged at t={t} repeat={rep} (rho={rho_t})"
                     )

@@ -12,6 +12,8 @@ from symguide import (
     DivergenceError,
     GmmModel,
     MlpModel,
+    NoiseSchedule,
+    build_linear_schedule,
     conservation_probe,
     direct_backprop_grad,
     estimate_clean,
@@ -49,6 +51,29 @@ def explicit_tableaux(draw):
     return a, np.array(b), np.array(c)
 
 
+@st.composite
+def scheduled_steps(draw):
+    """(schedule, t): a linear schedule of drawn T and betas, or an explicit alpha, and a step of it.
+
+    The explicit alpha is a cumulative product of drawn per-step factors in
+    [0.3, 0.99], so it falls strictly while its betas follow no line.
+    """
+    if draw(st.booleans()):
+        beta_min = draw(st.floats(1e-3, 0.1))
+        schedule = build_linear_schedule(draw(st.integers(2, 60)), beta_min, beta_min + draw(st.floats(0.0, 0.4)))
+    else:
+        schedule = NoiseSchedule(np.cumprod([1.0, *draw(st.lists(st.floats(0.3, 0.99), min_size=2, max_size=12))]))
+    return schedule, draw(st.integers(1, schedule.num_steps))
+
+
+@st.composite
+def mlps(draw):
+    """A random MLP of drawn data dimension, hidden widths and seed."""
+    d = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 16), min_size=1, max_size=2))
+    return MlpModel.random([d, *hidden, d], seed=draw(st.integers(0, 2**32 - 1)))
+
+
 class TestTableau:
     def test_euler_and_heun_satisfy_conditions(self):
         assert ButcherTableau.euler().conjugacy_residual() == 0.0
@@ -59,13 +84,17 @@ class TestTableau:
         assert np.array_equal(tb.A, [[0.0, 1.0], [0.0, 0.0]])
 
     @settings(derandomize=True, deadline=None)
-    @given(abc=explicit_tableaux(), t=st.integers(1, 50), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_drawn_tableaux_are_conjugate_and_exact(self, schedule, gmm2, mlp3, abc, t, n, seed):
+    @given(
+        abc=explicit_tableaux(), schedule_t=scheduled_steps(), n=st.integers(1, 8),
+        mlp=mlps(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_tableaux_are_conjugate_and_exact(self, gmm2, abc, schedule_t, n, mlp, seed):
         tb = ButcherTableau(*abc)
         assert np.all(np.tril(tb.A) == 0.0)
         assert tb.conjugacy_residual() <= 1e-15
+        schedule, t = schedule_t
         rng = np.random.default_rng(seed)
-        for model in (gmm2, mlp3):
+        for model in (gmm2, mlp):
             x = rng.standard_normal(model.dim)
             g = rng.standard_normal(model.dim)
             traj = estimate_clean_rk(model, schedule, x, t, n, tb)
@@ -77,6 +106,14 @@ class TestTableau:
     def test_rejects_non_explicit_forward(self):
         with pytest.raises(ValueError, match="lower triangular"):
             ButcherTableau(np.array([[0.5]]), np.array([1.0]), np.array([0.0]))
+
+    def test_rejects_misshapen_fields(self):
+        with pytest.raises(ValueError, match="field a has shape"):
+            ButcherTableau(np.zeros((2, 2)), np.array([1.0]), np.array([0.0]))
+
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(ValueError, match="conjugacy"):
+            ButcherTableau(np.zeros((1, 1)), np.array([np.nan]), np.array([0.0]))
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -129,6 +166,10 @@ class TestSymplecticEuler:
             symplectic_euler_grad(mlp3, traj, np.zeros(3), schedule, 30)
         with pytest.raises(ValueError, match="sigma grid|schedule"):
             symplectic_euler_grad(gmm2, traj, np.zeros(2), schedule, 29)
+        with pytest.raises(ValueError, match="grad_at_clean has shape"):
+            symplectic_euler_grad(gmm2, traj, np.zeros(3), schedule, 30)
+        with pytest.raises(ValueError, match="v0 and lambda0"):
+            conservation_probe(gmm2, traj, np.zeros(3), np.zeros(2))
 
     def test_costate_divergence_text_and_no_call_after_it(self, schedule):
         # The costate sweep runs tau = 0..5; the fourth vjp (tau = 3) is NaN in

@@ -196,6 +196,9 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "schedule", {"alpha": [1.0, 0.9, 0.5]}),
         # An MLP whose weights would fill gigabytes, though each width is within the ceiling.
         ("sample", "model", {"kind": "mlp", "widths": [2] + 100 * [MAX_SIZE] + [2]}),
+        # A target that is not a vector of the model's dimension, which numpy would broadcast.
+        ("sample", "loss", {"target": [-3.0]}),
+        ("sample", "loss", {"target": -3.0}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -285,6 +288,28 @@ def test_compare_adjoint_overflow_exits_3(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical divergence: non-finite rel_error_vs_oracle")
     assert all(f"'{key}'" in err for key in ("model", "d", "n", "method"))
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        # The estimates stay finite, but their distances overflow: the mean error is inf.
+        (1e10, "non-finite M-curve point at n=1: MCurvePoint(n=1, mean_error=inf, stderr=nan)"),
+        # An estimate itself overflows, at the M-curve's first sub-step.
+        (1e40, "non-finite state at sub-step tau=8"),
+    ],
+    ids=["distance-overflows", "estimate-overflows"],
+)
+def test_ablate_n_m_curve_overflow_exits_3(config_path, tmp_path, capsys, scale, message):
+    # Every guided run diverges and becomes a flagged row; the M-curve then fails, as
+    # compare-adjoint does, with a DivergenceError and no numpy warning.
+    obj = json.loads(config_path.read_text())
+    obj["model"] = {"kind": "affine", "matrix": [[-scale, 0.0], [0.0, -scale]]}
+    obj["num_seeds"] = 2
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    assert main(["ablate-n", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical divergence: {message}")
 
 
 def test_study_window_rolls_out_only_completed_seeds(config_path, tmp_path):

@@ -218,10 +218,18 @@ class TestErrorCurve:
         ]
 
     def test_validation_errors(self, schedule, gmm2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimation_error_curve(gmm2, schedule, 35, [0, 1], 16, 50, seed=0)
         with pytest.raises(ValueError, match="n_ref"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2, 4], 16, 50, seed=0)
         with pytest.raises(ValueError, match="num_samples"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 10, seed=0)
+
+    def test_overflowing_errors_are_a_divergence(self, schedule):
+        # Each estimate is finite, but its distance to the reference overflows.
+        model = AffineModel(-1e10 * np.eye(2))
+        with pytest.raises(DivergenceError, match=r"non-finite M-curve point at n=1: "):
+            estimation_error_curve(model, schedule, 35, [1, 2], 16, 50, seed=0)
 
     def test_csv_emission(self, schedule, gmm2, tmp_path):
         curve = estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 50, seed=3)

@@ -95,6 +95,14 @@ class TestLosses:
         assert loss.value(x) == 2.0
         assert np.array_equal(loss.grad(x), [2.0])
 
+    def test_l2_target_must_be_a_finite_vector(self):
+        assert L2TargetLoss([1.0, 2.0, 3.0]).dim == 3
+        for target in (1.0, [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="vector"):
+                L2TargetLoss(target)
+        with pytest.raises(ValueError, match="finite"):
+            L2TargetLoss([np.nan, 0.0])
+
     def test_l2_fd(self):
         rng = np.random.default_rng(0)
         loss = L2TargetLoss(rng.standard_normal(4))
@@ -105,6 +113,7 @@ class TestLosses:
         c = np.array([[2.0, 1.0], [1.0, 3.0]])
         F = np.zeros((6, 4))
         loss, x = GramStyleLoss(c, F), np.array([1.0, -1.0, 2.0, 0.5])
+        assert loss.dim == 4
         assert loss.value(x) == float(np.sum(c * c))
         assert np.array_equal(loss.grad(x), np.zeros(4))
 

@@ -9,6 +9,7 @@ from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK
 from symguide import (
     ConfigError,
     GuidanceConfig,
+    L2TargetLoss,
     RunConfig,
     ddim_rollout,
     emit_plots,
@@ -61,6 +62,16 @@ class TestConfig:
     def test_loss_model_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="dimension"):
             task_config(loss={"kind": "l2_target", "target": [1.0, 2.0, 3.0]})
+        with pytest.raises(ConfigError, match="feature_map"):
+            task_config(loss={"kind": "gram_style", "target_gram": [[1.0]], "feature_map": [[1.0, 0.0, 0.0]]})
+
+    def test_loading_never_calls_the_loss(self, monkeypatch):
+        def refuse(self, x0):
+            raise AssertionError("the config loader called the loss")
+
+        monkeypatch.setattr(L2TargetLoss, "grad", refuse)
+        monkeypatch.setattr(L2TargetLoss, "value", refuse)
+        assert task_config().build()[2].dim == 2
 
     def test_malformed_guidance_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -136,6 +136,12 @@ class TestGmm:
         with pytest.raises(ValueError, match="dimension"):
             GmmModel([1.0], [[]])
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GmmModel([0.5, 0.5], [[0.0], [np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            GmmModel([np.inf, 0.5], [[0.0], [1.0]])
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(case=gmm_cases())
     def test_bitwise_equal_to_first_expressions(self, case):
@@ -186,6 +192,10 @@ class TestMlp:
             MlpModel.random([3], seed=0)
         with pytest.raises(ValueError):
             MlpModel([2, 2], [(np.zeros((2, 2)), np.zeros(2))])  # missing sigma column
+        with pytest.raises(ValueError, match="positive"):
+            MlpModel([2, 0, 2], [])
+        with pytest.raises(ValueError, match="expected 2 layers, got 1"):
+            MlpModel([2, 4, 2], [(np.zeros((4, 3)), np.zeros(4))])
 
     def test_non_finite_layers_rejected(self):
         for bad in (np.nan, np.inf):
@@ -206,6 +216,13 @@ class TestMlp:
 def test_affine_zero_dimension_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         AffineModel(np.zeros((0, 0)))
+
+
+def test_affine_non_finite_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        AffineModel([[np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        AffineModel([[1.0]], [np.inf])
 
 
 class TestFiniteDiff:

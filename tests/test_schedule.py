@@ -105,6 +105,7 @@ def test_scaled_round_trip(schedule):
         [1.0, 0.5, -0.1],          # non-positive
         [1.0, 0.5, float("nan")],
         [1.0, 0.5, 1e-310, 1e-320],  # sigma overflows float64
+        [1.0, 1.5, 0.5],           # above 1
     ],
 )
 def test_rejects_invalid_alpha(alpha):
