@@ -8,7 +8,8 @@ Exports REV with `git archive` into a temporary directory.  Runs `sample`,
 tree's configs/default.json at --seed 0 and --seed 3, once with REV's source
 and once with the working tree's.  Compares each report.json, report.csv and
 m_curve.csv byte for byte, and prints "N of M identical" plus, for each file
-that differs, the largest difference between the numbers it holds.  Exits 1
+that differs, the largest difference between the numbers it holds; for a
+CSV file also each column whose cells differ, with how many do.  Exits 1
 on any difference.  The temporary directories are removed.
 
 Takes about a minute on the default config: 20 runs, each in its own
@@ -17,6 +18,7 @@ interpreter.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import re
@@ -54,6 +56,19 @@ def _largest_difference(a: bytes, b: bytes) -> str:
     return f"largest numeric difference {largest!r}"
 
 
+def _differing_columns(a: bytes, b: bytes) -> str:
+    """Each CSV column whose cells differ, with the number of differing cells."""
+    ra, rb = (list(csv.reader(io.StringIO(x.decode()))) for x in (a, b))
+    if not (ra and rb and ra[0] == rb[0] and len(ra) == len(rb)):
+        return "headers or row counts differ"
+    header = ra[0]
+    counts = dict.fromkeys(header, 0)
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        for column, x, y in zip(header, row_a, row_b):
+            counts[column] += x != y
+    return ", ".join(f"{column} ({k} cells)" for column, k in counts.items() if k)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -78,7 +93,11 @@ def main(argv: list[str]) -> int:
                 elif a.read_bytes() == b.read_bytes():
                     same += 1
                 else:
-                    differing.append(f"{run}/{name}: {_largest_difference(a.read_bytes(), b.read_bytes())}")
+                    a, b = a.read_bytes(), b.read_bytes()
+                    line = f"{run}/{name}: {_largest_difference(a, b)}"
+                    if name.endswith(".csv"):
+                        line += f"; cells differ in {_differing_columns(a, b)}"
+                    differing.append(line)
     print(f"{same} of {same + len(differing)} identical")
     for line in differing:
         print(f"  differs: {line}")

@@ -29,9 +29,10 @@ tableau, whose stages are free because they are restored from checkpoints
 which is the symplecticity condition guaranteeing the costate pairing
 lambda^T delta is conserved step by step (see conservation_probe).  With
 b = [1] the sweep's arithmetic is the Euler recursion above, bit for bit.
-The stored-activation oracles direct_backprop_grad (Euler) and
-rk_direct_backprop_grad (any tableau) stay separate, as independent
-references.
+One stored-activation reference, backing both direct_backprop_grad (Euler)
+and rk_direct_backprop_grad (any tableau), checks the sweep independently:
+it holds a tape for every stage point, as backpropagation does, and uses
+the forward a and b, never the derived A.
 """
 
 from __future__ import annotations
@@ -166,6 +167,44 @@ def symplectic_euler_grad(
     return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
 
 
+def _taped_backprop(
+    model: ScoreModel,
+    traj: CheckpointTrajectory,
+    grad_at_clean: np.ndarray,
+    schedule: NoiseSchedule,
+    t: int,
+) -> tuple[np.ndarray, int]:
+    """The stored-activation reference; returns dL/dx_t and the tape arrays it held.
+
+    Tapes every stage point of every step first and holds all n*s tapes
+    live, the memory profile of backpropagation.  Then, per step with
+    h = sigma[tau] - sigma[tau+1] < 0 and J_i the Jacobian at stage i,
+    w_i = b_i g + h sum_{m>i} a_mi J_m^T w_m and g += h sum_i J_i^T w_i.
+    With b = [1] that is g + h J^T g.
+    """
+    _check_traj(model, traj, schedule, t)
+    s = traj.tableau.stages
+    a, b = traj.tableau.a.tolist(), traj.tableau.b.tolist()
+    tapes = [model.eps_with_tape(*traj.stage(tau, i))[1] for tau in range(traj.n) for i in range(s)]
+    sig = traj.sigma
+    g = _costate_start(model, grad_at_clean)
+    w: list[np.ndarray | None] = [None] * s
+    for tau in range(traj.n):
+        h = sig[tau] - sig[tau + 1]  # signed forward step, negative
+        step_tapes = tapes[tau * s : (tau + 1) * s]
+        for i in range(s - 1, -1, -1):
+            w[i] = b[i] * g
+            for m in range(i + 1, s):
+                if a[m][i] != 0.0:
+                    w[i] = w[i] + h * a[m][i] * model.vjp_from_tape(step_tapes[m], w[m])
+        pulled = model.vjp_from_tape(step_tapes[0], w[0])
+        for i in range(1, s):
+            pulled = pulled + model.vjp_from_tape(step_tapes[i], w[i])
+        g = g + h * pulled
+        _check_finite(g, tau + 1, "costate")
+    return schedule.to_scaled(g, t), sum(len(tape) for tape in tapes)
+
+
 def direct_backprop_grad(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -174,32 +213,15 @@ def direct_backprop_grad(
     t: int,
     return_stats: bool = False,
 ):
-    """Ground-truth gradient oracle: stored-activation reverse mode.
+    """Ground-truth gradient oracle: the stored-activation reference on an Euler trajectory.
 
-    Re-evaluates the model at every stored state of an Euler trajectory
-    with tape recording, holds all n tapes live (the memory profile of
-    conventional backpropagation), then applies each step's exact transpose
-    Jacobian (I + h_signed J)^T with h_signed = sigma[tau] - sigma[tau+1] < 0.
+    Holds all n tapes live; its stats count the arrays in them.
     """
     _require_euler(traj, "direct_backprop_grad")
-    _check_traj(model, traj, schedule, t)
-    sig = traj.sigma
-    n = traj.n
-    tapes = [model.eps_with_tape(traj.states[tau + 1], float(sig[tau + 1]))[1] for tau in range(n)]
-    lam = _costate_start(model, grad_at_clean)
-    for tau in range(n):
-        lam = lam + (sig[tau] - sig[tau + 1]) * model.vjp_from_tape(tapes[tau], lam)
-        _check_finite(lam, tau + 1, "costate")
-    grad = schedule.to_scaled(lam, t)
-    if return_stats:
-        tape_arrays = sum(len(tp) for tp in tapes)
-        stats = AdjointStats(
-            checkpoints_read=n + 1,
-            tape_arrays=tape_arrays,
-            peak_state_vectors=tape_arrays + 2,
-        )
-        return grad, stats
-    return grad
+    grad, tape_arrays = _taped_backprop(model, traj, grad_at_clean, schedule, t)
+    if not return_stats:
+        return grad
+    return grad, AdjointStats(traj.n + 1, tape_arrays, tape_arrays + 2)
 
 
 def vanilla_adjoint_grad(
@@ -252,32 +274,8 @@ def rk_direct_backprop_grad(
     schedule: NoiseSchedule,
     t: int,
 ) -> np.ndarray:
-    """Stored-activation reverse mode through the RK forward map.
-
-    Independent of the conjugate-coefficient formulation: backpropagates
-    through the stage graph directly (per step, u_i = h b_i g + h sum_{m>i}
-    a_mi J_m^T u_m; g += sum_i J_i^T u_i), with taped model evaluations.
-    """
-    _check_traj(model, traj, schedule, t)
-    tb = traj.tableau
-    sig = traj.sigma
-    n = traj.n
-    s = tb.stages
-    g = _costate_start(model, grad_at_clean)
-    for tau in range(n):
-        h = sig[tau] - sig[tau + 1]  # signed forward step, negative
-        tapes = [model.eps_with_tape(*traj.stage(tau, i))[1] for i in range(s)]
-        u: list[np.ndarray | None] = [None] * s
-        for i in range(s - 1, -1, -1):
-            acc = h * tb.b[i] * g
-            for m in range(i + 1, s):
-                if tb.a[m, i] != 0.0:
-                    acc = acc + h * tb.a[m, i] * model.vjp_from_tape(tapes[m], u[m])
-            u[i] = acc
-        for i in range(s):
-            g = g + model.vjp_from_tape(tapes[i], u[i])
-        _check_finite(g, tau + 1, "costate")
-    return schedule.to_scaled(g, t)
+    """The stored-activation reference through the RK forward map; holds all n*s tapes."""
+    return _taped_backprop(model, traj, grad_at_clean, schedule, t)[0]
 
 
 def conservation_probe(

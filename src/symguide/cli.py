@@ -1,10 +1,11 @@
 """Command-line driver for single runs, ablation sweeps and plotting.
 
 Exit codes: 0 on success, 2 on configuration errors (an output directory
-that cannot be written among them), 3 when a single run, compare-adjoint or
-the M-curve of ablate-n diverges numerically.  Every run writes its config
-next to its outputs, with --seed and --out applied and the top-level
-defaults filled in; keys left out of a section stay out.
+that cannot be written among them), 3 when a single run, compare-adjoint,
+the M-curve of ablate-n or an unguided rollout of study-window diverges
+numerically.  Every run writes its config next to its outputs, with --seed
+and --out applied and the top-level defaults filled in; keys left out of a
+section stay out.
 """
 
 from __future__ import annotations

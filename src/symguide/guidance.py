@@ -231,23 +231,36 @@ def time_travel_renoise(
     return math.sqrt(a_t / a_prev) * x_prev + math.sqrt((a_prev - a_t) / a_prev) * noise
 
 
-def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.ndarray:
-    """Plain unguided rollout from a seeded Gaussian start."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(model.dim)
-    for t in range(schedule.num_steps, 0, -1):
-        x = ddim_step(model, schedule, x, t)
-    return x
-
-
 # A sampler state whose norm passes this bound counts as diverged.  The check is
 # one comparison, `not norm <= _NORM_GUARD`: a NaN or inf entry, or a dot
 # product that overflows, makes the norm NaN or inf, which fails it too.
 _NORM_GUARD = 1e9
 
 
-# An overflow or invalid operation ends in one of the non-finite checks
-# below, as a DivergenceError, never in a floating-point warning.
+def _diverged(x: np.ndarray) -> bool:
+    return not math.sqrt(x.dot(x)) <= _NORM_GUARD
+
+
+# In both samplers an overflow or invalid operation ends in a state or
+# non-finite check, as a DivergenceError, never in a floating-point warning.
+@np.errstate(over="ignore", invalid="ignore")
+def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.ndarray:
+    """Plain unguided rollout from a seeded Gaussian start.
+
+    Checks each state as sag_sample does and raises DivergenceError when
+    one diverges, so a guidance-off sample and its rollout fail alike.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(model.dim)
+    for t in range(schedule.num_steps, 0, -1):
+        x = ddim_step(model, schedule, x, t)
+        if _diverged(x):
+            raise DivergenceError(
+                f"unguided rollout diverged at t={t} (norm {np.linalg.norm(x[np.isfinite(x)]):.3e})"
+            )
+    return x
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def sag_sample(
     model: ScoreModel,
@@ -272,7 +285,7 @@ def sag_sample(
         rho_t = config.rho_at(t)
         for rep in range(r_t):
             x_prev = ddim_step(model, schedule, x, t)
-            if not math.sqrt(x_prev.dot(x_prev)) <= _NORM_GUARD:
+            if _diverged(x_prev):
                 raise DivergenceError(
                     f"sampler state diverged at t={t} repeat={rep} "
                     f"(norm {np.linalg.norm(x_prev[np.isfinite(x_prev)]):.3e})"
@@ -301,7 +314,7 @@ def sag_sample(
                         "grad_norm": gnorm,
                     }
                 )
-                if not math.sqrt(x_prev.dot(x_prev)) <= _NORM_GUARD:
+                if _diverged(x_prev):
                     raise DivergenceError(
                         f"guided state diverged at t={t} repeat={rep} (rho={rho_t})"
                     )

@@ -286,7 +286,13 @@ class RunConfig:
             raise ConfigError(f"sweep axis '{key}' takes exactly one value, got {len(vals)}")
         check = _SWEEP_AXES[key][1]
         with _rejected_as(f"bad sweep axis '{key}': "):
-            return [check(self, v) for v in vals]
+            parsed = [check(self, v) for v in vals]
+        seen = set()
+        for v in parsed:
+            if v in seen:  # a repeated value would run its cells twice and draw one curve
+                raise ConfigError(f"sweep axis '{key}' repeats the value {v!r}")
+            seen.add(v)
+        return parsed
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

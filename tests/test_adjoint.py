@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -201,6 +203,21 @@ class TestDirectBackprop:
             fd = pipeline_fd_grad(model, schedule, x, t, n, g)
             assert rel_err(grad, fd) < 1e-5
 
+    def test_is_the_taped_euler_recurrence_bitwise(self, schedule, gmm2, mlp3):
+        t, n = 30, 4
+        for model in (gmm2, mlp3):
+            rng = np.random.default_rng(model.dim + 2)
+            g = rng.standard_normal(model.dim)
+            traj = estimate_clean(model, schedule, rng.standard_normal(model.dim), t, n)
+            # hand-written stored-activation reverse mode through the Euler map
+            sig = traj.sigma
+            lam = g.copy()
+            for k in range(n):
+                tape = model.eps_with_tape(traj.states[k + 1], float(sig[k + 1]))[1]
+                lam = lam + (sig[k] - sig[k + 1]) * model.vjp_from_tape(tape, lam)
+            expected = lam / np.sqrt(schedule.alpha[t])
+            assert np.array_equal(direct_backprop_grad(model, traj, g, schedule, t), expected)
+
 
 class TestVanillaAdjoint:
     def test_zero_model_is_exact(self, schedule):
@@ -395,7 +412,8 @@ class TestEulerOnlyReferences:
         g = rng.standard_normal(3)
         traj = estimate_clean(mlp3, schedule, x, 30, 4)
         oracle = direct_backprop_grad(mlp3, traj, g, schedule, 30)
-        assert rel_err(rk_direct_backprop_grad(mlp3, traj, g, schedule, 30), oracle) <= 1e-12
+        # One stored-activation reference: on an Euler trajectory both oracles give the same bits.
+        assert np.array_equal(rk_direct_backprop_grad(mlp3, traj, g, schedule, 30), oracle)
         assert rel_err(symplectic_rk_grad(mlp3, traj, g, schedule, 30), oracle) <= 1e-9
         # On an Euler trajectory both symplectic solvers give the same bits and the same stats.
         rk = symplectic_rk_grad(mlp3, traj, g, schedule, 30, return_stats=True)
@@ -456,3 +474,42 @@ class TestMemoryAccounting:
             traj = estimate_clean_rk(mlp3, schedule, np.zeros(3), 30, n, tb)
             _, stats = symplectic_rk_grad(mlp3, traj, np.ones(3), schedule, 30, return_stats=True)
             assert stats == AdjointStats(checkpoints_read=2 * n + 1, tape_arrays=0, peak_state_vectors=4)
+
+    def test_peaks_oracles_grow_with_n_symplectic_do_not(self, schedule):
+        # Peak bytes a backward pass allocates on top of its trajectory, as perfbench measures it.
+        mlp = MlpModel.random([8, 64, 64, 8], seed=3)
+        rng = np.random.default_rng(8)
+        x, g = rng.standard_normal(8), rng.standard_normal(8)
+        t = 35
+        euler, heun = ButcherTableau.euler(), ButcherTableau.heun()
+        solvers = [
+            (direct_backprop_grad, euler),
+            (rk_direct_backprop_grad, heun),
+            (symplectic_euler_grad, euler),
+            (symplectic_rk_grad, heun),
+        ]
+        peaks = {}
+        for n in (8, 64):
+            for solver, tableau in solvers:
+                traj = estimate_clean_rk(mlp, schedule, x, t, n, tableau)
+                peaks[solver.__name__, n] = _traced_peak(lambda: solver(mlp, traj, g, schedule, t))
+        for name in ("direct_backprop_grad", "rk_direct_backprop_grad"):
+            assert peaks[name, 64] >= 4 * peaks[name, 8], peaks
+        for name in ("symplectic_euler_grad", "symplectic_rk_grad"):
+            assert peaks[name, 64] <= peaks[name, 8], peaks
+
+
+def _traced_peak(call):
+    """Peak bytes traced during call(), above those live when it started; its second run counts."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        call()  # the first call settles any lazily allocated state
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -5,12 +5,23 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
-from symguide import MlpModel, cli, harness
+from symguide import (
+    AffineModel,
+    L2TargetLoss,
+    MlpModel,
+    build_linear_schedule,
+    cli,
+    ddim_step,
+    estimate_clean,
+    harness,
+    symplectic_euler_grad,
+)
 from symguide.cli import main
 from symguide.harness import MAX_SIZE
 
@@ -199,6 +210,8 @@ def test_missing_config_exits_2(tmp_path):
         # A target that is not a vector of the model's dimension, which numpy would broadcast.
         ("sample", "loss", {"target": [-3.0]}),
         ("sample", "loss", {"target": -3.0}),
+        # A repeated axis value would run its cells twice and draw one curve for them.
+        ("ablate-n", "sweep", {"n_list": [2, 2]}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
@@ -323,6 +336,26 @@ def test_study_window_rolls_out_only_completed_seeds(config_path, tmp_path):
     assert main(["study-window", "--config", str(path), "--out", str(out)]) == 0
     rows = json.loads((out / "report.json").read_text())["rows"]
     assert [(row["diverged"], row["distance_to_unguided"]) for row in rows] == [(True, None)] * 2
+
+
+def test_study_window_diverging_rollout_exits_3(config_path, tmp_path, capsys):
+    # eps = -0.3 x grows every state; rho zeroes the guided state at t = 45, but the
+    # unguided rollout of a completed seed passes the norm guard, and the study exits 3.
+    model, loss = AffineModel(-0.3 * np.eye(2)), L2TargetLoss([0.0, 0.0])
+    schedule, e1, t = build_linear_schedule(TASK_T, *TASK_BETAS), np.array([1.0, 0.0]), 45
+    traj = estimate_clean(model, schedule, e1, t, 4)
+    grad = symplectic_euler_grad(model, traj, loss.grad(traj.clean_output), schedule, t)
+    rho = float(ddim_step(model, schedule, e1, t)[0] / grad[0])
+    obj = json.loads(config_path.read_text())
+    obj["model"] = {"kind": "affine", "matrix": (-0.3 * np.eye(2)).tolist()}
+    obj["loss"]["target"] = [0.0, 0.0]
+    obj["guidance"].update(window=[t - 1, t], rho=rho, n_steps=4)
+    obj.update(num_seeds=1, sweep={"windows": [[t - 1, t]], "repeats_list": [1]})
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "sample")]) == 0
+    assert main(["study-window", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical divergence: unguided rollout diverged at t=")
 
 
 def test_ablate_n_end_to_end(config_path, tmp_path):
@@ -514,7 +547,9 @@ def _long_configs(draw):
     obj = copy.deepcopy(_FUZZ_BASE)
     obj["schedule"]["T"] = T
     obj["guidance"].update(window=[k1, k2], n_steps=draw(st.integers(1, 64)))
-    obj["sweep"].update(n_list=draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)), windows=[[k1, k2]])
+    # Distinct n values: a repeated one is a config error, and the draw would run nothing.
+    n_list = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True))
+    obj["sweep"].update(n_list=n_list, windows=[[k1, k2]])
     return obj
 
 

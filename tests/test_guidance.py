@@ -233,6 +233,16 @@ class TestSagSample:
             assert np.array_equal(rec.final_state, ddim_rollout(gmm2, schedule, seed))
             assert rec.steps_guided == 0
 
+    @pytest.mark.parametrize("scale, t", [(1e3, 48), (1e40, 50)])
+    def test_guidance_off_and_rollout_diverge_alike(self, schedule, scale, t):
+        # The state grows past the norm guard, or overflows, with no numpy warning.
+        model = AffineModel(-scale * np.eye(2))
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=0.0)
+        with pytest.raises(DivergenceError, match=f"sampler state diverged at t={t} "):
+            sag_sample(model, schedule, L2TargetLoss([0.0, 0.0]), cfg, 0)
+        with pytest.raises(DivergenceError, match=f"unguided rollout diverged at t={t} "):
+            ddim_rollout(model, schedule, 0)
+
     def test_single_step_mode_matches_independent_baseline_bitwise(self, schedule, gmm2, task_loss):
         def one_step_guided_sample(model, sch, loss, window, rho, seed):
             # independent rewrite of the guided loop from the closed forms

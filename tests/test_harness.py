@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -46,6 +47,18 @@ class TestConfig:
     def test_empty_sweep_axis_rejected(self):
         with pytest.raises(ConfigError, match="sweep"):
             task_config(sweep={"n_list": []})
+
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("n_list", [2, 4, 2], "2"),
+            ("rho_list", [0.0, 0.1, -0.0], "-0.0"),
+            ("windows", [[5, 10], [5, 10]], "(5, 10)"),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axis, values, repeated):
+        with pytest.raises(ConfigError, match=re.escape(f"sweep axis '{axis}' repeats the value {repeated}")):
+            task_config(sweep={axis: values})
 
     def test_window_outside_schedule_rejected(self):
         with pytest.raises(ConfigError, match="window"):
