@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
-"""Check that the working tree writes the same report files as a git revision.
+"""Check that the working tree writes the same run files as a git revision.
 
 Usage: python3 scripts/compare_reports.py REV
 
 Exports REV with `git archive` into a temporary directory.  Runs `sample`,
 `ablate-n`, `ablate-rho`, `study-window` and `compare-adjoint` on the working
 tree's configs/default.json at --seed 0 and --seed 3, once with REV's source
-and once with the working tree's.  Compares each report.json, report.csv and
-m_curve.csv byte for byte, and prints "N of M identical" plus, for each file
-that differs, the largest difference between the numbers it holds; for a
-CSV file also each column whose cells differ, with how many do.  Exits 1
-on any difference.  The temporary directories are removed.
+and once with the working tree's, each side with the same relative --out.
+Compares each report.json, report.csv, m_curve.csv and config.resolved.json
+byte for byte, and each timing.json with every row's wall_time_ns dropped.
+Prints "N of M identical" plus, for each file that differs, the largest
+difference between the numbers it holds; for a CSV file also each column
+whose cells differ, with how many do.  Exits 1 on any difference.  The
+temporary directories are removed.
 
-Takes about a minute on the default config: 20 runs, each in its own
-interpreter.
+Every run has its own interpreter, with its own hash seed, so with REV set
+to HEAD on an unmodified checkout (as CI runs it) the script checks that
+two processes write the same bytes for the same config and seed.  Takes
+about half a minute on the default config: 20 runs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import re
 import subprocess
@@ -32,20 +37,33 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "default.json"
 COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint")
 SEEDS = (0, 3)
-FILES = ("report.json", "report.csv", "m_curve.csv")
+FILES = ("report.json", "report.csv", "m_curve.csv", "config.resolved.json", "timing.json")
 _NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
 def _run_all(src: Path, out: Path) -> None:
-    """Every command at every seed with the package in `src`, each into out/<command>-<seed>."""
+    """Every command at every seed with the package in `src`, each into out/<command>-<seed>.
+
+    --out is relative to out, so both sides write the same out_dir into config.resolved.json.
+    """
     env = {**os.environ, "PYTHONPATH": str(src)}
+    out.mkdir()
     for command in COMMANDS:
         for seed in SEEDS:
-            argv = ["--config", str(CONFIG), "--seed", str(seed), "--out", str(out / f"{command}-{seed}")]
+            argv = ["--config", str(CONFIG), "--seed", str(seed), "--out", f"{command}-{seed}"]
             subprocess.run(
                 [sys.executable, "-m", "symguide.cli", command, *argv],
-                env=env, cwd=out.parent, check=True, stdout=subprocess.DEVNULL,
+                env=env, cwd=out, check=True, stdout=subprocess.DEVNULL,
             )
+
+
+def _compared_bytes(path: Path) -> bytes:
+    """The file's bytes; for timing.json, its text with each row's wall_time_ns dropped."""
+    if path.name != "timing.json":
+        return path.read_bytes()
+    obj = json.loads(path.read_text())
+    rows = [{k: v for k, v in row.items() if k != "wall_time_ns"} for row in obj["rows"]]
+    return json.dumps({**obj, "rows": rows}, sort_keys=True, indent=2).encode()
 
 
 def _largest_difference(a: bytes, b: bytes) -> str:
@@ -90,10 +108,10 @@ def main(argv: list[str]) -> int:
                     continue
                 if not (a.exists() and b.exists()):
                     differing.append(f"{run}/{name}: written on one side only")
-                elif a.read_bytes() == b.read_bytes():
+                elif _compared_bytes(a) == _compared_bytes(b):
                     same += 1
                 else:
-                    a, b = a.read_bytes(), b.read_bytes()
+                    a, b = _compared_bytes(a), _compared_bytes(b)
                     line = f"{run}/{name}: {_largest_difference(a, b)}"
                     if name.endswith(".csv"):
                         line += f"; cells differ in {_differing_columns(a, b)}"

@@ -20,6 +20,7 @@ from .harness import (
     ConfigError,
     ExperimentReport,
     RunConfig,
+    _json_text,
     emit_plots,
     run_ablation_n,
     run_ablation_rho,
@@ -70,7 +71,7 @@ _PARSER = _build_parser()
 
 def _write_outputs(report: ExperimentReport, config: RunConfig) -> Path:
     out = Path(config.out_dir)
-    resolved = json.dumps(config.to_resolved_dict(), sort_keys=True, indent=2) + "\n"
+    resolved = _json_text(config.to_resolved_dict())
     try:
         report.write(out)
         (out / "config.resolved.json").write_text(resolved)

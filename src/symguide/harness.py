@@ -2,7 +2,9 @@
 
 All report payloads (report.csv / report.json) are deterministic functions
 of the resolved config and base seed; wall-clock measurements go to a
-separate timing.json so byte-identical reproducibility holds.  Diverged
+separate timing.json so byte-identical reproducibility holds.  A report row
+holds every report column and may hold more: report.* get the columns, and
+timing.json gets the columns plus the _TIMING_KEYS the row has.  Diverged
 sweep cells are flagged rows, never dropped.
 """
 
@@ -341,9 +343,10 @@ def _env_fingerprint() -> dict:
     }
 
 
-def _json_row(row: dict) -> dict:
-    """The row with each non-finite float as null."""
-    return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in row.items()}
+def _json_row(row: dict, keys: Collection[str]) -> dict:
+    """The row's keys, each non-finite float as null."""
+    picked = {k: row[k] for k in keys}
+    return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in picked.items()}
 
 
 def _json_text(obj: Any) -> str:
@@ -367,23 +370,32 @@ def _csv_text(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# What a timing.json row adds to the report columns, where the row has it:
+# the run's wall time and, in a sweep, its divergence error.
+_TIMING_KEYS = ("wall_time_ns", "error")
+
+
 @dataclass
 class ExperimentReport:
-    """Rows plus optional curves; serialization is fully deterministic."""
+    """Rows plus optional curves; serialization is fully deterministic.
+
+    Each row holds every column; keys beyond the columns reach only
+    timing.json, and only those in _TIMING_KEYS.
+    """
 
     kind: str
     columns: list[str]
     rows: list[dict]
     curves: dict[str, dict] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    timings: list[dict] = field(default_factory=list)  # never serialized into report.*
 
     def __post_init__(self) -> None:
         self.meta.setdefault("env", _env_fingerprint())
         self.meta["kind"] = self.kind
         for i, row in enumerate(self.rows):
-            if set(row) != set(self.columns):
-                raise ValueError(f"row {i} keys {sorted(row)} do not match columns {self.columns}")
+            missing = [c for c in self.columns if c not in row]
+            if missing:
+                raise ValueError(f"row {i} lacks column(s) {missing} of {self.columns}")
 
     def to_csv_text(self) -> str:
         return _csv_text(self.columns, self.rows)
@@ -392,7 +404,7 @@ class ExperimentReport:
         return {
             "kind": self.kind,
             "columns": self.columns,
-            "rows": [_json_row(row) for row in self.rows],
+            "rows": [_json_row(row, self.columns) for row in self.rows],
             "curves": self.curves,
             "meta": self.meta,
         }
@@ -410,7 +422,8 @@ class ExperimentReport:
         }
         paths["csv"].write_text(self.to_csv_text())
         paths["json"].write_text(self.to_json_text())
-        paths["timing"].write_text(_json_text({"rows": [_json_row(row) for row in self.timings]}))
+        timing = [_json_row(row, [*self.columns, *(k for k in _TIMING_KEYS if k in row)]) for row in self.rows]
+        paths["timing"].write_text(_json_text({"rows": timing}))
         m = self.curves.get("m_curve")
         if m:
             samples, seed = self.meta.get("m_curve_samples", 0), self.meta.get("m_curve_seed", 0)
@@ -448,45 +461,21 @@ def _mean_loss_trajectory(records: list[SampleRecord]) -> tuple[list[int], list[
     return ts, [float(np.mean(by_t[t])) for t in ts]
 
 
-def _sweep(
-    config: RunConfig, cells: list[tuple[dict, GuidanceConfig]], columns: list[str]
-) -> tuple[list[dict], list[dict], list[tuple[list[int], list[float]]]]:
-    """Run every seed on each (labels, guidance) cell, in cell then seed order.
+def _seed_runs(config: RunConfig, guidance: GuidanceConfig) -> list[tuple[dict, SampleRecord | None]]:
+    """Every seed's run on one guidance cell, in seed order.
 
-    One run yields a report row (its columns, picked from its _run_fields
-    and the cell's labels) and a timing entry (that row plus its wall time
-    and error); a diverged run is a flagged row.  A distance_to_unguided
-    column measures each final sample against the unguided rollout with the
-    same seed, rolled out once, when a run with that seed first completes.
-    Returns the rows, the timings and each cell's mean guided-loss
-    trajectory over its completed runs.
+    Each run is its _run_fields plus its divergence error (None when it
+    completed), paired with its record (None when it diverged).
     """
     schedule, model, loss, _ = config.build()
-    seeds = [config.base_seed + i for i in range(config.num_seeds)]
-    unguided: dict[int, np.ndarray] = {}
-    rows: list[dict] = []
-    timings: list[dict] = []
-    loss_curves: list[tuple[list[int], list[float]]] = []
-    for labels, gcfg in cells:
-        done = []
-        for seed in seeds:
-            try:
-                rec, err = sag_sample(model, schedule, loss, gcfg, seed), ""
-            except DivergenceError as exc:
-                rec, err = None, str(exc)
-            run = {**_run_fields(seed, gcfg, rec), **labels, "error": err or None}
-            if "distance_to_unguided" in columns:
-                if rec is not None and seed not in unguided:
-                    unguided[seed] = ddim_rollout(model, schedule, seed)
-                run["distance_to_unguided"] = (
-                    float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
-                )
-            rows.append({c: run[c] for c in columns})
-            timings.append({**rows[-1], "wall_time_ns": run["wall_time_ns"], "error": run["error"]})
-            if rec is not None:
-                done.append(rec)
-        loss_curves.append(_mean_loss_trajectory(done))
-    return rows, timings, loss_curves
+    runs = []
+    for seed in range(config.base_seed, config.base_seed + config.num_seeds):
+        try:
+            rec, err = sag_sample(model, schedule, loss, guidance, seed), None
+        except DivergenceError as exc:
+            rec, err = None, str(exc)
+        runs.append(({**_run_fields(seed, guidance, rec), "error": err}, rec))
+    return runs
 
 
 _RUN_COLUMNS = ["seed", "n", "rho", "window", "final_loss", "steps_guided", "diverged"]
@@ -496,16 +485,13 @@ def run_single_sample(config: RunConfig) -> ExperimentReport:
     """One guided run at the base seed; raises DivergenceError rather than flagging."""
     schedule, model, loss, gcfg = config.build()
     record = sag_sample(model, schedule, loss, gcfg, config.base_seed)
-    run = _run_fields(config.base_seed, gcfg, record)
-    row = {c: run[c] for c in _RUN_COLUMNS}
     ts, losses = _mean_loss_trajectory([record])
     return ExperimentReport(
         kind="sample",
         columns=_RUN_COLUMNS,
-        rows=[row],
+        rows=[_run_fields(config.base_seed, gcfg, record)],
         curves={"guided_loss": {"label": f"n={gcfg.n_steps}", "t": ts, "loss": losses}},
         meta={"record": record.to_json_dict()},
-        timings=[{**row, "wall_time_ns": run["wall_time_ns"]}],
     )
 
 
@@ -522,9 +508,14 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
     """
     schedule, model, _, _ = config.build()
     n_list = config.axis("n_list")
-    cells = [({}, config.with_guidance(n_steps=n)) for n in n_list]
-    rows, timings, loss_curves = _sweep(config, cells, _RUN_COLUMNS)
-    curves = {f"n={n}": {"t": ts, "loss": losses} for n, (ts, losses) in zip(n_list, loss_curves)}
+    rows: list[dict] = []
+    curves: dict[str, dict] = {}
+    for n in n_list:
+        runs = _seed_runs(config, config.with_guidance(n_steps=n))
+        rows += [run for run, _ in runs]
+        ts, losses = _mean_loss_trajectory([rec for _, rec in runs if rec])
+        curves[f"n={n}"] = {"t": ts, "loss": losses}
+        del runs  # release this cell's records before the next cell runs
     m_samples = config.axis("m_curve_samples")[0]
     m_curve = estimation_error_curve(
         model,
@@ -546,16 +537,15 @@ def run_ablation_n(config: RunConfig) -> ExperimentReport:
         rows=rows,
         curves=curves,
         meta={"m_curve_samples": m_samples, "m_curve_seed": config.base_seed},
-        timings=timings,
     )
 
 
 def run_ablation_rho(config: RunConfig) -> ExperimentReport:
     """Sweep the guidance strength; diverged runs become flagged rows."""
-    rho_list = config.axis("rho_list")
     columns = ["seed", "rho", "n", "window", "final_loss", "steps_guided", "diverged"]
-    rows, timings, _ = _sweep(config, [({}, config.with_guidance(rho=rho)) for rho in rho_list], columns)
-    return ExperimentReport(kind="ablation_rho", columns=columns, rows=rows, timings=timings)
+    cells = [config.with_guidance(rho=rho) for rho in config.axis("rho_list")]
+    rows = [run for guidance in cells for run, _ in _seed_runs(config, guidance)]
+    return ExperimentReport(kind="ablation_rho", columns=columns, rows=rows)
 
 
 def default_window_thirds(T: int) -> dict[str, tuple[int, int]]:
@@ -568,13 +558,15 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
     """Grid over window placement and time-travel repeats.
 
     Also records the distance of each guided final sample to the unguided
-    rollout with the same seed (content-preservation proxy).
+    rollout with the same seed (content-preservation proxy).  Each seed is
+    rolled out once, when a run with that seed first completes.
     """
+    schedule, model, _, _ = config.build()
     windows = config.axis("windows")
     if windows:
         named = {f"w{i}": window for i, window in enumerate(windows)}
     else:
-        T = config.build()[0].num_steps
+        T = schedule.num_steps
         named = default_window_thirds(T)
         for name, window in named.items():
             try:
@@ -584,21 +576,27 @@ def run_window_and_repeats_study(config: RunConfig) -> ExperimentReport:
                     f"{exc}; that is the default {name} third of steps 1..{T - 1}, "
                     "and sweep.windows sets explicit windows"
                 ) from exc
-    repeats_list = config.axis("repeats_list")
     columns = [
         "seed", "window_name", "window", "repeats", "final_loss",
         "distance_to_unguided", "steps_guided", "diverged",
     ]
-    rows, timings, _ = _sweep(
-        config,
-        [
-            ({"window_name": name}, config.with_guidance(window=list(window), repeats=r))
-            for name, window in named.items()
-            for r in repeats_list
-        ],
-        columns,
-    )
-    return ExperimentReport(kind="window_study", columns=columns, rows=rows, timings=timings)
+    cells = [
+        (name, config.with_guidance(window=list(window), repeats=r))
+        for name, window in named.items()
+        for r in config.axis("repeats_list")
+    ]
+    unguided: dict[int, np.ndarray] = {}
+    rows: list[dict] = []
+    for name, guidance in cells:
+        runs = _seed_runs(config, guidance)
+        for run, rec in runs:
+            seed = run["seed"]
+            if rec is not None and seed not in unguided:
+                unguided[seed] = ddim_rollout(model, schedule, seed)
+            distance = float(np.linalg.norm(rec.final_state - unguided[seed])) if rec else None
+            rows.append({**run, "window_name": name, "distance_to_unguided": distance})
+        del runs  # release this cell's records before the next cell runs
+    return ExperimentReport(kind="window_study", columns=columns, rows=rows)
 
 
 def _timed(fn: Callable, *args, **kwargs) -> tuple[Any, int]:
@@ -634,7 +632,6 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
         "checkpoints_read", "tape_arrays", "peak_state_vectors",
     ]
     rows: list[dict] = []
-    timings: list[dict] = []
     for d in d_list:
         models = {
             "gmm": GmmModel([0.5, 0.5], np.vstack([np.ones(d), -np.ones(d)])),
@@ -670,9 +667,8 @@ def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
                     cell = {"model": model_name, "d": d, "n": n, "method": method}
                     if not np.isfinite(err):
                         raise DivergenceError(f"non-finite rel_error_vs_oracle ({err}) at {cell}")
-                    rows.append({**cell, "rel_error_vs_oracle": err, **asdict(stats)})
-                    timings.append({**rows[-1], "wall_time_ns": ns})
-    return ExperimentReport(kind="adjoint_comparison", columns=columns, rows=rows, timings=timings)
+                    rows.append({**cell, "rel_error_vs_oracle": err, **asdict(stats), "wall_time_ns": ns})
+    return ExperimentReport(kind="adjoint_comparison", columns=columns, rows=rows)
 
 
 def emit_plots(report: ExperimentReport, out_dir: str | Path) -> list[Path]:

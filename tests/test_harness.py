@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,11 +10,13 @@ import pytest
 from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
 from symguide import (
     ConfigError,
+    DivergenceError,
     GuidanceConfig,
     L2TargetLoss,
     RunConfig,
     ddim_rollout,
     emit_plots,
+    harness,
     run_ablation_n,
     run_ablation_rho,
     run_adjoint_comparison,
@@ -21,6 +24,7 @@ from symguide import (
     run_window_and_repeats_study,
     sag_sample,
 )
+from symguide.cli import main
 from symguide.harness import MAX_SIZE, ExperimentReport, build_model, default_window_thirds
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -159,16 +163,19 @@ class TestSingleSample:
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_timing_outside_report_payload(
-        self, ablation_report, rho_report, window_report, comparison_report
+        self, tmp_path, ablation_report, rho_report, window_report, comparison_report
     ):
-        report = run_single_sample(task_config(base_seed=3))
-        assert report.timings and "wall_time_ns" in report.timings[0]
-        assert "wall_time_ns" not in report.to_json_text()
-        # Each timing row is its report row plus the run's wall time (and error, in a sweep).
-        for report in (report, ablation_report, rho_report, window_report, comparison_report):
-            assert len(report.timings) == len(report.rows)
-            for row, timing in zip(report.rows, report.timings):
-                assert "wall_time_ns" in timing
+        # Each timing.json row is its report.json row plus the run's wall time (and error, in a sweep).
+        sample = run_single_sample(task_config(base_seed=3))
+        for report in (sample, ablation_report, rho_report, window_report, comparison_report):
+            paths = report.write(tmp_path / report.kind)
+            assert "wall_time_ns" not in paths["json"].read_text()
+            rows = json.loads(paths["json"].read_text())["rows"]
+            timings = json.loads(paths["timing"].read_text())["rows"]
+            sweep = report.kind in ("ablation_n", "ablation_rho", "window_study")
+            assert len(timings) == len(rows)
+            for row, timing in zip(rows, timings):
+                assert set(timing) == {*row, "wall_time_ns", *(["error"] if sweep else [])}
                 assert {k: timing[k] for k in row} == row
 
 
@@ -261,7 +268,7 @@ class TestAblationN:
         )
         report = run_ablation_n(cfg)
         per_step = {1: [], 8: []}
-        for row in report.timings:
+        for row in report.rows:
             if row["wall_time_ns"] is not None and row["steps_guided"]:
                 per_step[row["n"]].append(row["wall_time_ns"] / row["steps_guided"])
         ratio = min(per_step[8]) / min(per_step[1])
@@ -338,12 +345,58 @@ class TestWindowStudy:
         # same guided-step set; repeats vary the applications per step
         assert self._mean(report, "late", 2) <= self._mean(report, "late", 1)
 
+    def test_each_completed_seed_is_rolled_out_once(self, monkeypatch):
+        # Seed 1 diverges in every cell and seed 2 in the first one only.
+        sample, rollout, rolled = harness.sag_sample, harness.ddim_rollout, []
+
+        def diverging_sample(model, schedule, loss, guidance, seed):
+            if seed == 1 or (seed == 2 and guidance.repeats == 1):
+                raise DivergenceError(f"seed {seed} made to diverge")
+            return sample(model, schedule, loss, guidance, seed)
+
+        def counted_rollout(model, schedule, seed):
+            rolled.append(seed)
+            return rollout(model, schedule, seed)
+
+        monkeypatch.setattr(harness, "sag_sample", diverging_sample)
+        monkeypatch.setattr(harness, "ddim_rollout", counted_rollout)
+        report = run_window_and_repeats_study(
+            task_config(num_seeds=4, sweep={"windows": [list(TASK_WINDOW)], "repeats_list": [1, 2]})
+        )
+        assert rolled == [0, 3, 2]
+        assert [r["diverged"] for r in report.rows] == [False, True, True, False, False, True, False, False]
+        assert all((r["distance_to_unguided"] is None) == r["diverged"] for r in report.rows)
+
     def test_distance_to_unguided_recorded(self, report):
         assert all(
             r["distance_to_unguided"] is not None
             for r in report.rows
             if not r["diverged"]
         )
+
+
+@pytest.mark.parametrize(
+    "runner, sweep",
+    [
+        (run_ablation_n, {"n_list": [1, 2, 4], "m_curve_samples": [50]}),
+        (run_ablation_rho, {"rho_list": [0.0, 0.05, 0.1]}),
+        (run_window_and_repeats_study, {"windows": [list(TASK_WINDOW)], "repeats_list": [1, 2, 3]}),
+    ],
+)
+def test_sweep_releases_each_cells_records(monkeypatch, runner, sweep):
+    # When a cell's first seed runs, at most one earlier record (a loop variable's) is alive.
+    sample, records, alive = harness.sag_sample, [], []
+
+    def tracked_sample(model, schedule, loss, guidance, seed):
+        if seed == 0:
+            alive.append(sum(ref() is not None for ref in records))
+        rec = sample(model, schedule, loss, guidance, seed)
+        records.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(harness, "sag_sample", tracked_sample)
+    runner(task_config(num_seeds=4, sweep=sweep))
+    assert len(alive) == 3 and max(alive) <= 1
 
 
 class TestAdjointComparison:
@@ -381,6 +434,18 @@ class TestAdjointComparison:
 
 
 class TestPlots:
+    def test_row_lacking_a_column_rejected(self, tmp_path):
+        # Keys beyond the columns are allowed; a missing column is not, here or when plotting.
+        good = self._golden_report().to_json_dict()
+        good["rows"][0]["wall_time_ns"] = 1
+        assert ExperimentReport(**good).rows[0]["wall_time_ns"] == 1
+        del good["rows"][1]["final_loss"]
+        with pytest.raises(ValueError, match=r"row 1 lacks column\(s\) \['final_loss'\]"):
+            ExperimentReport(**good)
+        (tmp_path / "report.json").write_text(json.dumps(good))
+        assert main(["plot", "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_empty_report_rejected(self, tmp_path):
         report = ExperimentReport(kind="ablation_n", columns=["a"], rows=[])
         with pytest.raises(ValueError, match="empty report"):
