@@ -32,7 +32,8 @@ b = [1] the sweep's arithmetic is the Euler recursion above, bit for bit.
 One stored-activation reference, backing both direct_backprop_grad (Euler)
 and rk_direct_backprop_grad (any tableau), checks the sweep independently:
 it holds a tape for every stage point, as backpropagation does, and uses
-the forward a and b, never the derived A.
+the forward a and b, never the derived A.  Every solver follows the overflow
+rule of the estimator module, its gradient after the pull-back to x_t included.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def _costate_sweep(
     return lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _symplectic_grad(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -143,6 +145,7 @@ def _symplectic_grad(
     """
     _check_traj(model, traj, schedule, t)
     grad = schedule.to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
+    _check_finite(grad, traj.n, "gradient")
     if not return_stats:
         return grad
     n, s = traj.n, traj.tableau.stages
@@ -167,6 +170,7 @@ def symplectic_euler_grad(
     return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _taped_backprop(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -202,7 +206,9 @@ def _taped_backprop(
             pulled = pulled + model.vjp_from_tape(step_tapes[i], w[i])
         g = g + h * pulled
         _check_finite(g, tau + 1, "costate")
-    return schedule.to_scaled(g, t), sum(len(tape) for tape in tapes)
+    grad = schedule.to_scaled(g, t)
+    _check_finite(grad, traj.n, "gradient")
+    return grad, sum(len(tape) for tape in tapes)
 
 
 def direct_backprop_grad(
@@ -224,6 +230,7 @@ def direct_backprop_grad(
     return grad, AdjointStats(traj.n + 1, tape_arrays, tape_arrays + 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vanilla_adjoint_grad(
     model: ScoreModel,
     x_clean: np.ndarray,
@@ -252,7 +259,9 @@ def vanilla_adjoint_grad(
         lam = lam - h * g
         _check_finite(x_bar, tau + 1)
         _check_finite(lam, tau + 1, "costate")
-    return schedule.to_scaled(lam, t)
+    grad = schedule.to_scaled(lam, t)
+    _check_finite(grad, int(n_back), "gradient")
+    return grad
 
 
 def symplectic_rk_grad(
@@ -278,6 +287,7 @@ def rk_direct_backprop_grad(
     return _taped_backprop(model, traj, grad_at_clean, schedule, t)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conservation_probe(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -316,4 +326,6 @@ def conservation_probe(
         deltas[k] = sum((h * b_i * K_i for b_i, K_i in zip(b, K)), deltas[k + 1])
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)
-    return np.einsum("td,td->t", lams, deltas)
+    pairing = np.einsum("td,td->t", lams, deltas)
+    _check_finite(pairing, int(np.argmin(np.isfinite(pairing))), "pairing")
+    return pairing

@@ -13,6 +13,12 @@ its sigma grid: the n+1 checkpoints plus, for s > 1 stages, the stage points
 1..s-1 of every step (stage 0 of an explicit step is its start checkpoint).
 That is exactly what the symplectic adjoint solvers consume; for Euler it is
 the n+1 checkpoints alone.
+
+Overflow rule.  Every public estimator and solver, and every sampler, runs
+under its own np.errstate(over="ignore", invalid="ignore") and checks the
+states it steps and the value it returns, so a blow-up ends in a
+DivergenceError whether or not the caller set an errstate, and never in a
+floating-point warning or a returned inf or NaN.
 """
 
 from __future__ import annotations
@@ -33,13 +39,12 @@ __all__ = [
     "MCurvePoint",
     "estimate_clean",
     "estimate_clean_rk",
-    "one_step_estimate",
     "estimation_error_curve",
 ]
 
 
 class DivergenceError(RuntimeError):
-    """A state or gradient left the finite range during integration."""
+    """A state or gradient left the finite range (see the overflow rule above)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +165,7 @@ def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(
     model: ScoreModel,
     schedule: NoiseSchedule,
@@ -218,20 +224,6 @@ def estimate_clean_rk(
     return _integrate(model, schedule, x_t, t, n, tableau)
 
 
-def one_step_estimate(
-    model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int
-) -> np.ndarray:
-    """Closed-form single-step clean estimate.
-
-    Written in scaled coordinates, x_bar - sigma_t * eps, which is the n = 1
-    estimate verbatim; unscaled it reads (x_t - sqrt(1-a_t) eps) / sqrt(a_t).
-    """
-    t = schedule._check_step(t)
-    x_bar = schedule.to_scaled(x_t, t)
-    sigma_t = schedule.sigma(t)
-    return x_bar + (0.0 - sigma_t) * model.eps(x_bar, sigma_t)
-
-
 @dataclass(frozen=True)
 class MCurvePoint:
     n: int
@@ -242,8 +234,7 @@ class MCurvePoint:
 MIN_ERROR_SAMPLES = 50
 
 
-# As in the guided sampler, an overflow or invalid operation ends in a
-# non-finite check, as a DivergenceError, never in a floating-point warning.
+# The overflow rule of the module docstring: the norms and means here can overflow too.
 @np.errstate(over="ignore", invalid="ignore")
 def estimation_error_curve(
     model: ScoreModel,

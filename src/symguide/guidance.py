@@ -241,8 +241,8 @@ def _diverged(x: np.ndarray) -> bool:
     return not math.sqrt(x.dot(x)) <= _NORM_GUARD
 
 
-# In both samplers an overflow or invalid operation ends in a state or
-# non-finite check, as a DivergenceError, never in a floating-point warning.
+# Both samplers follow the overflow rule of the estimator module docstring: an
+# overflow ends in a state or non-finite check, as a DivergenceError.
 @np.errstate(over="ignore", invalid="ignore")
 def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.ndarray:
     """Plain unguided rollout from a seeded Gaussian start.

@@ -611,6 +611,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom if denom > 0 else float(np.linalg.norm(a - b))
 
 
+# The overflow rule of the estimator module docstring: the relative errors can overflow too.
 @np.errstate(over="ignore", invalid="ignore")
 def run_adjoint_comparison(config: RunConfig) -> ExperimentReport:
     """Gradient accuracy and memory accounting per backward method.

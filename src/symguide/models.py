@@ -40,7 +40,6 @@ __all__ = [
     "GmmModel",
     "MlpModel",
     "AffineModel",
-    "eps_at_step",
     "vjp_at_step",
     "finite_diff_vjp",
 ]
@@ -327,11 +326,6 @@ class AffineModel(ScoreModel):
         return self.matrix.T @ self._check_vec(v, "v")
 
 
-def eps_at_step(model: ScoreModel, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
-    """Noise prediction at an unscaled grid state: eps(x / sqrt(a_t), sigma_t)."""
-    return model.eps(schedule.to_scaled(x, t), schedule.sigma(t))
-
-
 def vjp_at_step(
     model: ScoreModel, x: np.ndarray, schedule: NoiseSchedule, t: int, v: np.ndarray
 ) -> np.ndarray:
@@ -354,8 +348,8 @@ def finite_diff_vjp(
 ) -> np.ndarray:
     """Central-difference estimate of v^T (d eps / d x), unscaled coordinates.
 
-    Test oracle: differentiates x -> v . eps_at_step(x) one coordinate at a
-    time; agreement with vjp_at_step is O(h^2).
+    Test oracle: differentiates x -> v . eps(x / sqrt(a_t), sigma_t) one
+    coordinate at a time; agreement with vjp_at_step is O(h^2).
     """
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
@@ -367,7 +361,7 @@ def finite_diff_vjp(
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        fp = float(v @ eps_at_step(model, xp, schedule, t))
-        fm = float(v @ eps_at_step(model, xm, schedule, t))
+        fp = float(v @ model.eps(schedule.to_scaled(xp, t), schedule.sigma(t)))
+        fm = float(v @ model.eps(schedule.to_scaled(xm, t), schedule.sigma(t)))
         out[j] = (fp - fm) / (2.0 * h)
     return out

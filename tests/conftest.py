@@ -55,6 +55,34 @@ class NanModel(ScoreModel):
         return np.zeros(self.dim)
 
 
+class CountingModel(ScoreModel):
+    """Wraps a model and counts the calls of each of its five methods, by method name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = dict.fromkeys(("eps", "vjp", "jvp", "eps_with_tape", "vjp_from_tape"), 0)
+
+    def _call(self, name, *args):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(*args)
+
+    def eps(self, x_bar, sigma):
+        return self._call("eps", x_bar, sigma)
+
+    def vjp(self, x_bar, sigma, v):
+        return self._call("vjp", x_bar, sigma, v)
+
+    def jvp(self, x_bar, sigma, v):
+        return self._call("jvp", x_bar, sigma, v)
+
+    def eps_with_tape(self, x_bar, sigma):
+        return self._call("eps_with_tape", x_bar, sigma)
+
+    def vjp_from_tape(self, tape, v):
+        return self._call("vjp_from_tape", tape, v)
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -497,6 +498,62 @@ class TestMemoryAccounting:
             assert peaks[name, 64] >= 4 * peaks[name, 8], peaks
         for name in ("symplectic_euler_grad", "symplectic_rk_grad"):
             assert peaks[name, 64] <= peaks[name, 8], peaks
+
+
+# The eight public estimators and solvers, each called so that its own arithmetic
+# overflows: the model AffineModel(-1e200 I) at t = 35 and n = 4, the solvers over
+# the trajectories of AffineModel(-0.1 I) with a cotangent of 1e308 per component.
+OVERFLOWING = {
+    "estimate_clean": lambda m, sch, euler, heun, g: estimate_clean(m, sch, np.ones(2), 35, 4),
+    "estimate_clean_rk": lambda m, sch, euler, heun, g: estimate_clean_rk(
+        m, sch, np.ones(2), 35, 4, ButcherTableau.heun()
+    ),
+    "symplectic_euler_grad": lambda m, sch, euler, heun, g: symplectic_euler_grad(m, euler, g, sch, 35),
+    "symplectic_rk_grad": lambda m, sch, euler, heun, g: symplectic_rk_grad(m, heun, g, sch, 35),
+    "direct_backprop_grad": lambda m, sch, euler, heun, g: direct_backprop_grad(m, euler, g, sch, 35),
+    "rk_direct_backprop_grad": lambda m, sch, euler, heun, g: rk_direct_backprop_grad(m, heun, g, sch, 35),
+    "vanilla_adjoint_grad": lambda m, sch, euler, heun, g: vanilla_adjoint_grad(
+        m, euler.clean_output, g, sch, 35, 4
+    ),
+    "conservation_probe": lambda m, sch, euler, heun, g: conservation_probe(m, euler, g, g),
+}
+
+# The five gradient solvers on a finite costate whose pull-back to x_t overflows.
+PULLED_BACK = {name: call for name, call in OVERFLOWING.items() if name.endswith("_grad")}
+
+
+def _trajectories(model, schedule):
+    euler = estimate_clean(model, schedule, np.ones(2), 35, 4)
+    return euler, estimate_clean_rk(model, schedule, np.ones(2), 35, 4, ButcherTableau.heun())
+
+
+class TestOverflowRule:
+    """Each public estimator and solver guards itself: DivergenceError, never a warning or an inf."""
+
+    @pytest.mark.parametrize("entry", sorted(OVERFLOWING))
+    def test_overflow_is_a_divergence(self, schedule, entry):
+        euler, heun = _trajectories(AffineModel(-0.1 * np.eye(2)), schedule)
+        with pytest.raises(DivergenceError):
+            OVERFLOWING[entry](AffineModel(-1e200 * np.eye(2)), schedule, euler, heun, np.full(2, 1e308))
+
+    @pytest.mark.parametrize("outer", ["bare", "errstate"])
+    @pytest.mark.parametrize("solver", sorted(PULLED_BACK))
+    def test_overflowing_pull_back_names_the_gradient(self, schedule, solver, outer):
+        # The zero model leaves the costate at 1e308; dividing by sqrt(alpha_35) ~ 0.093 overflows.
+        zero = AffineModel.zero(2)
+        euler, heun = _trajectories(zero, schedule)
+        guard = np.errstate(over="ignore", invalid="ignore") if outer == "errstate" else contextlib.nullcontext()
+        with guard, pytest.raises(DivergenceError) as info:
+            PULLED_BACK[solver](zero, schedule, euler, heun, np.array([1e308, -1e308]))
+        assert str(info.value) == "non-finite gradient at sub-step tau=4 (finite-part norm 0.000e+00)"
+
+    def test_overflowing_pairing_is_a_divergence(self, schedule):
+        # Each delta and costate stays at 1e200, so only the pairing itself overflows.
+        zero = AffineModel.zero(2)
+        euler, _ = _trajectories(zero, schedule)
+        with pytest.raises(DivergenceError) as info:
+            conservation_probe(zero, euler, np.full(2, 1e200), np.full(2, 1e200))
+        assert str(info.value) == "non-finite pairing at sub-step tau=0 (finite-part norm 0.000e+00)"
 
 
 def _traced_peak(call):

@@ -16,7 +16,6 @@ from symguide import (
     estimate_clean,
     estimation_error_curve,
     make_sub_schedule,
-    one_step_estimate,
 )
 
 
@@ -176,23 +175,25 @@ class TestEstimateClean:
 class TestOneStep:
     def test_zero_model(self, schedule):
         x = np.array([1.0, -2.0])
-        out = one_step_estimate(AffineModel.zero(2), schedule, x, 25)
+        out = estimate_clean(AffineModel.zero(2), schedule, x, 25, 1).clean_output
         assert np.array_equal(out, schedule.to_scaled(x, 25))
 
     def test_frozen_scalar_example(self):
         # alpha_t = 0.25, x = [2], eps = [1] -> (2 - sqrt(0.75)) / 0.5
         sch = NoiseSchedule(np.array([1.0, 0.64, 0.25]))
         const_one = AffineModel(np.zeros((1, 1)), np.array([1.0]))
-        out = one_step_estimate(const_one, sch, np.array([2.0]), 2)
+        out = estimate_clean(const_one, sch, np.array([2.0]), 2, 1).clean_output
         assert out == pytest.approx([2.267949192431123], rel=1e-12)
 
     def test_bitwise_consistent_with_n1_estimate(self, schedule, gmm2, mlp3):
+        # The closed form x_bar - sigma_t * eps, written as the n = 1 Euler step from sigma_t to 0.
         rng = np.random.default_rng(2)
         for model in (gmm2, mlp3):
             for _ in range(100):
                 x = rng.standard_normal(model.dim)
                 t = int(rng.integers(1, schedule.num_steps + 1))
-                a = one_step_estimate(model, schedule, x, t)
+                x_bar, sigma_t = schedule.to_scaled(x, t), schedule.sigma(t)
+                a = x_bar + (0.0 - sigma_t) * model.eps(x_bar, sigma_t)
                 b = estimate_clean(model, schedule, x, t, 1).clean_output
                 assert np.array_equal(a, b)
 

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import TASK_RHO, TASK_WINDOW, NanModel, rel_err
+from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, rel_err
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -13,6 +15,7 @@ from symguide import (
     GuidanceConfig,
     L2TargetLoss,
     NoiseSchedule,
+    build_linear_schedule,
     ddim_rollout,
     ddim_step,
     estimate_clean,
@@ -225,6 +228,16 @@ def test_value_types_compare_by_identity(schedule, gmm2, task_loss):
         assert len({x, twin}) == 2
 
 
+@st.composite
+def sample_cases(draw):
+    """A small schedule length T, a window (K1, K2) inside it, repeats r, n and rho."""
+    T = draw(st.integers(3, 12))
+    k1 = draw(st.integers(1, T - 2))
+    k2 = draw(st.integers(k1 + 1, T - 1))
+    rho = draw(st.sampled_from([0.0, 0.01, TASK_RHO]))
+    return T, k1, k2, draw(st.integers(1, 3)), draw(st.integers(1, 5)), rho
+
+
 class TestSagSample:
     def test_guidance_off_is_plain_rollout_bitwise(self, schedule, gmm2, task_loss):
         cfg = GuidanceConfig(window=TASK_WINDOW, rho=0.0, repeats=1, n_steps=4)
@@ -242,6 +255,21 @@ class TestSagSample:
             sag_sample(model, schedule, L2TargetLoss([0.0, 0.0]), cfg, 0)
         with pytest.raises(DivergenceError, match=f"unguided rollout diverged at t={t} "):
             ddim_rollout(model, schedule, 0)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=sample_cases())
+    @example(case=(50, 15, 35, 1, 4, TASK_RHO))  # configs/default.json: 134 eps and 84 vjp calls
+    def test_model_call_counts(self, gmm2, task_loss, case):
+        # T ddim_step calls, (r-1)*W more for the window's repeats, and, when rho > 0,
+        # an n-call estimate and an n-call costate sweep at each of the G = r*W guided steps.
+        T, k1, k2, r, n, rho = case
+        model = CountingModel(gmm2)
+        cfg = GuidanceConfig(window=(k1, k2), rho=rho, repeats=r, n_steps=n)
+        sag_sample(model, build_linear_schedule(T, *TASK_BETAS), task_loss, cfg, 0)
+        W = k2 - k1 + 1
+        G = r * W if rho > 0.0 else 0
+        expected = {"eps": T + (r - 1) * W + G * n, "vjp": G * n}
+        assert model.calls == {**dict.fromkeys(model.calls, 0), **expected}
 
     def test_single_step_mode_matches_independent_baseline_bitwise(self, schedule, gmm2, task_loss):
         def one_step_guided_sample(model, sch, loss, window, rho, seed):

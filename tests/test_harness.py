@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TASK_BETAS, TASK_MEANS, TASK_RHO, TASK_T, TASK_TARGET, TASK_WINDOW
+from conftest import (
+    TASK_BETAS,
+    TASK_MEANS,
+    TASK_RHO,
+    TASK_T,
+    TASK_TARGET,
+    TASK_WINDOW,
+    CountingModel,
+)
 from symguide import (
     ConfigError,
     DivergenceError,
@@ -431,6 +439,31 @@ class TestAdjointComparison:
         }
         assert mlp_oracle[1] == 3  # one tape entry per linear layer
         assert all(mlp_oracle[n] == n * mlp_oracle[1] for n in mlp_oracle)
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    def test_model_call_counts_per_cell(self, monkeypatch, n):
+        # Per model and n: the Euler estimate (n eps) and Heun estimate (2n eps); the
+        # Euler and Heun oracles (n + 2n eps_with_tape, n + 3n vjp_from_tape); the
+        # symplectic Euler and Heun sweeps (n + 2n vjp); the vanilla adjoint (n eps, n vjp).
+        # The Heun oracle calls vjp_from_tape 3 times per step where 2 suffice, so
+        # caching J_m^T w_m per stage would turn 4n into 3n.  At n = 32 these are the
+        # 128/128/96/128 calls of the adjoint-mlp benchmark workload.
+        counted = []
+
+        def counting(build):
+            def make(*args, **kwargs):
+                counted.append(CountingModel(build(*args, **kwargs)))
+                return counted[-1]
+
+            return make
+
+        monkeypatch.setattr(harness, "GmmModel", counting(harness.GmmModel))
+        monkeypatch.setattr(harness.MlpModel, "random", counting(harness.MlpModel.random))
+        run_adjoint_comparison(task_config(sweep={"n_list": [n], "d_list": [2]}))
+        expected = {"eps": 4 * n, "vjp": 4 * n, "jvp": 0, "eps_with_tape": 3 * n, "vjp_from_tape": 4 * n}
+        # The first model is the config's own, which config.build() makes and the cell never calls.
+        unused = dict.fromkeys(expected, 0)
+        assert [model.calls for model in counted] == [unused, expected, expected]
 
 
 class TestPlots:

@@ -12,7 +12,6 @@ from symguide import (
     GmmModel,
     MlpModel,
     NoiseSchedule,
-    eps_at_step,
     finite_diff_vjp,
     vjp_at_step,
 )
@@ -54,6 +53,11 @@ def gmm_cases(draw):
     x_bar = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
     v = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
     return GmmModel(weights / weights.sum(), means), x_bar, draw(st.floats(0.0, 80.0)), v
+
+
+def eps_at_step(model, x, schedule, t):
+    """The model's noise prediction at an unscaled grid state x at step t."""
+    return model.eps(schedule.to_scaled(x, t), schedule.sigma(t))
 
 
 def numeric_score(model, x, alpha_t, h=1e-6):

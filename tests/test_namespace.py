@@ -1,4 +1,7 @@
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,37 @@ def test_adjoint_still_resolves_estimator_names():
     # perfbench reads these two through the adjoint module.
     assert adjoint.ButcherTableau is estimator.ButcherTableau
     assert adjoint.estimate_clean_rk is estimator.estimate_clean_rk
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a file's code uses: names, attributes, imports and string constants, not comments."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value.rsplit(".", 1)[-1])
+    return names
+
+
+def test_each_public_function_has_a_user_outside_its_module():
+    # A user is another package module, a perfbench file (its traced names are strings)
+    # or the acceptance suite; a public function with none is a second spelling of a value.
+    package = ROOT / "src" / "symguide"
+    users = [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    referenced = {path: _referenced_names(path) for path in users}
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"symguide.{name}")
+        outside = [names for path, names in referenced.items() if path != package / f"{name}.py"]
+        for public in module.__all__:
+            if inspect.isfunction(getattr(module, public)) and not any(public in names for names in outside):
+                unused.append(f"{name}.{public}")
+    assert unused == []
