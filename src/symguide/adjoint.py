@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench resolves ButcherTableau and estimate_clean_rk as adjoint attributes.
-from .estimator import ButcherTableau, CheckpointTrajectory, _check_finite, estimate_clean_rk
+from .estimator import ButcherTableau, CheckpointTrajectory, _check_finite, _walk, estimate_clean_rk
 from .models import ScoreModel
 from .schedule import NoiseSchedule, make_sub_schedule
 
@@ -106,7 +106,7 @@ def _costate_sweep(
     """
     tb = traj.tableau
     s = tb.stages
-    A, b, c = tb.A.tolist(), tb.b.tolist(), tb.c.tolist()
+    A, b = tb.A.tolist(), tb.b.tolist()
     sig = traj.sigma
     vjps: list[np.ndarray | None] = [None] * s
     for tau in range(traj.n):
@@ -117,9 +117,7 @@ def _costate_sweep(
             for j in range(i + 1, s):
                 if A[i][j] != 0.0:
                     lam_i = lam_i - H * A[i][j] * vjps[j]
-            # traj.stage(tau, i), inlined: this loop runs on every guided step.
-            x = traj.states[tau + 1] if i == 0 else traj.stage_states[tau, i - 1]
-            vjps[i] = model.vjp(x, hi + c[i] * (lo - hi), lam_i)
+            vjps[i] = model.vjp(*traj.stage(tau, i), lam_i)
         for i in range(s):
             lam = lam - H * b[i] * vjps[i]
         _check_finite(lam, tau + 1, "costate")
@@ -296,34 +294,23 @@ def conservation_probe(
 ) -> np.ndarray:
     """Stepwise invariant S_tau = lambda_tau . delta_tau of the forward map and its costate sweep.
 
-    delta is pushed forward (tau = n..0) through the exact linearisation of
-    each RK step, its stage JVPs taken at the restored stage points:
-    d_i = delta + h sum_{j<i} a_ij K_j, K_i = jvp(X_i, sigma_i, d_i) and
-    delta' = delta + h sum_i b_i K_i.  lambda is pulled back (tau = 0..n)
-    by the costate sweep.  For every tableau whose costate coefficients
-    satisfy the conjugacy identity, S is constant up to roundoff.
+    delta is pushed forward (tau = n..0) by the estimator's forward walk
+    through the exact linearisation of each RK step, its stage JVPs taken at
+    the restored stage points: d_i = delta + h sum_{j<i} a_ij K_j,
+    K_i = jvp(X_i, sigma_i, d_i) and delta' = delta + h sum_i b_i K_i.
+    lambda is pulled back (tau = 0..n) by the costate sweep.  For every
+    tableau whose costate coefficients satisfy the conjugacy identity, S is
+    constant up to roundoff.
     """
-    sig = traj.sigma.tolist()
-    n = traj.n
-    a, b = traj.tableau.a.tolist(), traj.tableau.b.tolist()
     d = traj.states.shape[1]
     v0 = np.asarray(v0, dtype=np.float64)
     lambda0 = np.asarray(lambda0, dtype=np.float64)
     if v0.shape != (d,) or lambda0.shape != (d,):
         raise ValueError("v0 and lambda0 must match the trajectory dimension")
-    deltas = np.empty((n + 1, d))
-    lams = np.empty((n + 1, d))
-    deltas[n] = v0
-    for k in range(n - 1, -1, -1):
-        h = sig[k] - sig[k + 1]  # signed, negative
-        K: list[np.ndarray] = []
-        for i in range(len(b)):
-            d_i = deltas[k + 1]
-            for j in range(i):
-                if a[i][j] != 0.0:
-                    d_i = d_i + h * a[i][j] * K[j]
-            K.append(model.jvp(*traj.stage(k, i), d_i))
-        deltas[k] = sum((h * b_i * K_i for b_i, K_i in zip(b, K)), deltas[k + 1])
+    deltas, _ = _walk(
+        v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _, k, i: model.jvp(*traj.stage(k, i), d_i), "tangent"
+    )
+    lams = np.empty((traj.n + 1, d))
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)
     pairing = np.einsum("td,td->t", lams, deltas)

@@ -127,9 +127,10 @@ class CheckpointTrajectory:
     x_bar at sub-step tau (states[n] = to_scaled(x_t)); at tau = 0,
     sqrt(alpha) = 1, so states[0] is the clean output itself.  Step record
     k (k = 0..n-1) is the step that produced states[k] from states[k+1];
-    stage_states[k, i - 1] holds its stage point i >= 1.  Stage 0 is
-    states[k+1] itself, so a one-stage (Euler) trajectory stores the n+1
-    checkpoints and nothing else.  Trajectories compare by identity.
+    stage_states[k, i - 1] holds its stage point i >= 1, read through
+    stage().  Stage 0 is states[k+1] itself, so a one-stage (Euler)
+    trajectory stores the n+1 checkpoints and nothing else.  Trajectories
+    compare by identity.
     """
 
     sigma: np.ndarray
@@ -165,6 +166,36 @@ def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
         )
 
 
+def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what: str = "state"):
+    """The forward RK loop from y0 at sig[n] down to sig[0]; slope(x, sigma, k, i) is stage i of step k.
+
+    Returns the n+1 step values, each checked finite, and the (n, s-1, d) stage points 1..s-1.
+    """
+    n, s = len(sig) - 1, tableau.stages
+    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
+    ys = np.empty((n + 1, len(y0)))
+    stage_states = np.empty((n, s - 1, len(y0)))
+    ys[n] = y0
+    _check_finite(ys[n], n, what)
+    slopes: list[np.ndarray | None] = [None] * s
+    for k in range(n - 1, -1, -1):
+        y = ys[k + 1]
+        h = sig[k] - sig[k + 1]  # signed, negative
+        for i in range(s):
+            x = y
+            for j in range(i):
+                if a[i][j] != 0.0:
+                    x = x + h * a[i][j] * slopes[j]
+            if i:
+                stage_states[k, i - 1] = x
+            slopes[i] = slope(x, sig[k + 1] + c[i] * h, k, i)
+        for i in range(s):
+            y = y + h * b[i] * slopes[i]
+        ys[k] = y
+        _check_finite(y, k, what)
+    return ys, stage_states
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(
     model: ScoreModel,
@@ -174,34 +205,14 @@ def _integrate(
     n: int,
     tableau: ButcherTableau,
 ) -> CheckpointTrajectory:
-    """The forward loop: n explicit RK sub-steps of the estimate ODE, stage by stage."""
+    """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != (model.dim,):
         raise ValueError(f"x_t has shape {x_t.shape}, expected ({model.dim},)")
     sigma = make_sub_schedule(schedule, t, n)
-    sig = sigma.tolist()
-    s = tableau.stages
-    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
-    states = np.empty((n + 1, model.dim))
-    stage_states = np.empty((n, s - 1, model.dim))
-    states[n] = schedule.to_scaled(x_t, t)
-    _check_finite(states[n], n)
-    slopes: list[np.ndarray | None] = [None] * s
-    for tau in range(n, 0, -1):
-        y = states[tau]
-        h = sig[tau - 1] - sig[tau]  # signed, negative
-        for i in range(s):
-            x = y
-            for j in range(i):
-                if a[i][j] != 0.0:
-                    x = x + h * a[i][j] * slopes[j]
-            if i:
-                stage_states[tau - 1, i - 1] = x
-            slopes[i] = model.eps(x, sig[tau] + c[i] * h)
-        for i in range(s):
-            y = y + h * b[i] * slopes[i]
-        states[tau - 1] = y
-        _check_finite(y, tau - 1)
+    states, stage_states = _walk(
+        schedule.to_scaled(x_t, t), sigma.tolist(), tableau, lambda x, sig, k, i: model.eps(x, sig)
+    )
     return CheckpointTrajectory(sigma=sigma, tableau=tableau, states=states, stage_states=stage_states)
 
 

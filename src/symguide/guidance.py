@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -118,6 +119,13 @@ class GramStyleLoss(GuidanceLoss):
         return self.feature_map.T @ dY.ravel()
 
 
+def _count(value: object, what: str) -> int:
+    """value as an int; a bool, a float (2.0 included) or a string is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Guidance window, strength, time-travel repeats and estimate-step count.
@@ -128,7 +136,8 @@ class GuidanceConfig:
     sub-steps, at most MAX_SIZE; outside it rho is 0 and each step
     runs once.  Steps whose rho is 0 skip the gradient computation
     entirely (output-equivalent, and keeps guidance-off runs bitwise equal
-    to plain rollouts).
+    to plain rollouts).  The window steps, repeats and n_steps are
+    integers; a float is rejected, never truncated.
     """
 
     window: tuple[int, int]
@@ -137,12 +146,14 @@ class GuidanceConfig:
     n_steps: int = 1
 
     def __post_init__(self) -> None:
-        k1, k2 = (int(self.window[0]), int(self.window[1]))
-        if not 0 < k1 < k2:
-            raise ValueError(f"window must satisfy 0 < K1 < K2, got ({k1}, {k2})")
-        object.__setattr__(self, "window", (k1, k2))
+        window = tuple(_count(k, "window step") for k in self.window)
+        if len(window) != 2 or not 0 < window[0] < window[1]:
+            raise ValueError(f"window must be a pair (K1, K2) with 0 < K1 < K2, got {self.window!r}")
+        object.__setattr__(self, "window", window)
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
+        for name in ("repeats", "n_steps"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.repeats < 1 or self.n_steps < 1:
             raise ValueError("repeats and n_steps must be >= 1")
         if self.n_steps > MAX_SIZE:
@@ -274,8 +285,11 @@ def sag_sample(
     Raises DivergenceError (with step diagnostics) if a state, estimate,
     loss value, gradient or its norm leaves the finite range or the state
     norm passes _NORM_GUARD (1e9).  No numpy floating-point warning escapes.
+    Raises ValueError if the loss and the model differ in dimension.
     """
     config.validate_for(schedule)
+    if loss.dim != model.dim:
+        raise ValueError(f"loss dimension {loss.dim} does not match model dimension {model.dim}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.dim)
     guided_steps: list[dict] = []

@@ -173,11 +173,8 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     with _rejected_as("bad guidance spec: "):
         off = [k for k in _RETIRED_GUIDANCE_KEYS if isinstance(spec, dict) and spec.get(k) in (None, {}, False)]
         _keys(spec, "guidance", _GUIDANCE_REQUIRED, (*_GUIDANCE_OPTIONAL, *off))
-        window = tuple(spec["window"])
-        if len(window) != 2:
-            raise ConfigError(f"guidance window must be a [K1, K2] pair, got {list(window)}")
         guidance = GuidanceConfig(
-            window=tuple(_integer(k, 1, "guidance window step") for k in window),
+            window=tuple(_integer(k, 1, "guidance window step") for k in spec["window"]),
             rho=_real(spec["rho"], "guidance rho"),
             **{k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
         )

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NanModel, rel_err
+from conftest import CountingModel, NanModel, rel_err
 from symguide import (
     AdjointStats,
     AffineModel,
@@ -554,6 +554,15 @@ class TestOverflowRule:
         with pytest.raises(DivergenceError) as info:
             conservation_probe(zero, euler, np.full(2, 1e200), np.full(2, 1e200))
         assert str(info.value) == "non-finite pairing at sub-step tau=0 (finite-part norm 0.000e+00)"
+
+    @pytest.mark.parametrize("tableau, tau", [("euler", 2), ("heun", 3)])
+    def test_probe_stops_at_the_first_non_finite_tangent(self, schedule, tableau, tau):
+        # delta turns inf on the second jvp; no jvp or vjp runs after it.
+        euler, heun = _trajectories(AffineModel(-0.1 * np.eye(2)), schedule)
+        model = CountingModel(AffineModel(-1e200 * np.eye(2)))
+        with pytest.raises(DivergenceError, match=rf"^non-finite tangent at sub-step tau={tau} "):
+            conservation_probe(model, {"euler": euler, "heun": heun}[tableau], np.ones(2), np.ones(2))
+        assert (model.calls["jvp"], model.calls["vjp"]) == (2, 0)
 
 
 def _traced_peak(call):

@@ -199,6 +199,28 @@ class TestGuidanceConfig:
         with pytest.raises(ValueError):
             GuidanceConfig(window=(1, 5), rho=0.1, n_steps=0)
 
+    @pytest.mark.parametrize("name", ["repeats", "n_steps"])
+    @pytest.mark.parametrize("value", [1.5, 2.5, 2.0, True, "2"])
+    def test_counts_must_be_integers(self, name, value):
+        # A non-integer count would otherwise fail later, inside the sampler's loop.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            GuidanceConfig(window=(1, 5), rho=0.1, **{name: value})
+
+    @pytest.mark.parametrize("window", [(1.5, 5), (1, 5.9), ("1", 5), (1, True)])
+    def test_window_steps_must_be_integers(self, window):
+        # A float step is rejected, not truncated: (1, 5.9) does not become (1, 5).
+        with pytest.raises(ValueError, match="^window step must be an integer"):
+            GuidanceConfig(window=window, rho=0.1)
+
+    def test_window_must_be_a_pair(self):
+        with pytest.raises(ValueError, match=r"^window must be a pair \(K1, K2\)"):
+            GuidanceConfig(window=(1, 5, 9), rho=0.1)
+
+    def test_numpy_counts_become_ints(self):
+        cfg = GuidanceConfig(window=(np.int64(1), 5), rho=0.1, repeats=np.int64(2), n_steps=np.int32(3))
+        assert cfg.window == (1, 5) and type(cfg.window[0]) is int
+        assert (type(cfg.repeats), type(cfg.n_steps), cfg.repeats, cfg.n_steps) == (int, int, 2, 3)
+
     def test_n_steps_ceiling(self):
         assert GuidanceConfig(window=(1, 5), rho=0.1, n_steps=MAX_SIZE).n_steps == MAX_SIZE
         with pytest.raises(ValueError, match="MAX_SIZE"):
@@ -245,6 +267,14 @@ class TestSagSample:
             rec = sag_sample(gmm2, schedule, task_loss, cfg, seed)
             assert np.array_equal(rec.final_state, ddim_rollout(gmm2, schedule, seed))
             assert rec.steps_guided == 0
+
+    def test_loss_of_another_dimension_rejected(self, schedule, gmm2):
+        # A 1-d target would broadcast against the 2-d state and guide toward (0, 0).
+        model = CountingModel(gmm2)
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=TASK_RHO)
+        with pytest.raises(ValueError, match="^loss dimension 1 does not match model dimension 2$"):
+            sag_sample(model, schedule, L2TargetLoss([0.0]), cfg, 0)
+        assert not any(model.calls.values())
 
     @pytest.mark.parametrize("scale, t", [(1e3, 48), (1e40, 50)])
     def test_guidance_off_and_rollout_diverge_alike(self, schedule, scale, t):

@@ -3,6 +3,7 @@ import re
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symguide import (
     RunConfig,
     ddim_rollout,
     emit_plots,
+    guidance,
     harness,
     run_ablation_n,
     run_ablation_rho,
@@ -260,27 +262,25 @@ class TestAblationN:
         assert again.to_json_text() == report.to_json_text()
         assert again.to_csv_text() == report.to_csv_text()
 
-    def test_guided_step_time_grows_with_n(self):
-        # eval-dominated model so per-step overhead does not mask the scaling;
-        # per-n minimum over seeds is the noise-robust timing estimator
-        cfg = RunConfig.from_dict(
-            {
-                "schedule": {"T": TASK_T, "beta_min": TASK_BETAS[0], "beta_max": TASK_BETAS[1]},
-                "model": {"kind": "mlp", "widths": [16, 512, 512, 16], "seed": 1},
-                "loss": {"kind": "l2_target", "target": [0.0] * 16},
-                "guidance": {"window": list(TASK_WINDOW), "rho": 0.01, "repeats": 1, "n_steps": 1},
-                "num_seeds": 8,
-                "base_seed": 0,
-                "sweep": {"n_list": [1, 8], "m_curve_samples": [50]},
-            }
-        )
-        report = run_ablation_n(cfg)
+    def test_guided_step_time_grows_with_n(self, monkeypatch):
+        # The sampler's clock reads the model calls made so far, so wall_time_ns counts
+        # the n eps and n vjp calls of each guided step and the ratio is exactly 8.
+        models, gmm = [], harness.GmmModel
+
+        def counting(*args, **kwargs):
+            models.append(CountingModel(gmm(*args, **kwargs)))
+            return models[-1]
+
+        monkeypatch.setattr(harness, "GmmModel", counting)
+        clock = SimpleNamespace(perf_counter_ns=lambda: sum(models[0].calls.values()))
+        monkeypatch.setattr(guidance, "time", clock)
+        report = run_ablation_n(task_config(num_seeds=2, sweep={"n_list": [1, 8], "m_curve_samples": [50]}))
         per_step = {1: [], 8: []}
         for row in report.rows:
             if row["wall_time_ns"] is not None and row["steps_guided"]:
                 per_step[row["n"]].append(row["wall_time_ns"] / row["steps_guided"])
         ratio = min(per_step[8]) / min(per_step[1])
-        assert 4.0 <= ratio <= 12.0
+        assert ratio == 8.0
 
 
 class TestAblationRho:

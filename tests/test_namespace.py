@@ -65,3 +65,11 @@ def test_each_public_function_has_a_user_outside_its_module():
             if inspect.isfunction(getattr(module, public)) and not any(public in names for names in outside):
                 unused.append(f"{name}.{public}")
     assert unused == []
+
+
+def test_stage_points_are_read_through_one_accessor():
+    # The estimator's forward walk writes stage points and CheckpointTrajectory.stage
+    # reads them, so storing fewer of them, or recomputing them, changes one module.
+    package = ROOT / "src" / "symguide"
+    users = [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert [path.name for path in users if "stage_states" in _referenced_names(path)] == ["estimator.py"]
