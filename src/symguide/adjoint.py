@@ -45,7 +45,7 @@ import numpy as np
 # perfbench resolves ButcherTableau and estimate_clean_rk as adjoint attributes.
 from .estimator import ButcherTableau, CheckpointTrajectory, _check_finite, _walk, estimate_clean_rk
 from .models import ScoreModel
-from .schedule import NoiseSchedule, make_sub_schedule
+from .schedule import NoiseSchedule, _count, make_sub_schedule
 
 __all__ = [
     "AdjointStats",
@@ -88,10 +88,12 @@ def _require_euler(traj: CheckpointTrajectory, solver: str) -> None:
         )
 
 
-def _costate_start(model: ScoreModel, grad_at_clean: np.ndarray) -> np.ndarray:
-    lam = np.array(grad_at_clean, dtype=np.float64)
+def _costate_start(model: ScoreModel, lam0: np.ndarray, what: str = "grad_at_clean") -> np.ndarray:
+    """The costate a sweep starts from, a checked copy: every solver's and the probe's one entry."""
+    lam = np.array(lam0, dtype=np.float64)
     if lam.shape != (model.dim,):
-        raise ValueError(f"grad_at_clean has shape {lam.shape}, expected ({model.dim},)")
+        raise ValueError(f"{what} has shape {lam.shape}, expected ({model.dim},)")
+    _check_finite(lam, 0, "costate")
     return lam
 
 
@@ -185,11 +187,11 @@ def _taped_backprop(
     With b = [1] that is g + h J^T g.
     """
     _check_traj(model, traj, schedule, t)
+    g = _costate_start(model, grad_at_clean)
     s = traj.tableau.stages
     a, b = traj.tableau.a.tolist(), traj.tableau.b.tolist()
     tapes = [model.eps_with_tape(*traj.stage(tau, i))[1] for tau in range(traj.n) for i in range(s)]
     sig = traj.sigma
-    g = _costate_start(model, grad_at_clean)
     w: list[np.ndarray | None] = [None] * s
     for tau in range(traj.n):
         h = sig[tau] - sig[tau + 1]  # signed forward step, negative
@@ -244,12 +246,14 @@ def vanilla_adjoint_grad(
     and the current grid sigma -- deliberately reproducing the
     discretization error the symplectic solver avoids.
     """
-    if int(n_back) < 1:
+    n_back = _count(n_back, "n_back")
+    if n_back < 1:
         raise ValueError(f"n_back must be >= 1, got {n_back}")
-    sig = make_sub_schedule(schedule, t, int(n_back))
-    x_bar = np.asarray(x_clean, dtype=np.float64).copy()  # sqrt(alpha_0) = 1
-    lam = np.array(grad_at_clean, dtype=np.float64)
-    for tau in range(int(n_back)):
+    sig = make_sub_schedule(schedule, t, n_back)
+    x_bar = np.array(x_clean, dtype=np.float64)  # sqrt(alpha_0) = 1
+    _check_finite(x_bar, 0)
+    lam = _costate_start(model, grad_at_clean)
+    for tau in range(n_back):
         h = sig[tau + 1] - sig[tau]
         e = model.eps(x_bar, float(sig[tau]))
         g = model.vjp(x_bar, float(sig[tau]), lam)
@@ -258,7 +262,7 @@ def vanilla_adjoint_grad(
         _check_finite(x_bar, tau + 1)
         _check_finite(lam, tau + 1, "costate")
     grad = schedule.to_scaled(lam, t)
-    _check_finite(grad, int(n_back), "gradient")
+    _check_finite(grad, n_back, "gradient")
     return grad
 
 
@@ -302,15 +306,13 @@ def conservation_probe(
     tableau whose costate coefficients satisfy the conjugacy identity, S is
     constant up to roundoff.
     """
-    d = traj.states.shape[1]
-    v0 = np.asarray(v0, dtype=np.float64)
-    lambda0 = np.asarray(lambda0, dtype=np.float64)
-    if v0.shape != (d,) or lambda0.shape != (d,):
-        raise ValueError("v0 and lambda0 must match the trajectory dimension")
+    lambda0 = _costate_start(model, lambda0, "lambda0")
+    if np.shape(v0) != lambda0.shape:
+        raise ValueError(f"v0 and lambda0 must have the same shape, got {np.shape(v0)} and {lambda0.shape}")
     deltas, _ = _walk(
         v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _, k, i: model.jvp(*traj.stage(k, i), d_i), "tangent"
     )
-    lams = np.empty((traj.n + 1, d))
+    lams = np.empty((traj.n + 1, len(lambda0)))
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)
     pairing = np.einsum("td,td->t", lams, deltas)

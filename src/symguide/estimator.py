@@ -30,7 +30,7 @@ import numpy as np
 
 from .models import ScoreModel
 # Imported by name: perfbench traces make_sub_schedule through this module's attribute.
-from .schedule import NoiseSchedule, make_sub_schedule
+from .schedule import NoiseSchedule, _count, make_sub_schedule
 
 __all__ = [
     "DivergenceError",
@@ -266,7 +266,8 @@ def estimation_error_curve(
     Raises DivergenceError if an estimate leaves the finite range, or if a
     point's mean error or stderr is not finite.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_count(n, "n") for n in n_list]
+    n_ref, num_samples = _count(n_ref, "n_ref"), _count(num_samples, "num_samples")
     if min(n_list) < 1:
         raise ValueError("all n must be >= 1")
     if n_ref < 8 * max(n_list):

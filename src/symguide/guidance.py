@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .adjoint import symplectic_euler_grad
 from .estimator import DivergenceError, estimate_clean
 from .models import ScoreModel
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, _count, _real
 
 __all__ = [
     "GuidanceLoss",
@@ -119,13 +118,6 @@ class GramStyleLoss(GuidanceLoss):
         return self.feature_map.T @ dY.ravel()
 
 
-def _count(value: object, what: str) -> int:
-    """value as an int; a bool, a float (2.0 included) or a string is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Guidance window, strength, time-travel repeats and estimate-step count.
@@ -137,7 +129,8 @@ class GuidanceConfig:
     runs once.  Steps whose rho is 0 skip the gradient computation
     entirely (output-equivalent, and keeps guidance-off runs bitwise equal
     to plain rollouts).  The window steps, repeats and n_steps are
-    integers; a float is rejected, never truncated.
+    integers and rho a finite real; a bool, a string or a float count
+    (2.0 too) is rejected, never truncated or parsed.
     """
 
     window: tuple[int, int]
@@ -150,8 +143,9 @@ class GuidanceConfig:
         if len(window) != 2 or not 0 < window[0] < window[1]:
             raise ValueError(f"window must be a pair (K1, K2) with 0 < K1 < K2, got {self.window!r}")
         object.__setattr__(self, "window", window)
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
+        object.__setattr__(self, "rho", _real(self.rho, "rho"))
+        if self.rho < 0.0:
+            raise ValueError(f"rho must be non-negative, got {self.rho!r}")
         for name in ("repeats", "n_steps"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.repeats < 1 or self.n_steps < 1:
@@ -169,7 +163,7 @@ class GuidanceConfig:
         return self.window[0] <= t <= self.window[1]
 
     def rho_at(self, t: int) -> float:
-        return float(self.rho) if self.in_window(t) else 0.0
+        return self.rho if self.in_window(t) else 0.0
 
     def repeats_at(self, t: int) -> int:
         return self.repeats if self.in_window(t) else 1

@@ -49,7 +49,7 @@ from .guidance import (
     sag_sample,
 )
 from .models import AffineModel, GmmModel, MlpModel, ScoreModel
-from .schedule import NoiseSchedule, build_linear_schedule
+from .schedule import NoiseSchedule, _real, build_linear_schedule
 from .svgplot import line_plot_svg, table_svg
 
 __all__ = [
@@ -97,11 +97,8 @@ def build_schedule(spec: dict) -> NoiseSchedule:
             _keys(spec, "explicit schedule", ("alpha",))
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         _keys(spec, "linear schedule", ("T", "beta_min", "beta_max"))
-        return build_linear_schedule(
-            _integer(spec["T"], 2, "schedule T", MAX_SIZE),
-            _real(spec["beta_min"], "schedule beta_min"),
-            _real(spec["beta_max"], "schedule beta_max"),
-        )
+        T = _integer(spec["T"], 2, "schedule T", MAX_SIZE)
+        return build_linear_schedule(T, spec["beta_min"], spec["beta_max"])
 
 
 # The most weights and biases an MLP may hold (512 MiB of float64).
@@ -129,11 +126,11 @@ def build_model(spec: dict) -> ScoreModel:
                 if not path.exists():
                     raise ConfigError(f"mlp weights file not found: {path}")
                 obj = json.loads(path.read_text())
-                _mlp_widths(obj["widths"])
+                widths = _mlp_widths(obj["widths"])
                 for layer in obj["layers"]:
                     _real_array(layer["W"], "mlp layer W")
                     _real_array(layer["b"], "mlp layer b")
-                return MlpModel.from_json_dict(obj)
+                return MlpModel.from_json_dict({**obj, "widths": widths})
             _keys(spec, "mlp model", ("kind", "widths"), ("seed",))
             return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
@@ -175,7 +172,7 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
         _keys(spec, "guidance", _GUIDANCE_REQUIRED, (*_GUIDANCE_OPTIONAL, *off))
         guidance = GuidanceConfig(
             window=tuple(_integer(k, 1, "guidance window step") for k in spec["window"]),
-            rho=_real(spec["rho"], "guidance rho"),
+            rho=spec["rho"],
             **{k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
         )
         guidance.validate_for(schedule)
@@ -193,14 +190,6 @@ def _integer(value: Any, least: int, what: str, most: int = sys.maxsize) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not least <= value <= most:
         raise ConfigError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
     return int(value)
-
-
-def _real(value: Any, what: str) -> float:
-    """A finite JSON number; booleans, strings and null do not count."""
-    # NaN fails the bound too.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _real_array(value: Any, what: str) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, _count, _real
 
 __all__ = [
     "ScoreModel",
@@ -107,28 +107,25 @@ class GmmModel(ScoreModel):
         self.log_weights = log_weights
         self.dim = means.shape[1]
 
-    def _responsibilities(self, x_bar: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    def _responsibilities(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """r_k and x_bar - mu_k at x_bar, with a = 1/(1+sigma^2) and c = sigma/(1+sigma^2)."""
+        a = 1.0 / (1.0 + sigma * sigma)
+        c = sigma / (1.0 + sigma * sigma)
         diffs = x_bar[None, :] - self.means  # (K, d)
         logits = self.log_weights - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
         logits -= np.maximum.reduce(logits)
         r = np.exp(logits)
         r /= np.add.reduce(r)
-        return r, diffs
+        return r, diffs, a, c
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
-        x_bar = self._check_vec(x_bar)
-        a = 1.0 / (1.0 + sigma * sigma)
-        c = sigma / (1.0 + sigma * sigma)
-        r, diffs = self._responsibilities(x_bar, a)
+        r, diffs, _, c = self._responsibilities(self._check_vec(x_bar), sigma)
         return c * (r @ diffs)
 
     def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         # Analytic route: J = c (I - a Cov_r(mu)) formed explicitly.
-        x_bar = self._check_vec(x_bar)
         v = self._check_vec(v, "v")
-        a = 1.0 / (1.0 + sigma * sigma)
-        c = sigma / (1.0 + sigma * sigma)
-        r, diffs = self._responsibilities(x_bar, a)
+        r, _, a, c = self._responsibilities(self._check_vec(x_bar), sigma)
         m = r @ self.means
         centered = self.means - m[None, :]
         cov = (centered * r[:, None]).T @ centered
@@ -139,10 +136,7 @@ class GmmModel(ScoreModel):
         return self.vjp(x_bar, sigma, v)
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        x_bar = self._check_vec(x_bar)
-        a = 1.0 / (1.0 + sigma * sigma)
-        c = sigma / (1.0 + sigma * sigma)
-        r, diffs = self._responsibilities(x_bar, a)
+        r, diffs, a, c = self._responsibilities(self._check_vec(x_bar), sigma)
         tape = [r, diffs, np.array([a, c])]
         return c * (r @ diffs), tape
 
@@ -161,6 +155,7 @@ class GmmModel(ScoreModel):
     ) -> np.ndarray:
         """Draw data samples and forward-corrupt them to step t."""
         a = schedule.alpha[schedule._check_step(t)]
+        size = _count(size, "size")
         comps = rng.choice(len(self.weights), size=size, p=self.weights)
         x0 = self.means[comps] + rng.standard_normal((size, self.dim))
         noise = rng.standard_normal((size, self.dim))
@@ -183,7 +178,7 @@ class MlpModel(ScoreModel):
         layers: Sequence[tuple[np.ndarray, np.ndarray]],
         seed: int | None = None,
     ) -> None:
-        widths = [int(w) for w in widths]
+        widths = [_count(w, "width") for w in widths]
         if len(widths) < 2 or widths[0] != widths[-1]:
             raise ValueError("widths must have first == last == data dimension")
         if any(w < 1 for w in widths):
@@ -213,7 +208,7 @@ class MlpModel(ScoreModel):
     def random(cls, widths: Sequence[int], seed: int) -> "MlpModel":
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init from a recorded seed."""
         rng = np.random.default_rng(seed)
-        widths = [int(w) for w in widths]
+        widths = [_count(w, "width") for w in widths]
         layers = []
         for l in range(len(widths) - 1):
             fan_in = widths[l] + 1 if l == 0 else widths[l]
@@ -280,8 +275,7 @@ class MlpModel(ScoreModel):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MlpModel":
-        layers = [(np.asarray(l["W"]), np.asarray(l["b"])) for l in obj["layers"]]
-        return cls(obj["widths"], layers, seed=obj.get("seed"))
+        return cls(obj["widths"], [(l["W"], l["b"]) for l in obj["layers"]], seed=obj.get("seed"))
 
 
 class AffineModel(ScoreModel):
@@ -306,7 +300,7 @@ class AffineModel(ScoreModel):
 
     @classmethod
     def zero(cls, dim: int) -> "AffineModel":
-        return cls(np.zeros((dim, dim)))
+        return cls(np.zeros((_count(dim, "dim"),) * 2))
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         x_bar = self._check_vec(x_bar)
@@ -351,6 +345,7 @@ def finite_diff_vjp(
     Test oracle: differentiates x -> v . eps(x / sqrt(a_t), sigma_t) one
     coordinate at a time; agreement with vjp_at_step is O(h^2).
     """
+    h = _real(h, "h")
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)

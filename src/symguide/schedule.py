@@ -12,20 +12,39 @@ Everything downstream works in the reparameterized coordinates
 in which the deterministic sampler becomes an ODE d x_bar = eps_bar d sigma.
 sigma is strictly increasing in t and sigma(0) = 0.  All arithmetic is
 float64.  This module owns the step geometry: the step range, the pull-back
-to scaled coordinates, and the sub-step sigma grids of the n-step estimate
-(make_sub_schedule).  A schedule's values are immutable after
-construction; its only mutable part is a memo of the read-only sub-step
-grids, at most one per (t, n).
+to scaled coordinates, the sub-step sigma grids of the n-step estimate
+(make_sub_schedule), and the one rule for every count and step index of the
+public API (_count) and for every real parameter (_real).  A schedule's
+values are immutable after construction; its only mutable part is a memo of
+the read-only sub-step grids, at most one per (t, n).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["NoiseSchedule", "build_linear_schedule", "make_sub_schedule"]
+
+
+def _count(value: object, what: str) -> int:
+    """An int or numpy integer as an int; a bool, a float (2.0 too) or a string is rejected, not truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value: object, what: str) -> float:
+    """value as a float; a bool, a string, None, an inf or a NaN (which fails the bound) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +92,7 @@ class NoiseSchedule:
 
     def _check_step(self, t: int, least: int = 0) -> int:
         """t as an int in [least, T]; a step that starts an update needs least = 1."""
-        t = int(t)
+        t = _count(t, "step index")
         if not least <= t <= self.num_steps:
             raise ValueError(f"step index {t} outside [{least}, {self.num_steps}]")
         return t
@@ -103,7 +122,7 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     array.
     """
     t = schedule._check_step(t, 1)
-    n = int(n)
+    n = _count(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sigma = schedule._sub_grids.get((t, n))
@@ -144,11 +163,10 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
     beta_s runs linearly from beta_min (s=1) to beta_max (s=T) and
     alpha[t] = prod_{s<=t} (1 - beta_s), alpha[0] = 1.
     """
-    T = int(T)
+    T = _count(T, "T")
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
-    beta_min = float(beta_min)
-    beta_max = float(beta_max)
+    beta_min, beta_max = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
     for name, b in (("beta_min", beta_min), ("beta_max", beta_max)):
         if not 0.0 < b < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {b}")

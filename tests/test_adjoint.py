@@ -522,6 +522,13 @@ OVERFLOWING = {
 PULLED_BACK = {name: call for name, call in OVERFLOWING.items() if name.endswith("_grad")}
 
 
+# The five gradient solvers and the probe, handed the costate g to start from.
+COSTATE_ENTRIES = {
+    **PULLED_BACK,
+    "conservation_probe": lambda m, sch, euler, heun, g: conservation_probe(m, euler, np.ones(2), g),
+}
+
+
 def _trajectories(model, schedule):
     euler = estimate_clean(model, schedule, np.ones(2), 35, 4)
     return euler, estimate_clean_rk(model, schedule, np.ones(2), 35, 4, ButcherTableau.heun())
@@ -563,6 +570,20 @@ class TestOverflowRule:
         with pytest.raises(DivergenceError, match=rf"^non-finite tangent at sub-step tau={tau} "):
             conservation_probe(model, {"euler": euler, "heun": heun}[tableau], np.ones(2), np.ones(2))
         assert (model.calls["jvp"], model.calls["vjp"]) == (2, 0)
+
+    @pytest.mark.parametrize("entry", sorted(COSTATE_ENTRIES))
+    def test_non_finite_costate_is_rejected_before_any_model_call(self, schedule, entry):
+        euler, heun = _trajectories(AffineModel(-0.1 * np.eye(2)), schedule)
+        model = CountingModel(AffineModel(-0.1 * np.eye(2)))
+        with pytest.raises(DivergenceError, match=r"^non-finite costate at sub-step tau=0 "):
+            COSTATE_ENTRIES[entry](model, schedule, euler, heun, np.array([np.inf, 0.0]))
+        assert model.calls == dict.fromkeys(model.calls, 0)
+
+    def test_vanilla_rejects_a_non_finite_clean_state_before_any_model_call(self, schedule):
+        model = CountingModel(AffineModel(-0.1 * np.eye(2)))
+        with pytest.raises(DivergenceError, match=r"^non-finite state at sub-step tau=0 "):
+            vanilla_adjoint_grad(model, np.array([np.nan, 0.0]), np.ones(2), schedule, 35, 4)
+        assert model.calls == dict.fromkeys(model.calls, 0)
 
 
 def _traced_peak(call):

@@ -22,6 +22,7 @@ from symguide import (
     DivergenceError,
     GuidanceConfig,
     L2TargetLoss,
+    MlpModel,
     RunConfig,
     ddim_rollout,
     emit_plots,
@@ -140,6 +141,15 @@ class TestConfig:
             build_model({"kind": "mlp", "weights_file": str(path)})
         for widths in ([2, MAX_SIZE, 2], [16, 256, 256, 16]):
             assert build_model({"kind": "mlp", "widths": widths}).widths == widths
+
+    def test_weights_file_with_integral_float_widths_loads(self, tmp_path):
+        # JSON counts 2.0 as an integer, and the loader hands MlpModel the ints it checked.
+        mlp = MlpModel.random([2, 4, 2], seed=0)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({**mlp.to_json_dict(), "widths": [2.0, 4.0, 2.0]}))
+        loaded = build_model({"kind": "mlp", "weights_file": str(path)})
+        assert loaded.widths == [2, 4, 2]
+        assert loaded.eps(np.ones(2), 1.0).tobytes() == mlp.eps(np.ones(2), 1.0).tobytes()
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -73,3 +73,31 @@ def test_stage_points_are_read_through_one_accessor():
     package = ROOT / "src" / "symguide"
     users = [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     assert [path.name for path in users if "stage_states" in _referenced_names(path)] == ["estimator.py"]
+
+
+def test_counts_are_converted_by_one_rule():
+    # A count or step index goes through schedule._count, which rejects what int() would
+    # truncate: no int(...) elsewhere in these modules takes a parameter or a loop variable.
+    package = ROOT / "src" / "symguide"
+    defined = [
+        (path.stem, node.name)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_count", "_real")
+    ]
+    assert sorted(defined) == [("schedule", "_count"), ("schedule", "_real")]
+    truncating = []
+    for name in ("schedule", "models", "estimator", "adjoint", "guidance"):
+        for func in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)) or getattr(func, "name", "") == "_count":
+                continue
+            bound = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+            for loop in ast.walk(func):
+                if isinstance(loop, (ast.For, ast.comprehension)):
+                    bound |= {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "int":
+                    used = {n.id for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                    if used & bound:
+                        truncating.append(f"{name}.py:{call.lineno}")
+    assert truncating == []

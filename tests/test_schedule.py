@@ -1,9 +1,25 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from symguide import NoiseSchedule, build_linear_schedule
+from conftest import TASK_BETAS, TASK_T, CountingModel
+from symguide import (
+    AffineModel,
+    GuidanceConfig,
+    MlpModel,
+    NoiseSchedule,
+    build_linear_schedule,
+    ddim_step,
+    finite_diff_vjp,
+    estimate_clean,
+    estimation_error_curve,
+    make_sub_schedule,
+    symplectic_euler_grad,
+    time_travel_renoise,
+    vanilla_adjoint_grad,
+)
 
 # Cumulative product for T=1000, betas 1e-4..0.02, computed by an
 # independent pure-python loop before the build.
@@ -116,3 +132,105 @@ def test_rejects_invalid_alpha(alpha):
 def test_alpha_is_immutable(schedule):
     with pytest.raises(ValueError):
         schedule.alpha[0] = 0.5
+
+
+def _mlp_eps(widths, layers=None):
+    mlp = MlpModel.random(widths, 0) if layers is None else MlpModel(widths, layers)
+    return mlp.eps(np.ones(2), 1.0)
+
+
+# Two layers for widths [2, 3, 2]; the first also takes sigma.
+MLP_LAYERS = [(np.full((3, 3), 0.1), np.zeros(3)), (np.full((2, 3), 0.1), np.zeros(2))]
+
+
+def _traj(model, schedule):
+    return estimate_clean(model.inner, schedule, np.ones(2), 35, 4)
+
+
+def _curve(model, schedule, n, n_ref, num_samples):
+    points = estimation_error_curve(model, schedule, 35, [n], n_ref, num_samples, 0)
+    return [(p.mean_error, p.stderr) for p in points]
+
+
+# Every count and step index of the public API: a call that puts v in that one
+# argument, on a model m and the task schedule, and the value it runs with.
+INTEGER_ARGUMENTS = {
+    "sigma t": (lambda m, sch, v: sch.sigma(v), 35),
+    "to_scaled t": (lambda m, sch, v: sch.to_scaled(np.ones(2), v), 35),
+    "make_sub_schedule t": (lambda m, sch, v: make_sub_schedule(sch, v, 4), 35),
+    "make_sub_schedule n": (lambda m, sch, v: make_sub_schedule(sch, 35, v), 4),
+    "build_linear_schedule T": (lambda m, sch, v: build_linear_schedule(v, *TASK_BETAS).alpha, TASK_T),
+    "MlpModel.random width": (lambda m, sch, v: _mlp_eps([2, v, 2]), 8),
+    "MlpModel width": (lambda m, sch, v: _mlp_eps([2, v, 2], MLP_LAYERS), 3),
+    "AffineModel.zero dim": (lambda m, sch, v: AffineModel.zero(v).matrix, 2),
+    "GmmModel.sample_marginal t": (
+        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, v, 50), 35
+    ),
+    "GmmModel.sample_marginal size": (
+        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, 35, v), 50
+    ),
+    "ddim_step t": (lambda m, sch, v: ddim_step(m, sch, np.ones(2), v), 35),
+    "time_travel_renoise t": (
+        lambda m, sch, v: time_travel_renoise(np.ones(2), sch, v, np.random.default_rng(0)), 35
+    ),
+    "estimate_clean t": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), v, 4).states, 35),
+    "estimate_clean n": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), 35, v).states, 4),
+    "estimation_error_curve n": (lambda m, sch, v: _curve(m, sch, v, 8, 50), 1),
+    "estimation_error_curve n_ref": (lambda m, sch, v: _curve(m, sch, 1, v, 50), 8),
+    "estimation_error_curve num_samples": (lambda m, sch, v: _curve(m, sch, 1, 8, v), 50),
+    "symplectic_euler_grad t": (
+        lambda m, sch, v: symplectic_euler_grad(m, _traj(m, sch), np.ones(2), sch, v), 35
+    ),
+    "vanilla_adjoint_grad t": (
+        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, v, 4), 35
+    ),
+    "vanilla_adjoint_grad n_back": (
+        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, 35, v), 4
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_non_integer_count_is_rejected_before_any_model_call(schedule, gmm2, argument, value):
+    # A fraction is never truncated, a bool never counts as 1, a string is never parsed.
+    model = CountingModel(gmm2)
+    with pytest.raises(ValueError, match=rf"must be an integer, got {re.escape(repr(value))}$"):
+        INTEGER_ARGUMENTS[argument][0](model, schedule, value)
+    assert model.calls == dict.fromkeys(model.calls, 0)
+
+
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_numpy_integer_count_gives_the_same_bits(schedule, gmm2, argument):
+    call, value = INTEGER_ARGUMENTS[argument]
+    model = CountingModel(gmm2)
+    expected = np.asarray(call(model, schedule, value))
+    for numpy_value in (np.int64(value), np.int32(value)):
+        got = np.asarray(call(model, schedule, numpy_value))
+        assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+REAL_ARGUMENTS = {
+    "beta_min": lambda v: build_linear_schedule(TASK_T, v, TASK_BETAS[1]).alpha,
+    "beta_max": lambda v: build_linear_schedule(TASK_T, TASK_BETAS[0], v).alpha,
+    "rho": lambda v: GuidanceConfig(window=(1, 5), rho=v).rho_at(3),
+    "h": lambda v: finite_diff_vjp(
+        AffineModel(np.eye(2)), np.ones(2), build_linear_schedule(TASK_T, *TASK_BETAS), 35, np.ones(2), v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_non_real_parameter_is_rejected(name, value):
+    # rho=True guided at strength 1.0, and float("0.004") parsed a string.
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {re.escape(repr(value))}$"):
+        REAL_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_numpy_real_parameter_gives_the_same_bits(name):
+    value = {"beta_min": 0.004, "beta_max": 0.35, "rho": 0.1, "h": 1e-3}[name]
+    expected = np.asarray(REAL_ARGUMENTS[name](value))
+    got = np.asarray(REAL_ARGUMENTS[name](np.float64(value)))
+    assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
