@@ -268,6 +268,8 @@ def estimation_error_curve(
     """
     n_list = [_count(n, "n") for n in n_list]
     n_ref, num_samples = _count(n_ref, "n_ref"), _count(num_samples, "num_samples")
+    if not n_list:
+        raise ValueError("n_list must hold at least one n")
     if min(n_list) < 1:
         raise ValueError("all n must be >= 1")
     if n_ref < 8 * max(n_list):

@@ -7,8 +7,16 @@ Every model implements the scaled-coordinate interface
     jvp(x_bar, sigma, v)   -> (d eps / d x_bar) v, exact
 
 evaluated at arbitrary sigma >= 0 so the n-step estimator can query
-interpolated sub-steps.  Models are immutable and their calls are pure,
-so shared instances are safe under concurrency.
+interpolated sub-steps.  Every output is a pure function of the model's
+parameters and the call's arguments.  MlpModel and AffineModel keep no
+state between calls.  GmmModel keeps one bounded memo: the mixture
+responsibilities of its last _MEMO_CAPACITY points, keyed on the exact
+bits of (x_bar, sigma) and evicted first in, first out, much as
+NoiseSchedule memoises its sub-step grids.  Entries are read-only and
+inserts and evictions hold a module lock, so a shared instance stays safe
+under concurrency; a copy or a pickle starts with an empty memo.  A hit
+skips only the responsibility computation: the same points give the same
+bits whether the memo served them or not.
 
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
@@ -29,6 +37,8 @@ Three families ship:
 from __future__ import annotations
 
 import abc
+import struct
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +53,15 @@ __all__ = [
     "vjp_at_step",
     "finite_diff_vjp",
 ]
+
+# Points a GmmModel keeps the responsibilities of.  A guided step computes n
+# points (ddim_step's and n - 1 sub-steps) and its costate sweep revisits all
+# n, so any n <= 64 finds them; past that a point is recomputed, to the same bits.
+_MEMO_CAPACITY = 64
+# One lock for every GmmModel's inserts and evictions: held for a dict update, and
+# kept off the instances so that a model still copies and pickles.
+_MEMO_LOCK = threading.Lock()
+_F64 = struct.Struct("<d")
 
 
 class ScoreModel(abc.ABC):
@@ -106,9 +125,33 @@ class GmmModel(ScoreModel):
         self.means = means
         self.log_weights = log_weights
         self.dim = means.shape[1]
+        self._memo: dict[bytes, tuple[np.ndarray, np.ndarray, float, float]] = {}
+
+    def __getstate__(self) -> dict:
+        # A copy or pickle starts cold: copied arrays lose their read-only flag.
+        return {**vars(self), "_memo": {}}
 
     def _responsibilities(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """r_k and x_bar - mu_k at x_bar, with a = 1/(1+sigma^2) and c = sigma/(1+sigma^2)."""
+        """(r, diffs, a, c) at a float64 (d,) x_bar, served from the memo when these bits came before.
+
+        The key is x_bar's bytes and sigma's bits, so -0.0 and 0.0 differ.  Only a
+        float sigma (np.float64 included) is memoised: any other type keeps its own
+        arithmetic and is computed afresh.
+        """
+        if not isinstance(sigma, float):
+            return self._mixture(x_bar, sigma)
+        key = x_bar.tobytes() + _F64.pack(sigma)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._mixture(x_bar, sigma)
+            with _MEMO_LOCK:
+                if len(self._memo) >= _MEMO_CAPACITY:
+                    del self._memo[next(iter(self._memo))]
+                self._memo[key] = out
+        return out
+
+    def _mixture(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Read-only r_k and x_bar - mu_k at x_bar, with a = 1/(1+sigma^2) and c = sigma/(1+sigma^2)."""
         a = 1.0 / (1.0 + sigma * sigma)
         c = sigma / (1.0 + sigma * sigma)
         diffs = x_bar[None, :] - self.means  # (K, d)
@@ -116,6 +159,8 @@ class GmmModel(ScoreModel):
         logits -= np.maximum.reduce(logits)
         r = np.exp(logits)
         r /= np.add.reduce(r)
+        r.setflags(write=False)
+        diffs.setflags(write=False)
         return r, diffs, a, c
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:

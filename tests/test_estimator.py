@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TASK_BETAS, TASK_T, NanModel, rel_err
+from conftest import TASK_BETAS, TASK_T, CountingModel, NanModel, rel_err
 from symguide import (
     AffineModel,
     DivergenceError,
@@ -225,6 +225,12 @@ class TestErrorCurve:
             estimation_error_curve(gmm2, schedule, 35, [1, 2, 4], 16, 50, seed=0)
         with pytest.raises(ValueError, match="num_samples"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 10, seed=0)
+
+    def test_empty_n_list_is_named_before_any_model_call(self, schedule, gmm2):
+        model = CountingModel(gmm2)
+        with pytest.raises(ValueError, match="^n_list must hold at least one n$"):
+            estimation_error_curve(model, schedule, 35, [], 8, 50, seed=0)
+        assert not any(model.calls.values())
 
     def test_overflowing_errors_are_a_divergence(self, schedule):
         # Each estimate is finite, but its distance to the reference overflows.

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, rel_err
+from symguide import models
 from symguide import (
     AffineModel,
     ButcherTableau,
     DivergenceError,
+    GmmModel,
     GramStyleLoss,
     GuidanceConfig,
     L2TargetLoss,
@@ -300,6 +302,35 @@ class TestSagSample:
         G = r * W if rho > 0.0 else 0
         expected = {"eps": T + (r - 1) * W + G * n, "vjp": G * n}
         assert model.calls == {**dict.fromkeys(model.calls, 0), **expected}
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=sample_cases())
+    @example(case=(50, 15, 35, 1, 4, TASK_RHO))  # configs/default.json: 113 of 218 evaluated
+    def test_each_point_is_evaluated_once(self, gmm2, task_loss, case):
+        # The calls above stay; the mixture is evaluated once per distinct point. A guided
+        # step's first eps meets ddim_step's point and its costate sweep meets the n forward
+        # points, so each of the G guided steps adds n - 1 points to the T + (r-1)*W steps.
+        T, k1, k2, r, n, rho = case
+        assert n + 1 <= models._MEMO_CAPACITY
+        model = GmmModel(gmm2.weights, gmm2.means)
+        evaluated = []
+        mixture = model._mixture
+        model._mixture = lambda x_bar, sigma: evaluated.append(1) or mixture(x_bar, sigma)
+        cfg = GuidanceConfig(window=(k1, k2), rho=rho, repeats=r, n_steps=n)
+        sag_sample(model, build_linear_schedule(T, *TASK_BETAS), task_loss, cfg, 0)
+        W = k2 - k1 + 1
+        G = r * W if rho > 0.0 else 0
+        assert len(evaluated) == T + (r - 1) * W + G * (n - 1)
+
+    def test_more_sub_steps_than_the_memo_holds_match_the_memo_free_run(self, schedule, gmm2, task_loss):
+        # Past the capacity the sweep recomputes the evicted points, to the same bits.
+        memo_free = GmmModel(gmm2.weights, gmm2.means)
+        memo_free._responsibilities = memo_free._mixture
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=TASK_RHO, repeats=2, n_steps=models._MEMO_CAPACITY + 36)
+        records = [sag_sample(m, schedule, task_loss, cfg, 3) for m in (GmmModel(gmm2.weights, gmm2.means), memo_free)]
+        assert records[0].final_state.tobytes() == records[1].final_state.tobytes()
+        assert records[0].guided_steps == records[1].guided_steps
+        assert records[0].final_loss.hex() == records[1].final_loss.hex()
 
     def test_single_step_mode_matches_independent_baseline_bitwise(self, schedule, gmm2, task_loss):
         def one_step_guided_sample(model, sch, loss, window, rho, seed):

@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
+from symguide import models
 from symguide import (
     AffineModel,
     GmmModel,
@@ -157,6 +162,142 @@ class TestGmm:
         # Inputs that are not float64 ndarrays are converted first, to the same bits.
         assert model.eps(x_bar.tolist(), sigma).tobytes() == eps.tobytes()
         assert model.vjp(x_bar.tolist(), sigma, v.tolist()).tobytes() == vjp.tobytes()
+
+
+def _fresh(model: GmmModel) -> GmmModel:
+    """A cold copy of a mixture: same parameters, empty memo."""
+    return GmmModel(model.weights, model.means)
+
+
+def _all_calls(model: GmmModel, x_bar, sigma, v) -> list[bytes]:
+    """The bits of all five model methods at one point, taped vjp included."""
+    eps, tape = model.eps_with_tape(x_bar, sigma)
+    return [
+        model.eps(x_bar, sigma).tobytes(),
+        model.vjp(x_bar, sigma, v).tobytes(),
+        model.jvp(x_bar, sigma, v).tobytes(),
+        eps.tobytes(),
+        *(arr.tobytes() for arr in tape),
+        model.vjp_from_tape(tape, v).tobytes(),
+    ]
+
+
+@st.composite
+def memo_cases(draw):
+    """A gmm_cases draw whose point and sigma come in the shapes and types a caller may pass."""
+    model, x_bar, sigma, v = draw(gmm_cases())
+    form = draw(st.sampled_from(["plain", "strided", "integer", "list"]))
+    if form == "strided":
+        x_bar = np.repeat(x_bar, 2)[::2]  # a non-contiguous view
+    elif form == "integer":
+        x_bar = np.round(x_bar).astype(np.int64)
+    elif form == "list":
+        x_bar = x_bar.tolist()
+    sigma = draw(st.sampled_from([sigma, np.float64(sigma), 0.0, -0.0]))
+    return model, x_bar, sigma, v
+
+
+class TestGmmMemo:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=memo_cases(), other_sigma=st.floats(0.0, 80.0))
+    def test_warm_calls_equal_cold_calls_bitwise(self, case, other_sigma):
+        model, x_bar, sigma, v = case
+        warm = _fresh(model)
+        # Warm the memo at the same point under every sigma spelling, the other zero included.
+        for s in (sigma, float(sigma), np.float64(sigma), -sigma, other_sigma):
+            _all_calls(warm, x_bar, s, v)
+        assert _all_calls(warm, x_bar, sigma, v) == _all_calls(_fresh(model), x_bar, sigma, v)
+
+    def test_signed_zero_sigmas_keep_their_own_bits(self):
+        model = GmmModel([0.5, 0.5], [[-1.0, 2.0], [1.0, -0.5]])
+        x_bar = np.array([0.3, -0.7])
+        plus, minus = _fresh(model).eps(x_bar, 0.0), _fresh(model).eps(x_bar, -0.0)
+        assert plus.tobytes() != minus.tobytes()  # c = sigma / (1 + sigma^2) keeps the sign
+        model.eps(x_bar, -0.0)
+        assert model.eps(x_bar, 0.0).tobytes() == plus.tobytes()
+        assert model.eps(x_bar, -0.0).tobytes() == minus.tobytes()
+
+    def test_instances_never_share_entries(self):
+        x_bar, v = np.array([0.4, -1.2]), np.array([1.0, 0.5])
+        a = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
+        b = GmmModel([0.5, 0.5], [[-3.0, 1.0], [2.0, 0.0]])
+        for model in (a, b):
+            _all_calls(model, x_bar, 1.3, v)
+        assert a._memo is not b._memo
+        for model in (a, b):
+            assert _all_calls(model, x_bar, 1.3, v) == _all_calls(_fresh(model), x_bar, 1.3, v)
+        assert a.eps(x_bar, 1.3).tobytes() != b.eps(x_bar, 1.3).tobytes()
+
+    def test_bounded_first_in_first_out_and_evictions_recompute_the_same_bits(self):
+        model = GmmModel([0.3, 0.7], [[-1.0, 0.5], [2.0, -0.5]])
+        computed = []
+        mixture = model._mixture
+        model._mixture = lambda x_bar, sigma: computed.append(1) or mixture(x_bar, sigma)
+        cap = models._MEMO_CAPACITY
+        points = np.random.default_rng(4).standard_normal((3 * cap, 2))
+        first = [model.eps(x, 0.9).tobytes() for x in points[:cap]]
+        for x in points[cap:]:
+            model.eps(x, 0.9)
+            assert len(model._memo) == cap
+        assert len(computed) == 3 * cap
+        for x in points[-cap:]:  # the last cap points stay
+            model.vjp(x, 0.9, x)
+        assert len(computed) == 3 * cap
+        assert [model.eps(x, 0.9).tobytes() for x in points[:cap]] == first
+        assert len(computed) == 4 * cap
+
+    def test_entries_are_read_only(self):
+        model = GmmModel([0.5, 0.5], [[-1.0], [1.0]])
+        _, tape = model.eps_with_tape(np.array([0.2]), 0.5)
+        with pytest.raises(ValueError):
+            tape[0][0] = 1.0
+        with pytest.raises(ValueError):
+            tape[1][0, 0] = 1.0
+
+    def test_non_float_sigma_is_not_memoised(self):
+        # A float32 sigma computes a and c in float32: it must not meet the float64 entry.
+        model = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
+        x_bar = np.array([0.2, 0.1])
+        cold = _fresh(model).eps(x_bar, np.float32(0.7)).tobytes()
+        model.eps(x_bar, float(np.float32(0.7)))
+        assert model.eps(x_bar, np.float32(0.7)).tobytes() == cold
+        assert len(model._memo) == 1
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_a_copy_starts_cold_and_keeps_its_bits(self, clone):
+        model = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
+        x_bar, v = np.array([0.2, 0.1]), np.array([1.0, -1.0])
+        _all_calls(model, x_bar, 0.6, v)
+        twin = clone(model)
+        assert twin._memo == {} and len(model._memo) == 1
+        assert _all_calls(twin, x_bar, 0.6, v) == _all_calls(_fresh(model), x_bar, 0.6, v)
+        with pytest.raises(ValueError):
+            twin.eps_with_tape(x_bar, 0.6)[1][0][0] = 1.0
+
+    def test_shared_instance_under_threads(self):
+        # More threads than cores and a short switch interval, so inserts and evictions interleave.
+        model = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
+        points = np.random.default_rng(5).standard_normal((4, 3 * models._MEMO_CAPACITY, 2))
+        cold = _fresh(model)
+        expected = [[cold.eps(x, 0.4).tobytes() for x in rows] for rows in points]
+        got = [None] * len(points)
+
+        def worker(i):
+            got[i] = [model.eps(x, 0.4).tobytes() for x in points[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(points))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == expected
+        assert len(model._memo) == models._MEMO_CAPACITY
 
 
 class TestMlp:

@@ -3,10 +3,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symguide
-from symguide import adjoint, estimator
+from symguide import adjoint, estimator, models
 
 MODULES = ["schedule", "models", "estimator", "adjoint", "guidance", "harness"]
 
@@ -101,3 +102,50 @@ def test_counts_are_converted_by_one_rule():
                     if used & bound:
                         truncating.append(f"{name}.py:{call.lineno}")
     assert truncating == []
+
+
+def test_one_method_reads_and_writes_the_gmm_memo():
+    # GmmModel.__init__ creates the memo and __getstate__ hands a copy an empty one; only
+    # _responsibilities reads it or takes its lock, so key, bound and eviction live in one place.
+    package = ROOT / "src" / "symguide"
+    uses = []
+    for path in [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for cls in [node for node in tree.body if isinstance(node, ast.ClassDef)]:
+            for func in cls.body:
+                if isinstance(func, ast.FunctionDef):
+                    scopes.update({id(n): f"{cls.name}.{func.name}" for n in ast.walk(func)})
+        for node in ast.walk(tree):
+            name = {ast.Attribute: "attr", ast.Name: "id", ast.Constant: "value"}.get(type(node))
+            if getattr(node, name or "", None) in ("_memo", "_MEMO_LOCK"):
+                ctx = type(getattr(node, "ctx", None)).__name__
+                uses.append((path.name, scopes.get(id(node), "<module>"), getattr(node, name), ctx))
+    assert sorted(set(uses)) == [
+        ("models.py", "<module>", "_MEMO_LOCK", "Store"),
+        ("models.py", "GmmModel.__getstate__", "_memo", "NoneType"),
+        ("models.py", "GmmModel.__init__", "_memo", "Store"),
+        ("models.py", "GmmModel._responsibilities", "_MEMO_LOCK", "Load"),
+        ("models.py", "GmmModel._responsibilities", "_memo", "Load"),
+    ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: models.MlpModel.random([3, 8, 3], seed=1),
+    lambda: models.AffineModel(np.diag([0.5, -1.0, 2.0]), np.ones(3)),
+])
+def test_mlp_and_affine_models_keep_no_state_between_calls(make):
+    # A memo of MLP activations would hold the tapes the symplectic adjoint avoids storing.
+    model = make()
+    before = {k: (v, list(v) if isinstance(v, list) else None) for k, v in vars(model).items()}
+    x_bar, v = np.array([0.3, -0.2, 1.1]), np.array([1.0, 2.0, -0.5])
+    for _ in range(2):
+        model.eps(x_bar, 0.7)
+        model.vjp(x_bar, 0.7, v)
+        model.jvp(x_bar, 0.7, v)
+        model.vjp_from_tape(model.eps_with_tape(x_bar, 0.7)[1], v)
+    assert vars(model).keys() == before.keys()
+    for key, (value, items) in before.items():
+        assert vars(model)[key] is value, key
+        if items is not None:
+            assert len(value) == len(items) and all(a is b for a, b in zip(value, items)), key
