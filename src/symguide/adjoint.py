@@ -251,6 +251,8 @@ def vanilla_adjoint_grad(
         raise ValueError(f"n_back must be >= 1, got {n_back}")
     sig = make_sub_schedule(schedule, t, n_back)
     x_bar = np.array(x_clean, dtype=np.float64)  # sqrt(alpha_0) = 1
+    if x_bar.shape != (model.dim,):
+        raise ValueError(f"x_clean has shape {x_bar.shape}, expected ({model.dim},)")
     _check_finite(x_bar, 0)
     lam = _costate_start(model, grad_at_clean)
     for tau in range(n_back):

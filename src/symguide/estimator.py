@@ -18,7 +18,9 @@ Overflow rule.  Every public estimator and solver, and every sampler, runs
 under its own np.errstate(over="ignore", invalid="ignore") and checks the
 states it steps and the value it returns, so a blow-up ends in a
 DivergenceError whether or not the caller set an errstate, and never in a
-floating-point warning or a returned inf or NaN.
+floating-point warning or a returned inf or NaN.  Each check screens a
+vector with one dot product, whose finite sum of squares proves every entry
+finite; only an inf or NaN sum runs the elementwise test.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ class ButcherTableau:
         if not res <= 1e-15:  # NaN coefficients fail too
             raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __post_init__, which freezes the copied arrays.
+        return type(self), (self.a, self.b, self.c, self.name)
+
     @property
     def stages(self) -> int:
         return len(self.b)
@@ -142,6 +148,9 @@ class CheckpointTrajectory:
         for arr in (self.sigma, self.states, self.stage_states):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        return type(self), (self.sigma, self.tableau, self.states, self.stage_states)
+
     @property
     def n(self) -> int:
         return len(self.sigma) - 1
@@ -159,7 +168,14 @@ class CheckpointTrajectory:
 
 
 def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
-    if not np.isfinite(x).all():
+    """Raise DivergenceError unless every entry of the float64 vector x is finite.
+
+    x.dot(x) screens first: squares are >= 0, so a finite sum proves every
+    entry finite.  Only an inf or NaN sum (a non-finite entry, or finite
+    entries whose squares overflow) runs the elementwise test.  Callers run
+    under the overflow rule's errstate, which the screen's overflow needs.
+    """
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
         norm = float(np.linalg.norm(x[np.isfinite(x)]))
         raise DivergenceError(
             f"non-finite {what} at sub-step tau={tau} (finite-part norm {norm:.3e})"

@@ -67,6 +67,10 @@ class L2TargetLoss(GuidanceLoss):
         self.target = target
         self.dim = len(target)
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, which freezes the copied target.
+        return type(self), (self.target,)
+
     def value(self, x0: np.ndarray) -> float:
         diff = np.asarray(x0, dtype=np.float64) - self.target
         return 0.5 * float(diff @ diff)
@@ -102,6 +106,9 @@ class GramStyleLoss(GuidanceLoss):
         self.rows = r
         self.cols = F.shape[0] // r
         self.dim = F.shape[1]
+
+    def __reduce__(self):
+        return type(self), (self.target_gram, self.feature_map)
 
     def _gram(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Y = (self.feature_map @ np.asarray(x0, dtype=np.float64)).reshape(self.rows, self.cols)
@@ -187,6 +194,9 @@ class SampleRecord:
 
     def __post_init__(self) -> None:
         self.final_state.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), (self.final_state, self.guided_steps, self.seed, self.wall_time_ns, self.final_loss)
 
     @property
     def steps_guided(self) -> int:

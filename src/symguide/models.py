@@ -14,9 +14,11 @@ responsibilities of its last _MEMO_CAPACITY points, keyed on the exact
 bits of (x_bar, sigma) and evicted first in, first out, much as
 NoiseSchedule memoises its sub-step grids.  Entries are read-only and
 inserts and evictions hold a module lock, so a shared instance stays safe
-under concurrency; a copy or a pickle starts with an empty memo.  A hit
-skips only the responsibility computation: the same points give the same
-bits whether the memo served them or not.
+under concurrency.  A hit skips only the responsibility computation: the
+same points give the same bits whether the memo served them or not.  Every
+model copies and pickles by rebuilding through its constructor, as every
+class that freezes its arrays does, so a copy's arrays stay read-only and a
+GmmModel copy starts with an empty memo.
 
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
@@ -127,9 +129,9 @@ class GmmModel(ScoreModel):
         self.dim = means.shape[1]
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray, float, float]] = {}
 
-    def __getstate__(self) -> dict:
-        # A copy or pickle starts cold: copied arrays lose their read-only flag.
-        return {**vars(self), "_memo": {}}
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__: read-only arrays and a cold memo.
+        return type(self), (self.weights, self.means)
 
     def _responsibilities(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(r, diffs, a, c) at a float64 (d,) x_bar, served from the memo when these bits came before.
@@ -154,7 +156,7 @@ class GmmModel(ScoreModel):
         """Read-only r_k and x_bar - mu_k at x_bar, with a = 1/(1+sigma^2) and c = sigma/(1+sigma^2)."""
         a = 1.0 / (1.0 + sigma * sigma)
         c = sigma / (1.0 + sigma * sigma)
-        diffs = x_bar[None, :] - self.means  # (K, d)
+        diffs = x_bar - self.means  # (K, d)
         logits = self.log_weights - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
         logits -= np.maximum.reduce(logits)
         r = np.exp(logits)
@@ -172,7 +174,7 @@ class GmmModel(ScoreModel):
         v = self._check_vec(v, "v")
         r, _, a, c = self._responsibilities(self._check_vec(x_bar), sigma)
         m = r @ self.means
-        centered = self.means - m[None, :]
+        centered = self.means - m
         cov = (centered * r[:, None]).T @ centered
         return c * (v - a * (cov @ v))
 
@@ -248,6 +250,9 @@ class MlpModel(ScoreModel):
             b.setflags(write=False)
             self._Ws.append(W)
             self._bs.append(b)
+
+    def __reduce__(self):
+        return type(self), (self.widths, list(zip(self._Ws, self._bs)), self.seed)
 
     @classmethod
     def random(cls, widths: Sequence[int], seed: int) -> "MlpModel":
@@ -342,6 +347,9 @@ class AffineModel(ScoreModel):
         b.setflags(write=False)
         self.matrix = A
         self.offset = b
+
+    def __reduce__(self):
+        return type(self), (self.matrix, self.offset)
 
     @classmethod
     def zero(cls, dim: int) -> "AffineModel":

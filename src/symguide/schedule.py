@@ -86,6 +86,10 @@ class NoiseSchedule:
         )
         object.__setattr__(self, "_sub_grids", {})
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__: a read-only alpha and an empty grid memo.
+        return type(self), (self.alpha,)
+
     @property
     def num_steps(self) -> int:
         return len(self.alpha) - 1

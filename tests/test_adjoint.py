@@ -585,6 +585,14 @@ class TestOverflowRule:
             vanilla_adjoint_grad(model, np.array([np.nan, 0.0]), np.ones(2), schedule, 35, 4)
         assert model.calls == dict.fromkeys(model.calls, 0)
 
+    @pytest.mark.parametrize("x_clean", [np.zeros(3), np.full((2, 2), np.inf), np.zeros((2, 3)), 1.0])
+    def test_vanilla_rejects_a_misshapen_clean_state_before_any_model_call(self, schedule, x_clean):
+        # The finiteness screen takes a vector; any other shape is rejected before it runs.
+        model = CountingModel(AffineModel(-0.1 * np.eye(2)))
+        with pytest.raises(ValueError, match=r"^x_clean has shape .*, expected \(2,\)$"):
+            vanilla_adjoint_grad(model, x_clean, np.ones(2), schedule, 35, 4)
+        assert model.calls == dict.fromkeys(model.calls, 0)
+
 
 def _traced_peak(call):
     """Peak bytes traced during call(), above those live when it started; its second run counts."""

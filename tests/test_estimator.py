@@ -16,7 +16,9 @@ from symguide import (
     estimate_clean,
     estimation_error_curve,
     make_sub_schedule,
+    symplectic_euler_grad,
 )
+from symguide import estimator
 
 
 class TestSubSchedule:
@@ -170,6 +172,60 @@ class TestEstimateClean:
     def test_dimension_mismatch(self, schedule, gmm2):
         with pytest.raises(ValueError):
             estimate_clean(gmm2, schedule, np.zeros(3), 30, 2)
+
+
+def _elementwise_check(x, tau, what):
+    """The guard without its dot-product screen: the verdict the screen must keep."""
+    if not np.isfinite(x).all():
+        norm = float(np.linalg.norm(x[np.isfinite(x)]))
+        raise DivergenceError(f"non-finite {what} at sub-step tau={tau} (finite-part norm {norm:.3e})")
+
+
+def _outcome(check, x):
+    try:
+        check(x, 7, "state")
+    except DivergenceError as err:
+        return str(err)
+    return None
+
+
+# Entries that stress the screen: squares that overflow, subnormals, signed zeros, inf and NaN.
+_SCREEN_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e160, -1e160, 1.4e154, 1e200, -1e300, 1.7976931348623157e308, -1e308]),
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, 0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+class TestFiniteScreen:
+    """estimator._check_finite screens with x.dot(x) and must keep the elementwise verdict."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        values=st.lists(_SCREEN_VALUES, min_size=0, max_size=12),
+        start=st.integers(0, 3),
+        step=st.integers(1, 3),
+    )
+    @example(values=[1e200, -1e200], start=0, step=1)  # finite, but the squares overflow
+    @example(values=[np.inf, -np.inf, 1.0], start=0, step=1)
+    @example(values=[1e300, np.nan, 1e300], start=0, step=2)  # the view skips the NaN
+    def test_same_verdict_and_text_as_the_elementwise_test(self, values, start, step):
+        base = np.array(values, dtype=np.float64)
+        for x in (base, base[start::step]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _outcome(estimator._check_finite, x) == _outcome(_elementwise_check, x)
+
+    def test_overflowing_squares_fall_back_end_to_end(self, schedule):
+        # Finite states whose sums of squares overflow: a screen without the elementwise
+        # fallback would call both of these divergent.
+        x = np.array([1e200, -1e200])
+        traj = estimate_clean(AffineModel.zero(2), schedule, x, 35, 4)
+        assert np.isfinite(traj.states).all()
+        assert np.array_equal(traj.clean_output, schedule.to_scaled(x, 35))
+        assert 1.0e201 < traj.clean_output[0] < 1.1e201
+        grad = symplectic_euler_grad(AffineModel.zero(2), traj, np.array([1e200, 1e200]), schedule, 35)
+        assert np.array_equal(grad, schedule.to_scaled(np.array([1e200, 1e200]), 35))
+        assert 1.0e201 < grad[0] < 1.1e201
 
 
 class TestOneStep:

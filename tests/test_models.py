@@ -14,10 +14,19 @@ from conftest import rel_err
 from symguide import models
 from symguide import (
     AffineModel,
+    ButcherTableau,
     GmmModel,
+    GramStyleLoss,
+    GuidanceConfig,
+    L2TargetLoss,
     MlpModel,
     NoiseSchedule,
+    build_linear_schedule,
+    estimate_clean_rk,
     finite_diff_vjp,
+    make_sub_schedule,
+    sag_sample,
+    symplectic_rk_grad,
     vjp_at_step,
 )
 
@@ -450,3 +459,68 @@ class TestSharedInvariants:
             eps_taped, tape = model.eps_with_tape(x_bar, 1.1)
             assert np.array_equal(eps_fresh, eps_taped)
             assert rel_err(model.vjp_from_tape(tape, v), model.vjp(x_bar, 1.1, v)) < 1e-13
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray an object holds: its attributes, their containers and nested symguide objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif type(obj).__module__.startswith("symguide."):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [arr for item in items for arr in _arrays(item, seen)]
+
+
+def _copy_cases():
+    """(object, outputs) pairs: outputs(obj) gives the bytes a copy must reproduce."""
+    sch = build_linear_schedule(20, 0.01, 0.3)
+    x_bar, v = np.array([0.2, -0.4]), np.array([1.0, -0.5])
+
+    def model_bits(model):
+        return _all_calls(model, x_bar, 0.7, v)
+
+    heun = ButcherTableau.heun()
+    gmm = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
+    traj = estimate_clean_rk(gmm, sch, x_bar, 12, 3, heun)
+    record = sag_sample(
+        gmm, sch, L2TargetLoss([-1.0, 0.0]), GuidanceConfig(window=(5, 10), rho=0.1, n_steps=2), 0
+    )
+    return [
+        (gmm, model_bits),
+        (MlpModel.random([2, 6, 2], seed=3), model_bits),
+        (AffineModel([[0.5, 0.1], [0.0, -1.0]], [0.2, 0.3]), model_bits),
+        (sch, lambda s: [make_sub_schedule(s, 12, 3).tobytes(), s.to_scaled(x_bar, 12).tobytes()]),
+        (heun, lambda tb: [tb.A.tobytes(), estimate_clean_rk(gmm, sch, x_bar, 12, 3, tb).states.tobytes()]),
+        (traj, lambda tr: [symplectic_rk_grad(gmm, tr, v, sch, 12).tobytes()]),
+        (L2TargetLoss([1.0, -2.0]), lambda loss: [loss.value(x_bar), loss.grad(x_bar).tobytes()]),
+        (GramStyleLoss([[2.0]], [[1.0, 0.5]]), lambda loss: [loss.value(x_bar), loss.grad(x_bar).tobytes()]),
+        (record, lambda rec: [rec.final_state.tobytes(), json.dumps(rec.to_json_dict())]),
+    ]
+
+
+_CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
+def test_copies_keep_every_array_read_only_and_every_output_bit(clone):
+    # Each class that freezes its arrays at construction rebuilds a copy through its constructor.
+    for obj, outputs in _copy_cases():
+        expected = outputs(obj)  # warms the GMM memo and the schedule's grid memo first
+        twin = clone(obj)
+        assert type(twin) is type(obj)
+        assert outputs(twin) == expected, type(obj).__name__
+        arrays = _arrays(twin)  # the copied ones and those its outputs memoised
+        assert arrays and not any(arr.flags.writeable for arr in arrays), type(obj).__name__

@@ -105,8 +105,8 @@ def test_counts_are_converted_by_one_rule():
 
 
 def test_one_method_reads_and_writes_the_gmm_memo():
-    # GmmModel.__init__ creates the memo and __getstate__ hands a copy an empty one; only
-    # _responsibilities reads it or takes its lock, so key, bound and eviction live in one place.
+    # GmmModel.__init__ creates the memo, also for a copy, which __reduce__ rebuilds through it;
+    # only _responsibilities reads it or takes its lock, so key, bound and eviction live in one place.
     package = ROOT / "src" / "symguide"
     uses = []
     for path in [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
@@ -123,11 +123,29 @@ def test_one_method_reads_and_writes_the_gmm_memo():
                 uses.append((path.name, scopes.get(id(node), "<module>"), getattr(node, name), ctx))
     assert sorted(set(uses)) == [
         ("models.py", "<module>", "_MEMO_LOCK", "Store"),
-        ("models.py", "GmmModel.__getstate__", "_memo", "NoneType"),
         ("models.py", "GmmModel.__init__", "_memo", "Store"),
         ("models.py", "GmmModel._responsibilities", "_MEMO_LOCK", "Load"),
         ("models.py", "GmmModel._responsibilities", "_memo", "Load"),
     ]
+
+
+def test_elementwise_finiteness_stays_off_the_hot_path():
+    # Every state and costate guard goes through estimator._check_finite, whose dot-product
+    # screen runs np.isfinite only on an inf or NaN sum; conservation_probe may also use it
+    # to find the failing index of a pairing it already knows is not finite.
+    package = ROOT / "src" / "symguide"
+    uses = []
+    for name in ("estimator", "adjoint"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        scopes = {}
+        for func in [node for node in tree.body if isinstance(node, ast.FunctionDef)]:
+            scopes.update({id(n): func.name for n in ast.walk(func)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite":
+                uses.append((f"{name}.py", scopes.get(id(node), "<other>")))
+    assert sorted(set(uses)) == [("adjoint.py", "conservation_probe"), ("estimator.py", "_check_finite")]
+    probe = inspect.getsource(adjoint.conservation_probe)
+    assert probe.count("isfinite") == 1 and "argmin(np.isfinite(pairing))" in probe
 
 
 @pytest.mark.parametrize("make", [
