@@ -45,7 +45,7 @@ import numpy as np
 # perfbench resolves ButcherTableau and estimate_clean_rk as adjoint attributes.
 from .estimator import ButcherTableau, CheckpointTrajectory, _check_finite, _walk, estimate_clean_rk
 from .models import ScoreModel
-from .schedule import NoiseSchedule, _count, make_sub_schedule
+from .schedule import NoiseSchedule, _count, _vector, make_sub_schedule
 
 __all__ = [
     "AdjointStats",
@@ -89,10 +89,8 @@ def _require_euler(traj: CheckpointTrajectory, solver: str) -> None:
 
 
 def _costate_start(model: ScoreModel, lam0: np.ndarray, what: str = "grad_at_clean") -> np.ndarray:
-    """The costate a sweep starts from, a checked copy: every solver's and the probe's one entry."""
-    lam = np.array(lam0, dtype=np.float64)
-    if lam.shape != (model.dim,):
-        raise ValueError(f"{what} has shape {lam.shape}, expected ({model.dim},)")
+    """The costate a sweep starts from, checked: every solver's and the probe's one entry."""
+    lam = _vector(lam0, model.dim, what)
     _check_finite(lam, 0, "costate")
     return lam
 
@@ -250,9 +248,7 @@ def vanilla_adjoint_grad(
     if n_back < 1:
         raise ValueError(f"n_back must be >= 1, got {n_back}")
     sig = make_sub_schedule(schedule, t, n_back)
-    x_bar = np.array(x_clean, dtype=np.float64)  # sqrt(alpha_0) = 1
-    if x_bar.shape != (model.dim,):
-        raise ValueError(f"x_clean has shape {x_bar.shape}, expected ({model.dim},)")
+    x_bar = _vector(x_clean, model.dim, "x_clean")  # sqrt(alpha_0) = 1
     _check_finite(x_bar, 0)
     lam = _costate_start(model, grad_at_clean)
     for tau in range(n_back):
@@ -309,8 +305,7 @@ def conservation_probe(
     constant up to roundoff.
     """
     lambda0 = _costate_start(model, lambda0, "lambda0")
-    if np.shape(v0) != lambda0.shape:
-        raise ValueError(f"v0 and lambda0 must have the same shape, got {np.shape(v0)} and {lambda0.shape}")
+    v0 = _vector(v0, model.dim, "v0")
     deltas, _ = _walk(
         v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _, k, i: model.jvp(*traj.stage(k, i), d_i), "tangent"
     )

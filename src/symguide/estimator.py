@@ -32,7 +32,7 @@ import numpy as np
 
 from .models import ScoreModel
 # Imported by name: perfbench traces make_sub_schedule through this module's attribute.
-from .schedule import NoiseSchedule, _count, make_sub_schedule
+from .schedule import NoiseSchedule, _count, _vector, make_sub_schedule
 
 __all__ = [
     "DivergenceError",
@@ -176,10 +176,14 @@ def _check_finite(x: np.ndarray, tau: int, what: str = "state") -> None:
     under the overflow rule's errstate, which the screen's overflow needs.
     """
     if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-        norm = float(np.linalg.norm(x[np.isfinite(x)]))
-        raise DivergenceError(
-            f"non-finite {what} at sub-step tau={tau} (finite-part norm {norm:.3e})"
-        )
+        raise DivergenceError(f"non-finite {what} at sub-step tau={tau} (finite-part norm {_finite_norm(x):.3e})")
+
+
+def _finite_norm(x: np.ndarray) -> float:
+    """The 2-norm of x's finite entries, scaled by their largest magnitude first: inf only past float64's range."""
+    finite = np.abs(x[np.isfinite(x)])
+    top = float(finite.max(initial=0.0))
+    return top * float(np.linalg.norm(finite / top)) if top else 0.0
 
 
 def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what: str = "state"):
@@ -222,9 +226,7 @@ def _integrate(
     tableau: ButcherTableau,
 ) -> CheckpointTrajectory:
     """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (model.dim,):
-        raise ValueError(f"x_t has shape {x_t.shape}, expected ({model.dim},)")
+    x_t = _vector(x_t, model.dim, "x_t")
     sigma = make_sub_schedule(schedule, t, n)
     states, stage_states = _walk(
         schedule.to_scaled(x_t, t), sigma.tolist(), tableau, lambda x, sig, k, i: model.eps(x, sig)

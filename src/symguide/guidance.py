@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import symplectic_euler_grad
-from .estimator import DivergenceError, estimate_clean
+from .estimator import DivergenceError, _finite_norm, estimate_clean
 from .models import ScoreModel
-from .schedule import NoiseSchedule, _count, _real
+from .schedule import NoiseSchedule, _count, _real, _vector
 
 __all__ = [
     "GuidanceLoss",
@@ -72,11 +72,11 @@ class L2TargetLoss(GuidanceLoss):
         return type(self), (self.target,)
 
     def value(self, x0: np.ndarray) -> float:
-        diff = np.asarray(x0, dtype=np.float64) - self.target
+        diff = _vector(x0, self.dim, "x0") - self.target
         return 0.5 * float(diff @ diff)
 
     def grad(self, x0: np.ndarray) -> np.ndarray:
-        return np.asarray(x0, dtype=np.float64) - self.target
+        return _vector(x0, self.dim, "x0") - self.target
 
 
 class GramStyleLoss(GuidanceLoss):
@@ -111,7 +111,7 @@ class GramStyleLoss(GuidanceLoss):
         return type(self), (self.target_gram, self.feature_map)
 
     def _gram(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Y = (self.feature_map @ np.asarray(x0, dtype=np.float64)).reshape(self.rows, self.cols)
+        Y = (self.feature_map @ _vector(x0, self.dim, "x0")).reshape(self.rows, self.cols)
         return Y, Y @ Y.T
 
     def value(self, x0: np.ndarray) -> float:
@@ -270,9 +270,7 @@ def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.nd
     for t in range(schedule.num_steps, 0, -1):
         x = ddim_step(model, schedule, x, t)
         if _diverged(x):
-            raise DivergenceError(
-                f"unguided rollout diverged at t={t} (norm {np.linalg.norm(x[np.isfinite(x)]):.3e})"
-            )
+            raise DivergenceError(f"unguided rollout diverged at t={t} (norm {_finite_norm(x):.3e})")
     return x
 
 
@@ -305,8 +303,7 @@ def sag_sample(
             x_prev = ddim_step(model, schedule, x, t)
             if _diverged(x_prev):
                 raise DivergenceError(
-                    f"sampler state diverged at t={t} repeat={rep} "
-                    f"(norm {np.linalg.norm(x_prev[np.isfinite(x_prev)]):.3e})"
+                    f"sampler state diverged at t={t} repeat={rep} (norm {_finite_norm(x_prev):.3e})"
                 )
             if rho_t > 0.0:
                 t0 = time.perf_counter_ns()

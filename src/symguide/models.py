@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import NoiseSchedule, _count, _real
+from .schedule import NoiseSchedule, _count, _real, _vector
 
 __all__ = [
     "ScoreModel",
@@ -85,13 +85,6 @@ class ScoreModel(abc.ABC):
 
     @abc.abstractmethod
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray: ...
-
-    def _check_vec(self, x: np.ndarray, name: str = "x") -> np.ndarray:
-        if type(x) is not np.ndarray or x.dtype != np.float64:
-            x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"{name} has shape {x.shape}, expected ({self.dim},)")
-        return x
 
 
 class GmmModel(ScoreModel):
@@ -166,13 +159,13 @@ class GmmModel(ScoreModel):
         return r, diffs, a, c
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
-        r, diffs, _, c = self._responsibilities(self._check_vec(x_bar), sigma)
+        r, diffs, _, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         return c * (r @ diffs)
 
     def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         # Analytic route: J = c (I - a Cov_r(mu)) formed explicitly.
-        v = self._check_vec(v, "v")
-        r, _, a, c = self._responsibilities(self._check_vec(x_bar), sigma)
+        v = _vector(v, self.dim, "v")
+        r, _, a, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         m = r @ self.means
         centered = self.means - m
         cov = (centered * r[:, None]).T @ centered
@@ -183,13 +176,13 @@ class GmmModel(ScoreModel):
         return self.vjp(x_bar, sigma, v)
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        r, diffs, a, c = self._responsibilities(self._check_vec(x_bar), sigma)
+        r, diffs, a, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         tape = [r, diffs, np.array([a, c])]
         return c * (r @ diffs), tape
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         # Replay route: rank-one contractions over the stored responsibilities.
-        v = self._check_vec(v, "v")
+        v = _vector(v, self.dim, "v")
         r, diffs, ac = tape
         a, c = float(ac[0]), float(ac[1])
         per_k = diffs @ v
@@ -281,16 +274,16 @@ class MlpModel(ScoreModel):
         return acts
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
-        x_bar = self._check_vec(x_bar)
+        x_bar = _vector(x_bar, self.dim, "x")
         return self._forward(x_bar, sigma)[-1]
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        x_bar = self._check_vec(x_bar)
+        x_bar = _vector(x_bar, self.dim, "x")
         acts = self._forward(x_bar, sigma)
         return acts[-1], acts[:-1]
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        v = self._check_vec(v, "v")
+        v = _vector(v, self.dim, "v")
         g = v
         for l in range(self.num_layers - 1, -1, -1):
             g = self._Ws[l].T @ g
@@ -303,8 +296,8 @@ class MlpModel(ScoreModel):
         return self.vjp_from_tape(tape, v)
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        x_bar = self._check_vec(x_bar)
-        v = self._check_vec(v, "v")
+        x_bar = _vector(x_bar, self.dim, "x")
+        v = _vector(v, self.dim, "v")
         acts = self._forward(x_bar, sigma)
         u = np.concatenate([v, [0.0]])  # sigma is held fixed
         for l in range(self.num_layers):
@@ -336,9 +329,7 @@ class AffineModel(ScoreModel):
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
             raise ValueError(f"matrix must be square and non-empty, got shape {A.shape}")
         self.dim = A.shape[0]
-        b = np.zeros(self.dim) if offset is None else np.asarray(offset, dtype=np.float64)
-        if b.shape != (self.dim,):
-            raise ValueError("offset dimension mismatch")
+        b = np.zeros(self.dim) if offset is None else _vector(offset, self.dim, "offset")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("matrix and offset must be finite")
         A = A.copy()
@@ -356,21 +347,21 @@ class AffineModel(ScoreModel):
         return cls(np.zeros((_count(dim, "dim"),) * 2))
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
-        x_bar = self._check_vec(x_bar)
+        x_bar = _vector(x_bar, self.dim, "x")
         return self.matrix @ x_bar + self.offset
 
     def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ self._check_vec(v, "v")
+        return self.matrix.T @ _vector(v, self.dim, "v")
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ self._check_vec(v, "v")
+        return self.matrix @ _vector(v, self.dim, "v")
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         # Linear map: the backward pass needs no stored activations.
         return self.eps(x_bar, sigma), []
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ self._check_vec(v, "v")
+        return self.matrix.T @ _vector(v, self.dim, "v")
 
 
 def vjp_at_step(
@@ -401,8 +392,8 @@ def finite_diff_vjp(
     h = _real(h, "h")
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    x = _vector(x, model.dim, "x")
+    v = _vector(v, model.dim, "v")
     out = np.empty_like(x)
     for j in range(len(x)):
         xp = x.copy()

@@ -14,9 +14,10 @@ sigma is strictly increasing in t and sigma(0) = 0.  All arithmetic is
 float64.  This module owns the step geometry: the step range, the pull-back
 to scaled coordinates, the sub-step sigma grids of the n-step estimate
 (make_sub_schedule), and the one rule for every count and step index of the
-public API (_count) and for every real parameter (_real).  A schedule's
-values are immutable after construction; its only mutable part is a memo of
-the read-only sub-step grids, at most one per (t, n).
+public API (_count), for every real parameter (_real) and for every
+state-sized vector (_vector).  A schedule's values are immutable after
+construction; its only mutable part is a memo of the read-only sub-step
+grids, at most one per (t, n).
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ def _real(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _vector(x: object, dim: int, what: str) -> np.ndarray:
+    """x as a float64 (dim,) array, converted only if it is not one; another shape is rejected, never broadcast."""
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ValueError(f"{what} has shape {x.shape}, expected ({dim},)")
+    return x
 
 
 @dataclass(frozen=True, eq=False)

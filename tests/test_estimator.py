@@ -177,7 +177,7 @@ class TestEstimateClean:
 def _elementwise_check(x, tau, what):
     """The guard without its dot-product screen: the verdict the screen must keep."""
     if not np.isfinite(x).all():
-        norm = float(np.linalg.norm(x[np.isfinite(x)]))
+        norm = estimator._finite_norm(x)
         raise DivergenceError(f"non-finite {what} at sub-step tau={tau} (finite-part norm {norm:.3e})")
 
 
@@ -214,6 +214,20 @@ class TestFiniteScreen:
         for x in (base, base[start::step]):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _outcome(estimator._check_finite, x) == _outcome(_elementwise_check, x)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(values=st.lists(_SCREEN_VALUES, min_size=0, max_size=12))
+    def test_finite_norm_does_not_overflow_or_underflow(self, values):
+        # math.hypot scales as it sums too, so it is an independent reference in the whole range.
+        x = np.array(values, dtype=np.float64)
+        expected = math.hypot(*x[np.isfinite(x)].tolist())
+        assert math.isclose(estimator._finite_norm(x), expected, rel_tol=1e-14)
+
+    def test_finite_part_past_the_square_root_of_the_maximum_is_sized(self):
+        # np.linalg.norm squares before it sums, so it sized this finite part as inf.
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore", invalid="ignore"):
+            estimator._check_finite(np.array([1e200, np.nan]), 3)
+        assert str(info.value) == "non-finite state at sub-step tau=3 (finite-part norm 1.000e+200)"
 
     def test_overflowing_squares_fall_back_end_to_end(self, schedule):
         # Finite states whose sums of squares overflow: a screen without the elementwise

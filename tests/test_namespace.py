@@ -104,6 +104,33 @@ def test_counts_are_converted_by_one_rule():
     assert truncating == []
 
 
+def test_state_vectors_are_checked_by_one_rule():
+    # A state-sized input goes through schedule._vector, so widening states to (B, d) changes
+    # one function: no other function compares a .shape with a (..dim,) tuple.  Trajectory
+    # widths, tableau fields and layer shapes are not state vectors and keep their own checks.
+    assert not hasattr(models.ScoreModel, "_check_vec")
+    package = ROOT / "src" / "symguide"
+    checks = []
+    for path in package.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            assert func.name != "_check_vec", path.name
+            for cmp in ast.walk(func):
+                if not isinstance(cmp, ast.Compare):
+                    continue
+                sides = [cmp.left, *cmp.comparators]
+                shape = any("shape" in {getattr(n, "attr", None) for n in ast.walk(side)} for side in sides)
+                dim_tuple = any(
+                    isinstance(side, ast.Tuple) and len(side.elts) == 1
+                    and "dim" in {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(side)}
+                    for side in sides
+                )
+                if shape and dim_tuple:
+                    checks.append((path.stem, func.name))
+    assert sorted(set(checks)) == [("schedule", "_vector")]
+
+
 def test_one_method_reads_and_writes_the_gmm_memo():
     # GmmModel.__init__ creates the memo, also for a copy, which __reduce__ rebuilds through it;
     # only _responsibilities reads it or takes its lock, so key, bound and eviction live in one place.
@@ -131,8 +158,9 @@ def test_one_method_reads_and_writes_the_gmm_memo():
 
 def test_elementwise_finiteness_stays_off_the_hot_path():
     # Every state and costate guard goes through estimator._check_finite, whose dot-product
-    # screen runs np.isfinite only on an inf or NaN sum; conservation_probe may also use it
-    # to find the failing index of a pairing it already knows is not finite.
+    # screen runs np.isfinite only on an inf or NaN sum; _finite_norm sizes the message of a
+    # guard that has already failed, and conservation_probe may use it to find the failing
+    # index of a pairing it already knows is not finite.
     package = ROOT / "src" / "symguide"
     uses = []
     for name in ("estimator", "adjoint"):
@@ -143,9 +171,17 @@ def test_elementwise_finiteness_stays_off_the_hot_path():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite":
                 uses.append((f"{name}.py", scopes.get(id(node), "<other>")))
-    assert sorted(set(uses)) == [("adjoint.py", "conservation_probe"), ("estimator.py", "_check_finite")]
+    assert sorted(set(uses)) == [
+        ("adjoint.py", "conservation_probe"), ("estimator.py", "_check_finite"), ("estimator.py", "_finite_norm")
+    ]
     probe = inspect.getsource(adjoint.conservation_probe)
     assert probe.count("isfinite") == 1 and "argmin(np.isfinite(pairing))" in probe
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        raised = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Raise) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_finite_norm":
+                assert id(node) in raised, f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize("make", [

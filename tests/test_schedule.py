@@ -4,19 +4,28 @@ import re
 import numpy as np
 import pytest
 
-from conftest import TASK_BETAS, TASK_T, CountingModel
+from conftest import TASK_BETAS, TASK_MEANS, TASK_T, TASK_TARGET, CountingModel
 from symguide import (
     AffineModel,
+    ButcherTableau,
+    GmmModel,
+    GramStyleLoss,
     GuidanceConfig,
+    L2TargetLoss,
     MlpModel,
     NoiseSchedule,
     build_linear_schedule,
+    conservation_probe,
     ddim_step,
+    direct_backprop_grad,
     finite_diff_vjp,
     estimate_clean,
+    estimate_clean_rk,
     estimation_error_curve,
     make_sub_schedule,
+    rk_direct_backprop_grad,
     symplectic_euler_grad,
+    symplectic_rk_grad,
     time_travel_renoise,
     vanilla_adjoint_grad,
 )
@@ -143,8 +152,8 @@ def _mlp_eps(widths, layers=None):
 MLP_LAYERS = [(np.full((3, 3), 0.1), np.zeros(3)), (np.full((2, 3), 0.1), np.zeros(2))]
 
 
-def _traj(model, schedule):
-    return estimate_clean(model.inner, schedule, np.ones(2), 35, 4)
+def _traj(model, schedule, tableau=ButcherTableau.euler()):
+    return estimate_clean_rk(model.inner, schedule, np.ones(2), 35, 4, tableau)
 
 
 def _curve(model, schedule, n, n_ref, num_samples):
@@ -234,3 +243,83 @@ def test_numpy_real_parameter_gives_the_same_bits(name):
     expected = np.asarray(REAL_ARGUMENTS[name](value))
     got = np.asarray(REAL_ARGUMENTS[name](np.float64(value)))
     assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+HEUN = ButcherTableau.heun()
+X_BAR = np.array([0.3, -0.7])
+
+
+def _model_methods(name, model):
+    """The vector arguments of one model's methods: a call that puts v in that argument, and its name."""
+    calls = {
+        "eps x": (lambda m, sch, v: model.eps(v, 0.7), "x"),
+        "eps_with_tape x": (lambda m, sch, v: model.eps_with_tape(v, 0.7)[0], "x"),
+        "vjp v": (lambda m, sch, v: model.vjp(X_BAR, 0.7, v), "v"),
+        "jvp v": (lambda m, sch, v: model.jvp(X_BAR, 0.7, v), "v"),
+        "vjp_from_tape v": (lambda m, sch, v: model.vjp_from_tape(model.eps_with_tape(X_BAR, 0.7)[1], v), "v"),
+    }
+    if not isinstance(model, AffineModel):  # an affine model's Jacobian does not read x_bar
+        calls["vjp x"] = (lambda m, sch, v: model.vjp(v, 0.7, X_BAR), "x")
+        calls["jvp x"] = (lambda m, sch, v: model.jvp(v, 0.7, X_BAR), "x")
+    return {f"{name}.{key}": call for key, call in calls.items()}
+
+
+# Every state-sized input of the public API, on a model m of dimension 2 and the task
+# schedule: a call that puts v in that one input, and the name its message gives it.
+VECTOR_ARGUMENTS = {
+    "estimate_clean x_t": (lambda m, sch, v: estimate_clean(m, sch, v, 35, 4).states, "x_t"),
+    "estimate_clean_rk x_t": (lambda m, sch, v: estimate_clean_rk(m, sch, v, 35, 4, HEUN).states, "x_t"),
+    "symplectic_euler_grad grad_at_clean": (
+        lambda m, sch, v: symplectic_euler_grad(m, _traj(m, sch), v, sch, 35), "grad_at_clean"
+    ),
+    "direct_backprop_grad grad_at_clean": (
+        lambda m, sch, v: direct_backprop_grad(m, _traj(m, sch), v, sch, 35), "grad_at_clean"
+    ),
+    "symplectic_rk_grad grad_at_clean": (
+        lambda m, sch, v: symplectic_rk_grad(m, _traj(m, sch, HEUN), v, sch, 35), "grad_at_clean"
+    ),
+    "rk_direct_backprop_grad grad_at_clean": (
+        lambda m, sch, v: rk_direct_backprop_grad(m, _traj(m, sch, HEUN), v, sch, 35), "grad_at_clean"
+    ),
+    "vanilla_adjoint_grad grad_at_clean": (
+        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), v, sch, 35, 4), "grad_at_clean"
+    ),
+    "vanilla_adjoint_grad x_clean": (
+        lambda m, sch, v: vanilla_adjoint_grad(m, v, np.ones(2), sch, 35, 4), "x_clean"
+    ),
+    "conservation_probe v0": (lambda m, sch, v: conservation_probe(m, _traj(m, sch, HEUN), v, np.ones(2)), "v0"),
+    "conservation_probe lambda0": (
+        lambda m, sch, v: conservation_probe(m, _traj(m, sch, HEUN), np.ones(2), v), "lambda0"
+    ),
+    "AffineModel offset": (lambda m, sch, v: AffineModel(np.eye(2), v).offset, "offset"),
+    "L2TargetLoss.value x0": (lambda m, sch, v: L2TargetLoss(TASK_TARGET).value(v), "x0"),
+    "L2TargetLoss.grad x0": (lambda m, sch, v: L2TargetLoss(TASK_TARGET).grad(v), "x0"),
+    "GramStyleLoss.value x0": (lambda m, sch, v: GramStyleLoss([[1.0]], [[1.0, 2.0], [0.5, -1.0]]).value(v), "x0"),
+    "GramStyleLoss.grad x0": (lambda m, sch, v: GramStyleLoss([[1.0]], [[1.0, 2.0], [0.5, -1.0]]).grad(v), "x0"),
+    "finite_diff_vjp x": (lambda m, sch, v: finite_diff_vjp(m, v, sch, 35, np.ones(2), 1e-3), "x"),
+    "finite_diff_vjp v": (lambda m, sch, v: finite_diff_vjp(m, np.ones(2), sch, 35, v, 1e-3), "v"),
+    **_model_methods("GmmModel", GmmModel([0.5, 0.5], TASK_MEANS)),
+    **_model_methods("MlpModel", MlpModel.random([2, 8, 2], seed=0)),
+    **_model_methods("AffineModel", AffineModel(np.array([[0.5, -1.0], [0.25, 2.0]]), np.array([0.1, -0.2]))),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, np.ones(1), np.ones((2, 1))], ids=["scalar", "short", "column"])
+@pytest.mark.parametrize("argument", sorted(VECTOR_ARGUMENTS))
+def test_misshapen_vector_is_rejected_before_any_model_call(schedule, gmm2, argument, value):
+    # A state is a (d,) vector: a scalar, a shorter vector or a (d, 1) column is never broadcast.
+    call, what = VECTOR_ARGUMENTS[argument]
+    model = CountingModel(gmm2)
+    shape = re.escape(str(np.shape(value)))
+    with pytest.raises(ValueError, match=rf"^{what} has shape {shape}, expected \(2,\)$"):
+        call(model, schedule, value)
+    assert model.calls == dict.fromkeys(model.calls, 0)
+
+
+@pytest.mark.parametrize("argument", sorted(VECTOR_ARGUMENTS))
+def test_list_vector_gives_the_same_bits(schedule, gmm2, argument):
+    call = VECTOR_ARGUMENTS[argument][0]
+    model = CountingModel(gmm2)
+    expected = np.asarray(call(model, schedule, np.array([0.4, -1.2])))
+    got = np.asarray(call(model, schedule, [0.4, -1.2]))
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
