@@ -11,8 +11,10 @@ Compares each report.json, report.csv, m_curve.csv and config.resolved.json
 byte for byte, and each timing.json with every row's wall_time_ns dropped.
 Prints "N of M identical" plus, for each file that differs, the largest
 difference between the numbers it holds; for a CSV file also each column
-whose cells differ, with how many do.  Exits 1 on any difference.  The
-temporary directories are removed.
+whose cells differ, with how many do.  When any file differs, ends with
+"worst numeric difference X in RUN/FILE", the largest of those differences
+(inf for a file written on one side only or holding a different count of
+numbers).  Exits 1 on any difference.  The temporary directories are removed.
 
 Every run has its own interpreter, with its own hash seed, so with REV set
 to HEAD on an unmodified checkout (as CI runs it) the script checks that
@@ -25,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -66,12 +69,13 @@ def _compared_bytes(path: Path) -> bytes:
     return json.dumps({**obj, "rows": rows}, sort_keys=True, indent=2).encode()
 
 
-def _largest_difference(a: bytes, b: bytes) -> str:
+def _largest_difference(a: bytes, b: bytes) -> tuple[str, float]:
+    """How the numbers of two files differ, and their largest difference (inf if their counts differ)."""
     xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
     if len(xs) != len(ys):
-        return f"{len(xs)} vs {len(ys)} numbers"
+        return f"{len(xs)} vs {len(ys)} numbers", math.inf
     largest = max((abs(float(x) - float(y)) for x, y in zip(xs, ys)), default=0.0)
-    return f"largest numeric difference {largest!r}"
+    return f"largest numeric difference {largest!r}", largest
 
 
 def _differing_columns(a: bytes, b: bytes) -> str:
@@ -100,7 +104,7 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "rev", filter="data")
         _run_all(tmp / "rev" / "src", tmp / "rev-out")
         _run_all(ROOT / "src", tmp / "tree-out")
-        same, differing = 0, []
+        same, differing, deltas = 0, [], []
         for run in sorted(p.name for p in (tmp / "rev-out").iterdir()):
             for name in FILES:
                 a, b = tmp / "rev-out" / run / name, tmp / "tree-out" / run / name
@@ -108,17 +112,23 @@ def main(argv: list[str]) -> int:
                     continue
                 if not (a.exists() and b.exists()):
                     differing.append(f"{run}/{name}: written on one side only")
+                    deltas.append((math.inf, f"{run}/{name}"))
                 elif _compared_bytes(a) == _compared_bytes(b):
                     same += 1
                 else:
                     a, b = _compared_bytes(a), _compared_bytes(b)
-                    line = f"{run}/{name}: {_largest_difference(a, b)}"
+                    text, largest = _largest_difference(a, b)
+                    deltas.append((largest, f"{run}/{name}"))
+                    line = f"{run}/{name}: {text}"
                     if name.endswith(".csv"):
                         line += f"; cells differ in {_differing_columns(a, b)}"
                     differing.append(line)
     print(f"{same} of {same + len(differing)} identical")
     for line in differing:
         print(f"  differs: {line}")
+    if deltas:
+        largest, where = max(deltas, key=lambda delta: delta[0])
+        print(f"worst numeric difference {largest!r} in {where}")
     return 1 if differing else 0
 
 

@@ -90,8 +90,8 @@ class GramStyleLoss(GuidanceLoss):
     def __init__(self, target_gram: np.ndarray, feature_map: np.ndarray) -> None:
         c = np.array(target_gram, dtype=np.float64)
         F = np.array(feature_map, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("target Gram matrix must be square")
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
+            raise ValueError(f"target Gram matrix must be square and non-empty, got shape {c.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(F))):
             raise ValueError("target Gram matrix and feature map must be finite")
         if not np.allclose(c, c.T):

@@ -23,6 +23,9 @@ GmmModel copy starts with an empty memo.
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
 conventional reverse pass has to keep alive; vjp_from_tape replays it.
+vjp is defined once, in ScoreModel, as that pair, so the adjoint and the
+stored-activation oracle get the same bits from every family; GmmModel
+reaches them from its memo, without building a tape and an unused eps.
 
 Three families ship:
 
@@ -74,8 +77,13 @@ class ScoreModel(abc.ABC):
     @abc.abstractmethod
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray: ...
 
-    @abc.abstractmethod
-    def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray: ...
+    def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+        """v^T (d eps / d x_bar) as a fresh tape, replayed: defined once, for every family.
+
+        GmmModel overrides it only to contract its memo entry instead, to the same bits.
+        """
+        _, tape = self.eps_with_tape(x_bar, sigma)
+        return self.vjp_from_tape(tape, v)
 
     @abc.abstractmethod
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray: ...
@@ -162,14 +170,17 @@ class GmmModel(ScoreModel):
         r, diffs, _, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         return c * (r @ diffs)
 
+    def _jtv(self, v: np.ndarray, r: np.ndarray, diffs: np.ndarray, a: float, c: float) -> np.ndarray:
+        """v^T (d eps / d x_bar) for a checked v, by rank-one contractions over r_k and x_bar - mu_k: O(K d)."""
+        per_k = diffs @ v
+        mean_dot = float(r @ per_k)
+        dr_v = a * r * (mean_dot - per_k)  # (d r_k / d x_bar) . v contribution
+        return c * (v + dr_v @ diffs)
+
     def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        # Analytic route: J = c (I - a Cov_r(mu)) formed explicitly.
+        # The tape pair's bits, contracted straight from the memo entry.
         v = _vector(v, self.dim, "v")
-        r, _, a, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
-        m = r @ self.means
-        centered = self.means - m
-        cov = (centered * r[:, None]).T @ centered
-        return c * (v - a * (cov @ v))
+        return self._jtv(v, *self._responsibilities(_vector(x_bar, self.dim, "x"), sigma))
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         # Jacobian is symmetric for this family.
@@ -181,14 +192,8 @@ class GmmModel(ScoreModel):
         return c * (r @ diffs), tape
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        # Replay route: rank-one contractions over the stored responsibilities.
-        v = _vector(v, self.dim, "v")
         r, diffs, ac = tape
-        a, c = float(ac[0]), float(ac[1])
-        per_k = diffs @ v
-        mean_dot = float(r @ per_k)
-        dr_v = a * r * (mean_dot - per_k)  # (d r_k / d x_bar) . v contribution
-        return c * (v + dr_v @ diffs)
+        return self._jtv(_vector(v, self.dim, "v"), r, diffs, float(ac[0]), float(ac[1]))
 
     def sample_marginal(
         self, rng: np.random.Generator, schedule: NoiseSchedule, t: int, size: int
@@ -291,10 +296,6 @@ class MlpModel(ScoreModel):
                 g = g * (1.0 - tape[l] * tape[l])  # tanh'(z) = 1 - tanh(z)^2
         return g[: self.dim]
 
-    def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        _, tape = self.eps_with_tape(x_bar, sigma)
-        return self.vjp_from_tape(tape, v)
-
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
         v = _vector(v, self.dim, "v")
@@ -350,10 +351,8 @@ class AffineModel(ScoreModel):
         x_bar = _vector(x_bar, self.dim, "x")
         return self.matrix @ x_bar + self.offset
 
-    def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ _vector(v, self.dim, "v")
-
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+        _vector(x_bar, self.dim, "x")  # unread, but checked as every family checks it
         return self.matrix @ _vector(v, self.dim, "v")
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -141,8 +141,11 @@ class TestLosses:
         assert rel_err(loss.grad(x), loss_fd_grad(loss, x, h=1e-6)) < 1e-6
 
     def test_gram_shape_validation(self):
-        with pytest.raises(ValueError):
+        square = r"^target Gram matrix must be square and non-empty, got shape "
+        with pytest.raises(ValueError, match=square + r"\(2, 3\)$"):
             GramStyleLoss(np.zeros((2, 3)), np.zeros((6, 4)))
+        with pytest.raises(ValueError, match=square + r"\(0, 0\)$"):  # r = 0 rows: no feature map fits
+            GramStyleLoss(np.zeros((0, 0)), np.zeros((6, 4)))
         with pytest.raises(ValueError):
             GramStyleLoss(np.zeros((2, 2)), np.zeros((5, 4)))  # 5 rows not divisible by 2
         with pytest.raises(ValueError):

@@ -156,6 +156,26 @@ def test_one_method_reads_and_writes_the_gmm_memo():
     ]
 
 
+def test_each_model_family_has_one_jacobian_transpose_route():
+    # vjp is the taped reverse pass, written once in ScoreModel, so the symplectic adjoint and the
+    # stored-activation oracle share their bits.  GmmModel overrides it only to read its memo
+    # instead of a tape, and both its routes apply the one contraction _jtv.
+    assert sorted(models.ScoreModel.__abstractmethods__) == ["eps", "eps_with_tape", "jvp", "vjp_from_tape"]
+    assert models.MlpModel.vjp is models.AffineModel.vjp is models.ScoreModel.vjp
+    tree = ast.parse((ROOT / "src" / "symguide" / "models.py").read_text())
+    methods = {
+        (cls.name, func.name): func
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for func in cls.body if isinstance(func, ast.FunctionDef)
+    }
+    assert sorted(key for key in methods if key[1] == "vjp") == [("GmmModel", "vjp"), ("ScoreModel", "vjp")]
+    for name in ("vjp", "vjp_from_tape"):
+        body = list(ast.walk(methods["GmmModel", name]))
+        assert any(isinstance(n, ast.Attribute) and n.attr == "_jtv" for n in body), name
+        assert not any(isinstance(n, ast.MatMult) for n in body), name
+    assert "cov" not in _referenced_names(ROOT / "src" / "symguide" / "models.py")
+
+
 def test_elementwise_finiteness_stays_off_the_hot_path():
     # Every state and costate guard goes through estimator._check_finite, whose dot-product
     # screen runs np.isfinite only on an inf or NaN sum; _finite_norm sizes the message of a

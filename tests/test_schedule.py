@@ -257,10 +257,9 @@ def _model_methods(name, model):
         "vjp v": (lambda m, sch, v: model.vjp(X_BAR, 0.7, v), "v"),
         "jvp v": (lambda m, sch, v: model.jvp(X_BAR, 0.7, v), "v"),
         "vjp_from_tape v": (lambda m, sch, v: model.vjp_from_tape(model.eps_with_tape(X_BAR, 0.7)[1], v), "v"),
+        "vjp x": (lambda m, sch, v: model.vjp(v, 0.7, X_BAR), "x"),
+        "jvp x": (lambda m, sch, v: model.jvp(v, 0.7, X_BAR), "x"),
     }
-    if not isinstance(model, AffineModel):  # an affine model's Jacobian does not read x_bar
-        calls["vjp x"] = (lambda m, sch, v: model.vjp(v, 0.7, X_BAR), "x")
-        calls["jvp x"] = (lambda m, sch, v: model.jvp(v, 0.7, X_BAR), "x")
     return {f"{name}.{key}": call for key, call in calls.items()}
 
 
