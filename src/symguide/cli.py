@@ -21,6 +21,7 @@ from .harness import (
     ExperimentReport,
     RunConfig,
     _json_text,
+    _rejected_as,
     emit_plots,
     run_ablation_n,
     run_ablation_rho,
@@ -33,10 +34,8 @@ from .harness import (
 def _plot(out: Path) -> list[Path]:
     """Render SVG figures from the report.json in a run directory."""
     report_path = out / "report.json"
-    try:
+    with _rejected_as(f"cannot plot {report_path}: "):
         return emit_plots(ExperimentReport(**json.loads(report_path.read_text())), out)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"cannot plot {report_path}: {exc!r}") from exc
 
 
 # Each command and the function that runs it.  The first line of its

@@ -48,7 +48,7 @@ from .guidance import (
     ddim_rollout,
     sag_sample,
 )
-from .models import AffineModel, GmmModel, MlpModel, ScoreModel
+from .models import AffineModel, GmmModel, MlpModel, ScoreModel, _layer_shapes
 from .schedule import NoiseSchedule, _real, build_linear_schedule
 from .svgplot import line_plot_svg, table_svg
 
@@ -84,10 +84,15 @@ def _keys(spec: Any, where: str, required: Collection[str], optional: Collection
 
 @contextlib.contextmanager
 def _rejected_as(prefix: str):
-    """Raise what a malformed spec makes the block raise as ConfigError, its message after prefix."""
+    """Raise what malformed JSON input makes the block raise as ConfigError, its message after prefix.
+
+    Every config file and section, MLP weights file and report.json is read inside one.
+    """
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{prefix}missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
@@ -106,9 +111,9 @@ MAX_MLP_PARAMETERS = 4 * MAX_SIZE**2
 
 
 def _mlp_widths(widths: Any) -> list[int]:
-    """The widths, checked before any weight is allocated; sigma is one more input to the first layer."""
+    """The widths, checked before any weight array is allocated."""
     widths = [_integer(w, 1, "mlp widths entry", MAX_SIZE) for w in widths]
-    params = sum((w + 1 + (l == 0)) * w_out for l, (w, w_out) in enumerate(zip(widths, widths[1:])))
+    params = sum((fan_in + 1) * fan_out for fan_out, fan_in in _layer_shapes(widths))
     if params > MAX_MLP_PARAMETERS:
         raise ConfigError(f"mlp widths hold {params} parameters, over MAX_MLP_PARAMETERS = {MAX_MLP_PARAMETERS}")
     return widths
@@ -125,12 +130,14 @@ def build_model(spec: dict) -> ScoreModel:
                 path = Path(_keys(spec, "mlp model", ("kind", "weights_file"))["weights_file"])
                 if not path.exists():
                     raise ConfigError(f"mlp weights file not found: {path}")
-                obj = json.loads(path.read_text())
+                obj = _keys(json.loads(path.read_text()), "mlp weights file", ("widths", "layers"), ("seed",))
                 widths = _mlp_widths(obj["widths"])
+                layers = []
                 for layer in obj["layers"]:
-                    _real_array(layer["W"], "mlp layer W")
-                    _real_array(layer["b"], "mlp layer b")
-                return MlpModel.from_json_dict({**obj, "widths": widths})
+                    _keys(layer, "mlp weights layer", ("W", "b"))
+                    layers.append((_real_array(layer["W"], "mlp layer W"), _real_array(layer["b"], "mlp layer b")))
+                seed = obj.get("seed")
+                return MlpModel(widths, layers, None if seed is None else _integer(seed, 0, "mlp weights file seed"))
             _keys(spec, "mlp model", ("kind", "widths"), ("seed",))
             return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), 0, "mlp seed"))
         if kind == "affine":
@@ -155,11 +162,9 @@ def build_loss(spec: dict) -> GuidanceLoss:
         raise ConfigError(f"unknown loss kind '{kind}'")
 
 
-# GuidanceConfig's fields are the guidance keys: required without a default, counts otherwise.  Resolved
-# configs of earlier versions carry the retired keys at off values (null, {} or false), which still load.
+# GuidanceConfig's fields are the guidance keys: required without a default, counts otherwise.
 _GUIDANCE_REQUIRED = [f.name for f in fields(GuidanceConfig) if f.default is MISSING]
 _GUIDANCE_OPTIONAL = [f.name for f in fields(GuidanceConfig) if f.default is not MISSING]
-_RETIRED_GUIDANCE_KEYS = ("rho_by_t", "repeats_by_t", "n_by_t", "grad_normalize")
 
 
 def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
@@ -168,8 +173,7 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     Keys the section leaves out take their GuidanceConfig defaults.
     """
     with _rejected_as("bad guidance spec: "):
-        off = [k for k in _RETIRED_GUIDANCE_KEYS if isinstance(spec, dict) and spec.get(k) in (None, {}, False)]
-        _keys(spec, "guidance", _GUIDANCE_REQUIRED, (*_GUIDANCE_OPTIONAL, *off))
+        _keys(spec, "guidance", _GUIDANCE_REQUIRED, _GUIDANCE_OPTIONAL)
         guidance = GuidanceConfig(
             window=tuple(_integer(k, 1, "guidance window step") for k in spec["window"]),
             rho=spec["rho"],
@@ -221,8 +225,7 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
 
 
 # A config's required sections, each held as RunConfig.<name>_spec, and its
-# optional top-level keys, each a RunConfig field with a default.  Resolved configs of
-# earlier versions carry "parallel" (the retired thread pool), which loads and is dropped.
+# optional top-level keys, each a RunConfig field with a default.
 _SECTIONS = ("schedule", "model", "loss", "guidance")
 _OPTIONAL_KEYS = ("sweep", "num_seeds", "base_seed", "out_dir")
 
@@ -285,7 +288,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         """Keys the object leaves out take their field defaults."""
-        _keys(obj, "config", _SECTIONS, (*_OPTIONAL_KEYS, "parallel"))
+        _keys(obj, "config", _SECTIONS, _OPTIONAL_KEYS)
         sections = {f"{name}_spec": obj[name] for name in _SECTIONS}
         return cls(**sections, **{k: obj[k] for k in _OPTIONAL_KEYS if k in obj})
 
@@ -295,12 +298,8 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
+        with _rejected_as(f"config file {path} is not readable JSON: "):
             obj = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict({**obj, **overrides} if isinstance(obj, dict) else obj)
 
     def to_resolved_dict(self) -> dict:

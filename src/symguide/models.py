@@ -207,6 +207,11 @@ class GmmModel(ScoreModel):
         return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * noise
 
 
+def _layer_shapes(widths: Sequence[int]) -> list[tuple[int, int]]:
+    """Each layer's W shape (fan_out, fan_in); sigma is one more input to layer 0."""
+    return [(w_out, w + (l == 0)) for l, (w, w_out) in enumerate(zip(widths, widths[1:]))]
+
+
 class MlpModel(ScoreModel):
     """tanh MLP noise predictor; sigma enters as an extra input feature.
 
@@ -235,13 +240,12 @@ class MlpModel(ScoreModel):
         self.seed = seed
         self._Ws: list[np.ndarray] = []
         self._bs: list[np.ndarray] = []
-        for l, (W, b) in enumerate(layers):
+        for l, ((W, b), (fan_out, fan_in)) in enumerate(zip(layers, _layer_shapes(widths))):
             W = np.array(W, dtype=np.float64)
             b = np.array(b, dtype=np.float64)
-            fan_in = widths[l] + 1 if l == 0 else widths[l]
-            if W.shape != (widths[l + 1], fan_in) or b.shape != (widths[l + 1],):
+            if W.shape != (fan_out, fan_in) or b.shape != (fan_out,):
                 raise ValueError(f"layer {l}: W is {W.shape}, b is {b.shape}; "
-                                 f"expected ({widths[l + 1]}, {fan_in}) and ({widths[l + 1]},)")
+                                 f"expected ({fan_out}, {fan_in}) and ({fan_out},)")
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l}: W and b must be finite")
             W.setflags(write=False)
@@ -258,11 +262,10 @@ class MlpModel(ScoreModel):
         rng = np.random.default_rng(seed)
         widths = [_count(w, "width") for w in widths]
         layers = []
-        for l in range(len(widths) - 1):
-            fan_in = widths[l] + 1 if l == 0 else widths[l]
+        for fan_out, fan_in in _layer_shapes(widths):
             bound = 1.0 / np.sqrt(fan_in)
-            W = rng.uniform(-bound, bound, size=(widths[l + 1], fan_in))
-            b = rng.uniform(-bound, bound, size=widths[l + 1])
+            W = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+            b = rng.uniform(-bound, bound, size=fan_out)
             layers.append((W, b))
         return cls(widths, layers, seed=seed)
 
@@ -316,10 +319,6 @@ class MlpModel(ScoreModel):
             ],
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MlpModel":
-        return cls(obj["widths"], [(l["W"], l["b"]) for l in obj["layers"]], seed=obj.get("seed"))
 
 
 class AffineModel(ScoreModel):

@@ -235,15 +235,24 @@ def _string_first_W(weights):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, named",
     [
-        lambda weights: weights.update(widths=["2", "4", "2"]),
-        _string_first_W,
-        lambda weights: weights["layers"][-1].update(b=[True, False]),
+        (lambda weights: weights.update(widths=["2", "4", "2"]), "widths"),
+        (_string_first_W, "W"),
+        (lambda weights: weights["layers"][-1].update(b=[True, False]), "b"),
+        (lambda weights: weights.update(typo=1), "typo"),
+        (lambda weights: weights["layers"][0].update(typo=1), "typo"),
+        (lambda weights: weights.update(seed="x"), "seed"),
+        (lambda weights: weights.update(seed=True), "seed"),
+        (lambda weights: weights.update(seed=-1), "seed"),
+        (lambda weights: weights.update(seed=2.5), "seed"),
     ],
-    ids=["string-widths", "string-W", "boolean-b"],
+    ids=[
+        "string-widths", "string-W", "boolean-b", "stray-key", "stray-layer-key",
+        "string-seed", "boolean-seed", "negative-seed", "fractional-seed",
+    ],
 )
-def test_malformed_weights_file_exits_2(config_path, tmp_path, capsys, corrupt):
+def test_malformed_weights_file_exits_2(config_path, tmp_path, capsys, corrupt, named):
     obj = json.loads(config_path.read_text())
     weights_path = tmp_path / "weights.json"
     obj["model"] = {"kind": "mlp", "weights_file": str(weights_path)}
@@ -255,7 +264,9 @@ def test_malformed_weights_file_exits_2(config_path, tmp_path, capsys, corrupt):
     corrupt(weights)
     weights_path.write_text(json.dumps(weights))
     assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert re.search(rf"\b{named}\b", err), err
 
 
 def test_invalid_config_exits_2(tmp_path):
@@ -377,7 +388,7 @@ def test_plot_from_report(config_path, tmp_path):
     assert any(p.name == "m_curve.svg" for p in svgs)
 
 
-def test_plot_missing_report_exits_2(tmp_path):
+def test_plot_missing_report_exits_2(tmp_path, capsys):
     assert main(["plot", "--out", str(tmp_path / "empty")]) == 2
     good = {"kind": "ablation_rho", "columns": ["rho"], "rows": [{"rho": 0.1}]}
     for name, text in [
@@ -386,11 +397,13 @@ def test_plot_missing_report_exits_2(tmp_path):
         ("array", json.dumps([good])),
         ("bad_rows", json.dumps({**good, "rows": [{"seed": 0}]})),
         ("unplottable", json.dumps(good)),  # rho rows need diverged and final_loss
+        ("list_meta", json.dumps({**good, "meta": []})),
     ]:
         report = tmp_path / name / "report.json"
         report.parent.mkdir()
         report.write_text(text)
         assert main(["plot", "--out", str(report.parent)]) == 2, name
+    assert "missing key 'diverged'" in capsys.readouterr().err
 
 
 def test_compare_adjoint_end_to_end(config_path, tmp_path):
@@ -404,18 +417,26 @@ def test_compare_adjoint_end_to_end(config_path, tmp_path):
     assert (out / "adjoint_comparison.svg").exists()
 
 
-def test_resolved_config_with_parallel_key_still_loads(config_path, tmp_path):
-    # Resolved configs written before the sweep thread pool was removed carry "parallel": 1.
-    old = json.loads(config_path.read_text())
-    old["parallel"] = 1
-    # ... and those written before the per-step guidance options were removed
-    # carry "grad_normalize": false.
-    old["guidance"]["grad_normalize"] = False
-    old_path = tmp_path / "config.resolved.json"
-    old_path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
-    out = tmp_path / "rerun"
-    assert main(["sample", "--config", str(old_path), "--seed", "7", "--out", str(out)]) == 0
-    assert "parallel" not in json.loads((out / "config.resolved.json").read_text())
+@pytest.mark.parametrize(
+    "section, key, off",
+    [
+        (None, "parallel", 1),
+        ("guidance", "rho_by_t", None),
+        ("guidance", "repeats_by_t", {}),
+        ("guidance", "n_by_t", {}),
+        ("guidance", "grad_normalize", False),
+    ],
+    ids=["parallel", "rho_by_t", "repeats_by_t", "n_by_t", "grad_normalize"],
+)
+def test_retired_keys_exit_2(config_path, tmp_path, capsys, section, key, off):
+    # Each key a retired option used to read, at the value that left the option off.
+    obj = json.loads(config_path.read_text())
+    (obj[section] if section else obj)[key] = off
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"unknown key\(s\) \['{key}'\]", err), err
 
 
 # A small valid config; the other kinds of its schedule, model and loss

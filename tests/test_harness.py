@@ -143,13 +143,30 @@ class TestConfig:
             assert build_model({"kind": "mlp", "widths": widths}).widths == widths
 
     def test_weights_file_with_integral_float_widths_loads(self, tmp_path):
-        # JSON counts 2.0 as an integer, and the loader hands MlpModel the ints it checked.
+        # JSON counts 2.0 as an integer (the seed 3.0 too), and the loader hands MlpModel the ints it checked.
         mlp = MlpModel.random([2, 4, 2], seed=0)
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({**mlp.to_json_dict(), "widths": [2.0, 4.0, 2.0]}))
+        path.write_text(json.dumps({**mlp.to_json_dict(), "widths": [2.0, 4.0, 2.0], "seed": 3.0}))
         loaded = build_model({"kind": "mlp", "weights_file": str(path)})
         assert loaded.widths == [2, 4, 2]
+        assert loaded.seed == 3 and type(loaded.seed) is int
         assert loaded.eps(np.ones(2), 1.0).tobytes() == mlp.eps(np.ones(2), 1.0).tobytes()
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["int-seed", "null-seed"])
+    def test_weights_file_round_trip(self, tmp_path, seeded):
+        # to_json_dict writes what build_model reads, a null seed included.
+        if seeded:
+            mlp = MlpModel.random([2, 4, 2], 0)
+        else:
+            rng = np.random.default_rng(1)
+            mlp = MlpModel([2, 4, 2], [(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+                                       (rng.standard_normal((2, 4)), rng.standard_normal(2))])
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(mlp.to_json_dict()))
+        loaded = build_model({"kind": "mlp", "weights_file": str(path)})
+        assert loaded.seed == (0 if seeded else None)
+        for x, sigma in [(np.ones(2), 1.0), (np.array([0.3, -2.5]), 0.01), (np.zeros(2), 7.5)]:
+            assert loaded.eps(x, sigma).tobytes() == mlp.eps(x, sigma).tobytes()
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

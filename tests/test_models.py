@@ -361,12 +361,6 @@ class TestMlp:
             with pytest.raises(ValueError, match="finite"):
                 MlpModel([2, 2], [(np.zeros((2, 3)), np.full(2, bad))])
 
-    def test_json_round_trip(self, mlp3):
-        loaded = MlpModel.from_json_dict(json.loads(json.dumps(mlp3.to_json_dict())))
-        x = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(loaded.eps(x, 1.3), mlp3.eps(x, 1.3))
-        assert loaded.seed == mlp3.seed
-
 
 def test_affine_zero_dimension_rejected():
     with pytest.raises(ValueError, match="non-empty"):
