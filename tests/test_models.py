@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rel_err
 from symguide import models
+from symguide.harness import build_model
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -352,6 +353,20 @@ class TestMlp:
         with pytest.raises(ValueError, match="expected 2 layers, got 1"):
             MlpModel([2, 4, 2], [(np.zeros((4, 3)), np.zeros(4))])
 
+    @pytest.mark.parametrize("seed", ["x", True, -1, 2.5, 3.0], ids=repr)
+    def test_seed_other_than_none_or_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be .*, got {seed!r}"):
+            MlpModel([2, 2], [(np.zeros((2, 3)), np.zeros(2))], seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, np.int64(3)], ids=repr)
+    def test_stored_seed_loads_from_its_weights_file(self, tmp_path, seed):
+        # What the library stores, its weights file loads: build_model takes a null or non-negative integer seed.
+        mlp = MlpModel([2, 2], [(np.zeros((2, 3)), np.zeros(2))], seed=seed)
+        assert mlp.seed == seed and (seed is None or type(mlp.seed) is int)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(mlp.to_json_dict()))
+        assert build_model({"kind": "mlp", "weights_file": str(path)}).seed == mlp.seed
+
     def test_non_finite_layers_rejected(self):
         for bad in (np.nan, np.inf):
             W = np.zeros((2, 3))
@@ -521,3 +536,66 @@ def test_copies_keep_every_array_read_only_and_every_output_bit(clone):
         assert outputs(twin) == expected, type(obj).__name__
         arrays = _arrays(twin)  # the copied ones and those its outputs memoised
         assert arrays and not any(arr.flags.writeable for arr in arrays), type(obj).__name__
+        if isinstance(twin, models.ScoreModel):
+            assert all(arr.ctypes.data % 64 == 0 for arr in _parameters(twin)), type(obj).__name__
+
+
+def _parameters(model: models.ScoreModel) -> list[np.ndarray]:
+    """A model's parameter arrays: every array it holds but a GmmModel's memo entries."""
+    return _arrays({name: value for name, value in vars(model).items() if name != "_memo"})
+
+
+def test_a_loaded_weights_file_is_read_only_on_64_byte_boundaries(tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(MlpModel.random([2, 6, 2], seed=3).to_json_dict()))
+    params = _parameters(build_model({"kind": "mlp", "weights_file": str(path)}))
+    assert len(params) == 4
+    assert all(arr.ctypes.data % 64 == 0 and not arr.flags.writeable for arr in params)
+
+
+def _at_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of a whose data starts offset bytes past a 64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def _per_layer_mlp(layers, x_bar, sigma, u, v):
+    """MlpModel's eps, tape, jvp and taped vjp as first written, one indexed layer at a time."""
+    Ws, bs = [W for W, _ in layers], [b for _, b in layers]
+    L = len(Ws)
+    acts = [np.concatenate([x_bar, [float(sigma)]])]
+    for l in range(L):
+        z = Ws[l] @ acts[l] + bs[l]
+        acts.append(np.tanh(z) if l < L - 1 else z)
+    jv = np.concatenate([u, [0.0]])
+    for l in range(L):
+        jv = Ws[l] @ jv
+        if l < L - 1:
+            jv = jv * (1.0 - acts[l + 1] * acts[l + 1])
+    g = v
+    for l in range(L - 1, -1, -1):
+        g = Ws[l].T @ g
+        if l > 0:
+            g = g * (1.0 - acts[l] * acts[l])
+    return acts[-1], acts[:-1], jv, g[: len(x_bar)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_mlp_bits_match_per_layer_expressions_on_misaligned_weights(seed):
+    # The (W, b) loops and the aligned weights change speed, not bits: the model gives the
+    # bytes of the per-layer expressions applied to copies 16 bytes past a 64-byte boundary.
+    mlp = MlpModel.random([16, 256, 256, 16], seed)
+    layers = [(_at_offset(W, 16), _at_offset(b, 16)) for W, b in [*mlp._hidden, mlp._out]]
+    rng = np.random.default_rng(seed)
+    for sigma in (0.01, 0.8, 35.0):
+        x_bar, u, v = rng.standard_normal((3, 16))
+        eps, tape, jv, g = _per_layer_mlp(layers, x_bar, sigma, u, v)
+        got_eps, got_tape = mlp.eps_with_tape(x_bar, sigma)
+        assert got_eps.tobytes() == mlp.eps(x_bar, sigma).tobytes() == eps.tobytes()
+        assert [a.tobytes() for a in got_tape] == [a.tobytes() for a in tape]
+        assert mlp.jvp(x_bar, sigma, u).tobytes() == jv.tobytes()
+        assert mlp.vjp_from_tape(got_tape, v).tobytes() == mlp.vjp(x_bar, sigma, v).tobytes() == g.tobytes()

@@ -223,3 +223,20 @@ def test_mlp_and_affine_models_keep_no_state_between_calls(make):
         assert vars(model)[key] is value, key
         if items is not None:
             assert len(value) == len(items) and all(a is b for a, b in zip(value, items)), key
+
+
+def test_model_arrays_are_frozen_by_one_rule():
+    # models._frozen makes every parameter array read-only and 64-byte aligned; the only
+    # other read-only arrays in models.py are the GMM memo entries _mixture returns.
+    tree = ast.parse((ROOT / "src" / "symguide" / "models.py").read_text())
+
+    def setflags_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "setflags"]
+
+    allowed = [
+        call
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in ("_frozen", "_mixture")
+        for call in setflags_calls(func)
+    ]
+    assert allowed and len(setflags_calls(tree)) == len(allowed)
