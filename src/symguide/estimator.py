@@ -32,7 +32,7 @@ import numpy as np
 
 from .models import ScoreModel
 # Imported by name: perfbench traces make_sub_schedule through this module's attribute.
-from .schedule import NoiseSchedule, _count, _vector, make_sub_schedule
+from .schedule import NoiseSchedule, _count, _frozen, _vector, make_sub_schedule
 
 __all__ = [
     "DivergenceError",
@@ -53,12 +53,12 @@ class DivergenceError(RuntimeError):
 class ButcherTableau:
     """An explicit forward RK method (a, b, c); its costate coefficients are derived.
 
-    a is strictly lower triangular (explicit forward method) and every
-    weight b[i] is nonzero.  The costate sweep (see the adjoint module)
-    weights its stages by b itself, evaluates them at the forward stage
-    points, and couples them by A[i][j] = b[j] a[j][i] / b[i], the solution
-    of the conjugacy identity.  A is strictly upper triangular, so the
-    backward stage sweep stays explicit.  All arrays are read-only, so the
+    a, b and c are finite, a is strictly lower triangular (explicit forward
+    method) and every weight b[i] is nonzero.  The costate sweep (see the
+    adjoint module) weights its stages by b itself, evaluates them at the
+    forward stage points, and couples them by A[i][j] = b[j] a[j][i] / b[i],
+    the solution of the conjugacy identity.  A is strictly upper triangular,
+    so the backward stage sweep stays explicit.  All arrays are read-only, so the
     identity checked here holds for the tableau's lifetime.  A zero weight
     stays rejected: A divides by b[i], and such tableaux need a separate
     costate formulation (Sanz-Serna 2016; Matsubara et al. 2021) that no
@@ -74,20 +74,18 @@ class ButcherTableau:
     def __post_init__(self) -> None:
         s = np.size(self.b)
         for name, shape in (("a", (s, s)), ("b", (s,)), ("c", (s,))):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr = _frozen(getattr(self, name), f"tableau field {name}")
             if arr.shape != shape:
                 raise ValueError(f"tableau field {name} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(np.triu(self.a) != 0.0):
             raise ValueError("forward tableau must be strictly lower triangular")
         if np.any(self.b == 0.0):
             raise ValueError("all forward weights b[i] must be nonzero")
         A = np.triu(self.b[None, :] * self.a.T / self.b[:, None], 1)
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", _frozen(A, "tableau field A"))
         res = self.conjugacy_residual()
-        if not res <= 1e-15:  # NaN coefficients fail too
+        if not res <= 1e-15:  # a residual that overflows to NaN fails too
             raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
 
     def __reduce__(self):

@@ -21,7 +21,7 @@ import numpy as np
 from .adjoint import symplectic_euler_grad
 from .estimator import DivergenceError, _finite_norm, estimate_clean
 from .models import ScoreModel
-from .schedule import NoiseSchedule, _count, _real, _vector
+from .schedule import NoiseSchedule, _count, _frozen, _real, _vector
 
 __all__ = [
     "GuidanceLoss",
@@ -58,17 +58,14 @@ class L2TargetLoss(GuidanceLoss):
     """value = |x0 - target|^2 / 2, grad = x0 - target."""
 
     def __init__(self, target: np.ndarray) -> None:
-        target = np.array(target, dtype=np.float64)
+        target = _frozen(target, "target")
         if target.ndim != 1:
             raise ValueError(f"target must be a vector, got shape {target.shape}")
-        if not np.all(np.isfinite(target)):
-            raise ValueError("target must be finite")
-        target.setflags(write=False)
         self.target = target
         self.dim = len(target)
 
     def __reduce__(self):
-        # Copies and pickles rebuild through __init__, which freezes the copied target.
+        # Copies and pickles rebuild through __init__, which freezes a copy of the target.
         return type(self), (self.target,)
 
     def value(self, x0: np.ndarray) -> float:
@@ -88,19 +85,15 @@ class GramStyleLoss(GuidanceLoss):
     """
 
     def __init__(self, target_gram: np.ndarray, feature_map: np.ndarray) -> None:
-        c = np.array(target_gram, dtype=np.float64)
-        F = np.array(feature_map, dtype=np.float64)
+        c = _frozen(target_gram, "target Gram matrix")
+        F = _frozen(feature_map, "feature map")
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
             raise ValueError(f"target Gram matrix must be square and non-empty, got shape {c.shape}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(F))):
-            raise ValueError("target Gram matrix and feature map must be finite")
         if not np.allclose(c, c.T):
             raise ValueError("target Gram matrix must be symmetric")
         r = c.shape[0]
         if F.ndim != 2 or F.shape[0] % r != 0:
             raise ValueError(f"feature map must have a multiple of r = {r} rows, got {F.shape}")
-        c.setflags(write=False)
-        F.setflags(write=False)
         self.target_gram = c
         self.feature_map = F
         self.rows = r

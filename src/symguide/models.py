@@ -18,16 +18,9 @@ under concurrency.  A hit skips only the responsibility computation: the
 same points give the same bits whether the memo served them or not.  Every
 model copies and pickles by rebuilding through its constructor, as every
 class that freezes its arrays does, so a copy's arrays stay read-only and a
-GmmModel copy starts with an empty memo.
-
-Every parameter array (an MLP's W and b, a mixture's weights and means, an
-affine map's matrix and offset) is stored read-only as a copy whose data
-starts on a 64-byte boundary, by _frozen.  OpenBLAS's gemv is faster there:
-with numpy 2.4 and OpenBLAS 0.3.31 on one thread of a 2-core Xeon VM, a
-256x256 float64 W @ h takes about 4.8 us at offset 0 against 6.9 us at 16
-bytes past the boundary, and W.T @ h about 4.2 us against 7.0 us.  Those
-products give the same bits at every offset, so no output bit depends on
-where an array lies.
+GmmModel copy starts with an empty memo.  Every parameter array (an MLP's W
+and b, a mixture's weights and means, an affine map's matrix and offset) is
+stored by schedule._frozen: read-only, finite and 64-byte aligned.
 
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
@@ -57,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import NoiseSchedule, _count, _real, _vector
+from .schedule import NoiseSchedule, _count, _frozen, _real, _vector
 
 __all__ = [
     "ScoreModel",
@@ -76,16 +69,6 @@ _MEMO_CAPACITY = 64
 # kept off the instances so that a model still copies and pickles.
 _MEMO_LOCK = threading.Lock()
 _F64 = struct.Struct("<d")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of a whose data starts on a 64-byte boundary."""
-    buf = np.empty(a.size + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    out = buf[start : start + a.size].reshape(a.shape)
-    out[...] = a
-    out.setflags(write=False)
-    return out
 
 
 class ScoreModel(abc.ABC):
@@ -128,21 +111,19 @@ class GmmModel(ScoreModel):
     """
 
     def __init__(self, weights: Sequence[float], means: Sequence[Sequence[float]]) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        means = np.asarray(means, dtype=np.float64)
+        weights = _frozen(weights, "mixture weights")
+        means = _frozen(means, "mixture means")
         if means.ndim != 2 or len(weights) != len(means):
             raise ValueError("means must be (K, d) with one row per weight")
         if means.shape[1] < 1:
             raise ValueError("mixture dimension d must be positive")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
-            raise ValueError("mixture weights and means must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {weights.sum()!r}, expected 1")
-        self.weights = _frozen(weights)
-        self.means = _frozen(means)
-        self.log_weights = _frozen(np.log(weights))
+        self.weights = weights
+        self.means = means
+        self.log_weights = _frozen(np.log(weights), "mixture log weights")
         self.dim = means.shape[1]
         self._memo: dict[bytes, tuple[np.ndarray, np.ndarray, float, float]] = {}
 
@@ -223,6 +204,14 @@ class GmmModel(ScoreModel):
         return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * noise
 
 
+def _seed(seed: object) -> int:
+    """seed as a non-negative int; None, a bool, a float or a string is rejected as _count rejects it."""
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    return seed
+
+
 def _layer_shapes(widths: Sequence[int]) -> list[tuple[int, int]]:
     """Each layer's W shape (fan_out, fan_in); sigma is one more input to layer 0."""
     return [(w_out, w + (l == 0)) for l, (w, w_out) in enumerate(zip(widths, widths[1:]))]
@@ -252,23 +241,16 @@ class MlpModel(ScoreModel):
             raise ValueError("layer widths must be positive")
         if len(layers) != len(widths) - 1:
             raise ValueError(f"expected {len(widths) - 1} layers, got {len(layers)}")
-        if seed is not None:
-            seed = _count(seed, "seed")
-            if seed < 0:
-                raise ValueError(f"seed must be non-negative, got {seed!r}")
         self.widths = widths
         self.dim = widths[0]
-        self.seed = seed
+        self.seed = None if seed is None else _seed(seed)
         frozen = []
         for l, ((W, b), (fan_out, fan_in)) in enumerate(zip(layers, _layer_shapes(widths))):
-            W = np.asarray(W, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
+            W, b = _frozen(W, f"layer {l} W"), _frozen(b, f"layer {l} b")
             if W.shape != (fan_out, fan_in) or b.shape != (fan_out,):
                 raise ValueError(f"layer {l}: W is {W.shape}, b is {b.shape}; "
                                  f"expected ({fan_out}, {fan_in}) and ({fan_out},)")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l}: W and b must be finite")
-            frozen.append((_frozen(W), _frozen(b)))
+            frozen.append((W, b))
         # The (W, b) pairs the forward pass applies tanh after, and the linear output layer.
         *self._hidden, self._out = frozen
 
@@ -277,7 +259,8 @@ class MlpModel(ScoreModel):
 
     @classmethod
     def random(cls, widths: Sequence[int], seed: int) -> "MlpModel":
-        """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init from a recorded seed."""
+        """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init from a recorded seed, a non-negative integer."""
+        seed = _seed(seed)
         rng = np.random.default_rng(seed)
         widths = [_count(w, "width") for w in widths]
         layers = []
@@ -343,15 +326,12 @@ class AffineModel(ScoreModel):
     """eps(x_bar, sigma) = A x_bar + offset, independent of sigma."""
 
     def __init__(self, matrix: np.ndarray, offset: np.ndarray | None = None) -> None:
-        A = np.asarray(matrix, dtype=np.float64)
+        A = _frozen(matrix, "matrix")
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
             raise ValueError(f"matrix must be square and non-empty, got shape {A.shape}")
         self.dim = A.shape[0]
         b = np.zeros(self.dim) if offset is None else _vector(offset, self.dim, "offset")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("matrix and offset must be finite")
-        self.matrix = _frozen(A)
-        self.offset = _frozen(b)
+        self.matrix, self.offset = A, _frozen(b, "offset")
 
     def __reduce__(self):
         return type(self), (self.matrix, self.offset)

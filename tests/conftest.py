@@ -83,6 +83,16 @@ class CountingModel(ScoreModel):
         return self._call("vjp_from_tape", tape, v)
 
 
+def at_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of a whose data starts offset bytes past a 64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, rel_err
+from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, at_offset, rel_err
 from symguide import models
 from symguide import (
     AffineModel,
@@ -154,6 +154,21 @@ class TestLosses:
             GramStyleLoss(np.full((2, 2), np.inf), np.zeros((6, 4)))
         with pytest.raises(ValueError, match="finite"):
             GramStyleLoss(np.eye(2), np.full((6, 4), np.nan))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gram_bits_match_its_expressions_on_misaligned_copies(self, seed):
+        # The loss keeps its arrays on 64-byte boundaries (schedule._frozen); that changes
+        # no bit: value and grad equal their expressions on copies 16 bytes past a boundary.
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((4, 4))
+        loss = GramStyleLoss(c + c.T, rng.standard_normal((32, 64)))
+        assert all(arr.ctypes.data % 64 == 0 for arr in (loss.target_gram, loss.feature_map))
+        gram_target, F = at_offset(loss.target_gram, 16), at_offset(loss.feature_map, 16)
+        for x in rng.standard_normal((5, 64)):
+            Y = (F @ x).reshape(4, 8)
+            diff = Y @ Y.T - gram_target
+            assert loss.value(x) == float(np.sum(diff * diff))
+            assert loss.grad(x).tobytes() == (F.T @ (4.0 * diff @ Y).ravel()).tobytes()
 
 
 class TestRenoise:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -10,18 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err
+from conftest import at_offset, rel_err
 from symguide import models
 from symguide.harness import build_model
 from symguide import (
     AffineModel,
     ButcherTableau,
+    CheckpointTrajectory,
     GmmModel,
     GramStyleLoss,
     GuidanceConfig,
     L2TargetLoss,
     MlpModel,
     NoiseSchedule,
+    SampleRecord,
     build_linear_schedule,
     estimate_clean_rk,
     finite_diff_vjp,
@@ -358,6 +361,15 @@ class TestMlp:
         with pytest.raises(ValueError, match=f"seed must be .*, got {seed!r}"):
             MlpModel([2, 2], [(np.zeros((2, 3)), np.zeros(2))], seed=seed)
 
+    @pytest.mark.parametrize("seed", ["x", 2.5, True, -1, None], ids=repr)
+    def test_random_draws_only_from_a_non_negative_integer_seed(self, monkeypatch, seed):
+        # random records the seed its weights came from, so None (OS entropy) is rejected too.
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=rf"^seed must be .*, got {re.escape(repr(seed))}$"):
+            MlpModel.random([2, 2], seed)
+        assert drawn == []
+
     @pytest.mark.parametrize("seed", [None, np.int64(3)], ids=repr)
     def test_stored_seed_loads_from_its_weights_file(self, tmp_path, seed):
         # What the library stores, its weights file loads: build_model takes a null or non-negative integer seed.
@@ -536,31 +548,24 @@ def test_copies_keep_every_array_read_only_and_every_output_bit(clone):
         assert outputs(twin) == expected, type(obj).__name__
         arrays = _arrays(twin)  # the copied ones and those its outputs memoised
         assert arrays and not any(arr.flags.writeable for arr in arrays), type(obj).__name__
-        if isinstance(twin, models.ScoreModel):
-            assert all(arr.ctypes.data % 64 == 0 for arr in _parameters(twin)), type(obj).__name__
+        if not isinstance(twin, (CheckpointTrajectory, SampleRecord)):
+            # What schedule._frozen stored; the two per-call records freeze their own arrays in place.
+            assert all(arr.ctypes.data % 64 == 0 for arr in _kept(twin)), type(obj).__name__
+        if isinstance(twin, NoiseSchedule):
+            assert len(twin._sub_grids) == 1  # the grid its outputs memoised is checked too
 
 
-def _parameters(model: models.ScoreModel) -> list[np.ndarray]:
-    """A model's parameter arrays: every array it holds but a GmmModel's memo entries."""
-    return _arrays({name: value for name, value in vars(model).items() if name != "_memo"})
+def _kept(obj) -> list[np.ndarray]:
+    """Every array an object keeps: all it holds but a GmmModel's memo entries."""
+    return _arrays({name: value for name, value in vars(obj).items() if name != "_memo"})
 
 
 def test_a_loaded_weights_file_is_read_only_on_64_byte_boundaries(tmp_path):
     path = tmp_path / "weights.json"
     path.write_text(json.dumps(MlpModel.random([2, 6, 2], seed=3).to_json_dict()))
-    params = _parameters(build_model({"kind": "mlp", "weights_file": str(path)}))
+    params = _kept(build_model({"kind": "mlp", "weights_file": str(path)}))
     assert len(params) == 4
     assert all(arr.ctypes.data % 64 == 0 and not arr.flags.writeable for arr in params)
-
-
-def _at_offset(a: np.ndarray, offset: int) -> np.ndarray:
-    """A copy of a whose data starts offset bytes past a 64-byte boundary."""
-    buf = np.empty(a.size + 16)
-    start = (-buf.ctypes.data % 64 + offset) // 8
-    out = buf[start : start + a.size].reshape(a.shape)
-    out[...] = a
-    assert out.ctypes.data % 64 == offset
-    return out
 
 
 def _per_layer_mlp(layers, x_bar, sigma, u, v):
@@ -589,7 +594,7 @@ def test_mlp_bits_match_per_layer_expressions_on_misaligned_weights(seed):
     # The (W, b) loops and the aligned weights change speed, not bits: the model gives the
     # bytes of the per-layer expressions applied to copies 16 bytes past a 64-byte boundary.
     mlp = MlpModel.random([16, 256, 256, 16], seed)
-    layers = [(_at_offset(W, 16), _at_offset(b, 16)) for W, b in [*mlp._hidden, mlp._out]]
+    layers = [(at_offset(W, 16), at_offset(b, 16)) for W, b in [*mlp._hidden, mlp._out]]
     rng = np.random.default_rng(seed)
     for sigma in (0.01, 0.8, 35.0):
         x_bar, u, v = rng.standard_normal((3, 16))

@@ -226,17 +226,34 @@ def test_mlp_and_affine_models_keep_no_state_between_calls(make):
 
 
 def test_model_arrays_are_frozen_by_one_rule():
-    # models._frozen makes every parameter array read-only and 64-byte aligned; the only
-    # other read-only arrays in models.py are the GMM memo entries _mixture returns.
-    tree = ast.parse((ROOT / "src" / "symguide" / "models.py").read_text())
-
-    def setflags_calls(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "setflags"]
-
-    allowed = [
-        call
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name in ("_frozen", "_mixture")
-        for call in setflags_calls(func)
+    # schedule._frozen copies, checks finite, aligns and freezes every array an object keeps, in
+    # the whole package.  setflags runs elsewhere only in the three per-call records that freeze
+    # what was just computed, where a copy would run on every guided step.  No constructor
+    # checks finiteness itself; NoiseSchedule.__init__ checks only its derived sigmas for overflow.
+    package = ROOT / "src" / "symguide"
+    defined, setflags, isfinite = [], set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.update({id(n): node.name for n in ast.walk(node)})
+            elif isinstance(node, ast.ClassDef):
+                for func in [f for f in node.body if isinstance(f, ast.FunctionDef)]:
+                    scopes.update({id(n): f"{node.name}.{func.name}" for n in ast.walk(func)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_frozen":
+                defined.append(path.stem)
+            scope = (path.stem, scopes.get(id(node), "<module>"))
+            if isinstance(node, ast.Attribute) and node.attr == "setflags":
+                setflags.add(scope)
+            if isinstance(node, ast.Attribute) and node.attr == "isfinite" and scope[1].endswith("init__"):
+                isfinite.add(scope)
+    assert defined == ["schedule"]
+    assert sorted(setflags) == [
+        ("estimator", "CheckpointTrajectory.__post_init__"),
+        ("guidance", "SampleRecord.__post_init__"),
+        ("models", "GmmModel._mixture"),
+        ("schedule", "_frozen"),
     ]
-    assert allowed and len(setflags_calls(tree)) == len(allowed)
+    assert sorted(isfinite) == [("schedule", "NoiseSchedule.__init__")]

@@ -24,6 +24,7 @@ from symguide import (
     estimation_error_curve,
     make_sub_schedule,
     rk_direct_backprop_grad,
+    sag_sample,
     symplectic_euler_grad,
     symplectic_rk_grad,
     time_travel_renoise,
@@ -322,3 +323,66 @@ def test_list_vector_gives_the_same_bits(schedule, gmm2, argument):
     expected = np.asarray(call(model, schedule, np.array([0.4, -1.2])))
     got = np.asarray(call(model, schedule, [0.4, -1.2]))
     assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+GUIDED = GuidanceConfig(window=(15, 35), rho=0.01, n_steps=2)
+
+
+def _with_entry(valid, bad):
+    """A float64 copy of valid whose last entry is bad."""
+    out = np.array(valid, dtype=np.float64)
+    out.flat[-1] = bad
+    return out
+
+
+# Every array a constructor keeps: a call that builds the object with v in that one argument and
+# would then run the model m, the valid value v replaces, and the name its message gives it.
+ARRAY_ARGUMENTS = {
+    "NoiseSchedule alpha": (
+        lambda m, sch, v: ddim_step(m, NoiseSchedule(v), np.ones(2), 2), [1.0, 0.5, 0.25], "alpha"
+    ),
+    "ButcherTableau a": (
+        lambda m, sch, v: estimate_clean_rk(m, sch, np.ones(2), 35, 4, ButcherTableau(v, HEUN.b, HEUN.c)),
+        HEUN.a, "tableau field a",
+    ),
+    "ButcherTableau b": (
+        lambda m, sch, v: estimate_clean_rk(m, sch, np.ones(2), 35, 4, ButcherTableau(HEUN.a, v, HEUN.c)),
+        HEUN.b, "tableau field b",
+    ),
+    "ButcherTableau c": (
+        lambda m, sch, v: estimate_clean_rk(m, sch, np.ones(2), 35, 4, ButcherTableau(HEUN.a, HEUN.b, v)),
+        HEUN.c, "tableau field c",
+    ),
+    "L2TargetLoss target": (
+        lambda m, sch, v: sag_sample(m, sch, L2TargetLoss(v), GUIDED, 0), TASK_TARGET, "target"
+    ),
+    "GramStyleLoss target_gram": (
+        lambda m, sch, v: sag_sample(m, sch, GramStyleLoss(v, np.eye(2)), GUIDED, 0), [[1.0]], "target Gram matrix"
+    ),
+    "GramStyleLoss feature_map": (
+        lambda m, sch, v: sag_sample(m, sch, GramStyleLoss([[1.0]], v), GUIDED, 0), np.eye(2), "feature map"
+    ),
+    "GmmModel weights": (lambda m, sch, v: GmmModel(v, TASK_MEANS), [0.5, 0.5], "mixture weights"),
+    "GmmModel means": (lambda m, sch, v: GmmModel([0.5, 0.5], v), TASK_MEANS, "mixture means"),
+    "MlpModel W": (
+        lambda m, sch, v: MlpModel([2, 3, 2], [(v, MLP_LAYERS[0][1]), MLP_LAYERS[1]]), MLP_LAYERS[0][0], "layer 0 W"
+    ),
+    "MlpModel b": (
+        lambda m, sch, v: MlpModel([2, 3, 2], [MLP_LAYERS[0], (MLP_LAYERS[1][0], v)]), MLP_LAYERS[1][1], "layer 1 b"
+    ),
+    "AffineModel matrix": (lambda m, sch, v: AffineModel(v), np.eye(2), "matrix"),
+    "AffineModel offset": (lambda m, sch, v: AffineModel(np.eye(2), v), [0.1, -0.2], "offset"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("argument", sorted(ARRAY_ARGUMENTS))
+def test_non_finite_array_is_rejected_before_any_model_call(schedule, gmm2, argument, bad):
+    # schedule._frozen checks every array an object keeps: a NaN abscissa c used to reach the model.
+    call, valid, what = ARRAY_ARGUMENTS[argument]
+    model = CountingModel(gmm2)
+    call(model, schedule, valid)
+    model.calls = dict.fromkeys(model.calls, 0)
+    with pytest.raises(ValueError, match=rf"^{what} must be finite$"):
+        call(model, schedule, _with_entry(valid, bad))
+    assert model.calls == dict.fromkeys(model.calls, 0)
