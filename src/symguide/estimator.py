@@ -82,9 +82,11 @@ class ButcherTableau:
             raise ValueError("forward tableau must be strictly lower triangular")
         if np.any(self.b == 0.0):
             raise ValueError("all forward weights b[i] must be nonzero")
-        A = np.triu(self.b[None, :] * self.a.T / self.b[:, None], 1)
-        object.__setattr__(self, "A", _frozen(A, "tableau field A"))
-        res = self.conjugacy_residual()
+        # An A that overflows fails _frozen's finite check, and a residual that does fails the bound.
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.triu(self.b[None, :] * self.a.T / self.b[:, None], 1)
+            object.__setattr__(self, "A", _frozen(A, "tableau field A"))
+            res = self.conjugacy_residual()
         if not res <= 1e-15:  # a residual that overflows to NaN fails too
             raise ValueError(f"conjugacy condition violated: max residual {res:.3e}")
 

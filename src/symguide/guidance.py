@@ -70,7 +70,7 @@ class L2TargetLoss(GuidanceLoss):
 
     def value(self, x0: np.ndarray) -> float:
         diff = _vector(x0, self.dim, "x0") - self.target
-        return 0.5 * float(diff @ diff)
+        return 0.5 * float(diff.dot(diff))
 
     def grad(self, x0: np.ndarray) -> np.ndarray:
         return _vector(x0, self.dim, "x0") - self.target
@@ -89,7 +89,9 @@ class GramStyleLoss(GuidanceLoss):
         F = _frozen(feature_map, "feature map")
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
             raise ValueError(f"target Gram matrix must be square and non-empty, got shape {c.shape}")
-        if not np.allclose(c, c.T):
+        with np.errstate(over="ignore", invalid="ignore"):  # c - c.T may overflow to inf: not close
+            symmetric = np.allclose(c, c.T)
+        if not symmetric:
             raise ValueError("target Gram matrix must be symmetric")
         r = c.shape[0]
         if F.ndim != 2 or F.shape[0] % r != 0:
@@ -104,8 +106,8 @@ class GramStyleLoss(GuidanceLoss):
         return type(self), (self.target_gram, self.feature_map)
 
     def _gram(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Y = (self.feature_map @ _vector(x0, self.dim, "x0")).reshape(self.rows, self.cols)
-        return Y, Y @ Y.T
+        Y = self.feature_map.dot(_vector(x0, self.dim, "x0")).reshape(self.rows, self.cols)
+        return Y, Y.dot(Y.T)
 
     def value(self, x0: np.ndarray) -> float:
         _, gram = self._gram(x0)
@@ -114,8 +116,8 @@ class GramStyleLoss(GuidanceLoss):
 
     def grad(self, x0: np.ndarray) -> np.ndarray:
         Y, gram = self._gram(x0)
-        dY = 4.0 * (gram - self.target_gram) @ Y
-        return self.feature_map.T @ dY.ravel()
+        dY = (4.0 * (gram - self.target_gram)).dot(Y)
+        return self.feature_map.T.dot(dY.ravel())
 
 
 @dataclass(frozen=True)

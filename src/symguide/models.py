@@ -22,6 +22,18 @@ GmmModel copy starts with an empty memo.  Every parameter array (an MLP's W
 and b, a mixture's weights and means, an affine map's matrix and offset) is
 stored by schedule._frozen: read-only, finite and 64-byte aligned.
 
+Every matrix and vector product here and in the guidance losses is
+ndarray.dot, never `@`.  Over an axis of length 2 or more, dot makes the
+BLAS call `@` makes (ddot for two vectors, gemv for a matrix and a vector,
+syrk or gemm for two matrices) on the same operands, so it gives the same
+bits, and it skips the matmul gufunc's dispatch: with numpy 2.4 and one
+OpenBLAS thread on a 2-core Xeon VM, the GMM's (2,) by (2, 2) product
+takes about 0.28 us against 0.57 us, and the MLP's 256x256 W.dot(h) 4.5 us
+against 4.8 us.  Over an axis of length 1 a product is one multiplication,
+which `@` adds to +0.0 and dot does not, so there a zero product can keep a
+negative sign; the values compare equal.  np.einsum stays in _mixture,
+where no dot form gives its bits.
+
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
 conventional reverse pass has to keep alive; vjp_from_tape replays it.
@@ -165,14 +177,14 @@ class GmmModel(ScoreModel):
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         r, diffs, _, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
-        return c * (r @ diffs)
+        return c * r.dot(diffs)
 
     def _jtv(self, v: np.ndarray, r: np.ndarray, diffs: np.ndarray, a: float, c: float) -> np.ndarray:
         """v^T (d eps / d x_bar) for a checked v, by rank-one contractions over r_k and x_bar - mu_k: O(K d)."""
-        per_k = diffs @ v
-        mean_dot = float(r @ per_k)
+        per_k = diffs.dot(v)
+        mean_dot = float(r.dot(per_k))
         dr_v = a * r * (mean_dot - per_k)  # (d r_k / d x_bar) . v contribution
-        return c * (v + dr_v @ diffs)
+        return c * (v + dr_v.dot(diffs))
 
     def vjp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         # The tape pair's bits, contracted straight from the memo entry.
@@ -186,7 +198,7 @@ class GmmModel(ScoreModel):
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         r, diffs, a, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         tape = [r, diffs, np.array([a, c])]
-        return c * (r @ diffs), tape
+        return c * r.dot(diffs), tape
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         r, diffs, ac = tape
@@ -280,10 +292,10 @@ class MlpModel(ScoreModel):
         a = np.concatenate([x_bar, [float(sigma)]])
         acts = [a]
         for W, b in self._hidden:
-            a = np.tanh(W @ a + b)
+            a = np.tanh(W.dot(a) + b)
             acts.append(a)
         W, b = self._out
-        acts.append(W @ a + b)
+        acts.append(W.dot(a) + b)
         return acts
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
@@ -296,10 +308,10 @@ class MlpModel(ScoreModel):
         return acts[-1], acts[:-1]
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        g = self._out[0].T @ _vector(v, self.dim, "v")
+        g = self._out[0].T.dot(_vector(v, self.dim, "v"))
         # Hidden layer l's output is tape[l + 1]; tanh'(z) = 1 - tanh(z)^2.
         for (W, _), a in zip(reversed(self._hidden), reversed(tape)):
-            g = W.T @ (g * (1.0 - a * a))
+            g = W.T.dot(g * (1.0 - a * a))
         return g[: self.dim]
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
@@ -308,8 +320,8 @@ class MlpModel(ScoreModel):
         acts = self._forward(x_bar, sigma)
         u = np.concatenate([v, [0.0]])  # sigma is held fixed
         for (W, _), a in zip(self._hidden, acts[1:]):
-            u = (W @ u) * (1.0 - a * a)
-        return self._out[0] @ u
+            u = W.dot(u) * (1.0 - a * a)
+        return self._out[0].dot(u)
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,18 +354,18 @@ class AffineModel(ScoreModel):
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
-        return self.matrix @ x_bar + self.offset
+        return self.matrix.dot(x_bar) + self.offset
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         _vector(x_bar, self.dim, "x")  # unread, but checked as every family checks it
-        return self.matrix @ _vector(v, self.dim, "v")
+        return self.matrix.dot(_vector(v, self.dim, "v"))
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         # Linear map: the backward pass needs no stored activations.
         return self.eps(x_bar, sigma), []
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ _vector(v, self.dim, "v")
+        return self.matrix.T.dot(_vector(v, self.dim, "v"))
 
 
 def vjp_at_step(
@@ -392,7 +404,7 @@ def finite_diff_vjp(
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        fp = float(v @ model.eps(schedule.to_scaled(xp, t), schedule.sigma(t)))
-        fm = float(v @ model.eps(schedule.to_scaled(xm, t), schedule.sigma(t)))
+        fp = float(v.dot(model.eps(schedule.to_scaled(xp, t), schedule.sigma(t))))
+        fm = float(v.dot(model.eps(schedule.to_scaled(xm, t), schedule.sigma(t))))
         out[j] = (fp - fm) / (2.0 * h)
     return out

@@ -212,6 +212,10 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "loss", {"target": -3.0}),
         # A repeated axis value would run its cells twice and draw one curve for them.
         ("ablate-n", "sweep", {"n_list": [2, 2]}),
+        # An asymmetric target Gram matrix whose c - c.T overflows.
+        ("sample", None, {"loss": {
+            "kind": "gram_style", "target_gram": [[1.0, 1e308], [-1e308, 1.0]], "feature_map": [[1.0, 0.0], [0.0, 1.0]],
+        }}),
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):

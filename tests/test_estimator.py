@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import TASK_BETAS, TASK_T, CountingModel, NanModel, rel_err
 from symguide import (
     AffineModel,
+    ButcherTableau,
     DivergenceError,
     ExperimentReport,
     GmmModel,
@@ -327,3 +329,19 @@ class TestErrorCurve:
         assert all(len(line.split(",")) == 5 for line in lines)
         for line, p in zip(lines[1:], curve):
             assert line.split(",") == [repr(p.n), repr(p.mean_error), repr(p.stderr), "50", "3"]
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # b[0] is so small that A[0][1] = b[1] a[1][0] / b[0] overflows in the division.
+        ([[0.0, 0.0], [1e300, 0.0]], [1e-300, 1.0], "tableau field A must be finite"),
+        # A is zero, but the residual's b_i b_j overflows and inf - inf is NaN.
+        ([[0.0, 0.0], [0.0, 0.0]], [1e200, 1e200], "conjugacy condition violated: max residual nan"),
+    ],
+    ids=["A-overflows", "residual-overflows"],
+)
+def test_tableau_whose_derivation_overflows_is_rejected_without_a_warning(a, b, message):
+    # Under -W error (pyproject.toml) an overflow warning would escape before the ValueError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ButcherTableau(a, b, [0.0, 1.0])

@@ -150,6 +150,8 @@ class TestLosses:
             GramStyleLoss(np.zeros((2, 2)), np.zeros((5, 4)))  # 5 rows not divisible by 2
         with pytest.raises(ValueError):
             GramStyleLoss(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((6, 4)))  # asymmetric
+        with pytest.raises(ValueError, match="^target Gram matrix must be symmetric$"):
+            GramStyleLoss([[1.0, 1e308], [-1e308, 1.0]], np.eye(2))  # c - c.T overflows
         with pytest.raises(ValueError, match="finite"):
             GramStyleLoss(np.full((2, 2), np.inf), np.zeros((6, 4)))
         with pytest.raises(ValueError, match="finite"):

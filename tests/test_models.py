@@ -25,6 +25,7 @@ from symguide import (
     MlpModel,
     NoiseSchedule,
     SampleRecord,
+    ScoreModel,
     build_linear_schedule,
     estimate_clean_rk,
     finite_diff_vjp,
@@ -604,3 +605,110 @@ def test_mlp_bits_match_per_layer_expressions_on_misaligned_weights(seed):
         assert [a.tobytes() for a in got_tape] == [a.tobytes() for a in tape]
         assert mlp.jvp(x_bar, sigma, u).tobytes() == jv.tobytes()
         assert mlp.vjp_from_tape(got_tape, v).tobytes() == mlp.vjp(x_bar, sigma, v).tobytes() == g.tobytes()
+
+
+def _matmul_reference(obj, x, sigma, v):
+    """Every output obj gives at (x, sigma, v), computed with the `@` expressions the models and
+    losses used before their products went through ndarray.dot."""
+    if isinstance(obj, GmmModel):
+        r, diffs, a, c = obj._mixture(x, sigma)
+        per_k = diffs @ v
+        dr_v = a * r * (float(r @ per_k) - per_k)
+        eps, jtv = c * (r @ diffs), c * (v + dr_v @ diffs)
+        return [eps, jtv, jtv, eps, r, diffs, np.array([a, c]), jtv]
+    if isinstance(obj, MlpModel):
+        *hidden, (W_out, b_out) = [*obj._hidden, obj._out]
+        acts = [np.concatenate([x, [float(sigma)]])]
+        for W, b in hidden:
+            acts.append(np.tanh(W @ acts[-1] + b))
+        eps = W_out @ acts[-1] + b_out
+        g = W_out.T @ v
+        for (W, _), act in zip(reversed(hidden), reversed(acts)):
+            g = W.T @ (g * (1.0 - act * act))
+        u = np.concatenate([v, [0.0]])
+        for (W, _), act in zip(hidden, acts[1:]):
+            u = (W @ u) * (1.0 - act * act)
+        return [eps, g[: obj.dim], W_out @ u, eps, *acts, g[: obj.dim]]
+    if isinstance(obj, AffineModel):
+        eps, jtv = obj.matrix @ x + obj.offset, obj.matrix.T @ v
+        return [eps, jtv, obj.matrix @ v, eps, jtv]
+    if isinstance(obj, L2TargetLoss):
+        diff = x - obj.target
+        return [np.float64(0.5 * float(diff @ diff)), x - obj.target]
+    Y = (obj.feature_map @ x).reshape(obj.rows, obj.cols)
+    gram = Y @ Y.T
+    diff = gram - obj.target_gram
+    dY = 4.0 * (gram - obj.target_gram) @ Y
+    return [np.float64(float(np.sum(diff * diff))), obj.feature_map.T @ dY.ravel()]
+
+
+def _outputs(obj, x, sigma, v):
+    """What _matmul_reference writes out, from obj's own methods."""
+    if isinstance(obj, ScoreModel):
+        eps, tape = obj.eps_with_tape(x, sigma)
+        return [obj.eps(x, sigma), obj.vjp(x, sigma, v), obj.jvp(x, sigma, v), eps, *tape,
+                obj.vjp_from_tape(tape, v)]
+    return [np.float64(obj.value(x)), obj.grad(x)]
+
+
+def _contracted_lengths(obj) -> list[int]:
+    """The length of every axis a product in obj's methods sums over."""
+    if isinstance(obj, GmmModel):
+        return list(obj.means.shape)
+    if isinstance(obj, MlpModel):
+        return [obj.dim + 1, *obj.widths]
+    if isinstance(obj, GramStyleLoss):
+        return [obj.dim, obj.rows, obj.cols]
+    return [obj.dim]
+
+
+@st.composite
+def product_cases(draw):
+    """A GMM, MLP, affine model or loss with a point, a sigma and a cotangent; exact zeros of
+    either sign, and points on a mixture mean, are drawn often, since the products' sign of zero
+    is where `@` and ndarray.dot could part."""
+    kind = draw(st.sampled_from(["gmm", "mlp", "affine", "l2", "gram"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mlp":
+        d = draw(st.integers(1, 64))
+        hidden = [draw(st.integers(1, 128)), draw(st.integers(1, 64))][: draw(st.integers(0, 2))]
+        obj = MlpModel.random([d, *hidden, d], seed=int(rng.integers(2**31)))
+    elif kind == "gram":
+        rows, cols, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 64))
+        c = rng.standard_normal((rows, rows))
+        obj = GramStyleLoss(c + c.T, rng.standard_normal((rows * cols, d)))
+    else:
+        d = draw(st.integers(1, 64))
+        if kind == "gmm":
+            k = draw(st.integers(1, 8))
+            w = rng.uniform(0.05, 1.0, k)
+            means = rng.standard_normal((k, d)) * 3.0
+            means[rng.random((k, d)) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+            obj = GmmModel(w / w.sum(), means)
+        elif kind == "affine":
+            obj = AffineModel(rng.standard_normal((d, d)), rng.standard_normal(d))
+        else:
+            obj = L2TargetLoss(rng.standard_normal(d))
+    d = obj.dim
+    x, v = rng.standard_normal((2, d)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    if kind == "gmm" and draw(st.booleans()):
+        x = obj.means[draw(st.integers(0, len(obj.means) - 1))].copy()
+    for arr in (x, v):
+        arr[rng.random(d) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = draw(st.sampled_from([0.0, -0.0]))
+    return obj, x, draw(st.floats(0.05, 40.0)), v
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=product_cases())
+def test_products_give_the_bits_of_the_matmul_expressions(case):
+    # Every product goes through ndarray.dot, which reaches the same BLAS routine as `@` with
+    # less dispatch.  Where the contracted axis has length 2 or more, the bytes are the same; over
+    # a length-1 axis `@` adds the single term to +0.0 and dot does not, so a zero product keeps
+    # its sign there.  Adding 0.0, which maps -0.0 to +0.0 and leaves every other value as it is,
+    # makes the bytes equal in every case.
+    obj, x, sigma, v = case
+    got, want = _outputs(obj, x, sigma, v), _matmul_reference(obj, x, sigma, v)
+    assert len(got) == len(want)
+    assert [(g + 0.0).tobytes() for g in got] == [(w + 0.0).tobytes() for w in want]
+    if min(_contracted_lengths(obj)) > 1:
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -257,3 +257,16 @@ def test_model_arrays_are_frozen_by_one_rule():
         ("schedule", "_frozen"),
     ]
     assert sorted(isfinite) == [("schedule", "NoiseSchedule.__init__")]
+
+
+def test_products_go_through_ndarray_dot():
+    # Every matrix and vector product in the package is ndarray.dot, which makes the BLAS call
+    # `@` makes with less dispatch: no `@` or `@=` anywhere under src/symguide.
+    package = ROOT / "src" / "symguide"
+    matmuls = [
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert matmuls == []
