@@ -244,9 +244,7 @@ def vanilla_adjoint_grad(
     and the current grid sigma -- deliberately reproducing the
     discretization error the symplectic solver avoids.
     """
-    n_back = _count(n_back, "n_back")
-    if n_back < 1:
-        raise ValueError(f"n_back must be >= 1, got {n_back}")
+    n_back = _count(n_back, "n_back", 1)
     sig = make_sub_schedule(schedule, t, n_back)
     x_bar = _vector(x_clean, model.dim, "x_clean")  # sqrt(alpha_0) = 1
     _check_finite(x_bar, 0)

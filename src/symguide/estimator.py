@@ -284,16 +284,13 @@ def estimation_error_curve(
     Raises DivergenceError if an estimate leaves the finite range, or if a
     point's mean error or stderr is not finite.
     """
-    n_list = [_count(n, "n") for n in n_list]
-    n_ref, num_samples = _count(n_ref, "n_ref"), _count(num_samples, "num_samples")
+    seed = _count(seed, "seed")
+    n_list = [_count(n, "n", 1) for n in n_list]
+    n_ref, num_samples = _count(n_ref, "n_ref"), _count(num_samples, "num_samples", MIN_ERROR_SAMPLES)
     if not n_list:
         raise ValueError("n_list must hold at least one n")
-    if min(n_list) < 1:
-        raise ValueError("all n must be >= 1")
     if n_ref < 8 * max(n_list):
         raise ValueError(f"n_ref = {n_ref} too coarse; need >= 8 * max(n_list) = {8 * max(n_list)}")
-    if num_samples < MIN_ERROR_SAMPLES:
-        raise ValueError(f"num_samples must be >= {MIN_ERROR_SAMPLES}, got {num_samples}")
     rng = np.random.default_rng(seed)
     if hasattr(model, "sample_marginal"):
         xs = model.sample_marginal(rng, schedule, t, num_samples)

@@ -141,19 +141,15 @@ class GuidanceConfig:
     n_steps: int = 1
 
     def __post_init__(self) -> None:
-        window = tuple(_count(k, "window step") for k in self.window)
-        if len(window) != 2 or not 0 < window[0] < window[1]:
+        window = tuple(_count(k, "window step", 1) for k in self.window)
+        if len(window) != 2 or not window[0] < window[1]:
             raise ValueError(f"window must be a pair (K1, K2) with 0 < K1 < K2, got {self.window!r}")
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "rho", _real(self.rho, "rho"))
         if self.rho < 0.0:
             raise ValueError(f"rho must be non-negative, got {self.rho!r}")
-        for name in ("repeats", "n_steps"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.repeats < 1 or self.n_steps < 1:
-            raise ValueError("repeats and n_steps must be >= 1")
-        if self.n_steps > MAX_SIZE:
-            raise ValueError(f"n_steps must be at most MAX_SIZE = {MAX_SIZE}, got {self.n_steps}")
+        object.__setattr__(self, "repeats", _count(self.repeats, "repeats", 1))
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1, MAX_SIZE))
 
     def validate_for(self, schedule: NoiseSchedule) -> None:
         if self.window[1] >= schedule.num_steps:
@@ -260,7 +256,7 @@ def ddim_rollout(model: ScoreModel, schedule: NoiseSchedule, seed: int) -> np.nd
     Checks each state as sag_sample does and raises DivergenceError when
     one diverges, so a guidance-off sample and its rollout fail alike.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     x = rng.standard_normal(model.dim)
     for t in range(schedule.num_steps, 0, -1):
         x = ddim_step(model, schedule, x, t)
@@ -284,6 +280,7 @@ def sag_sample(
     norm passes _NORM_GUARD (1e9).  No numpy floating-point warning escapes.
     Raises ValueError if the loss and the model differ in dimension.
     """
+    seed = _count(seed, "seed")
     config.validate_for(schedule)
     if loss.dim != model.dim:
         raise ValueError(f"loss dimension {loss.dim} does not match model dimension {model.dim}")

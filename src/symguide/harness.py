@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import numbers
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -49,7 +48,7 @@ from .guidance import (
     sag_sample,
 )
 from .models import AffineModel, GmmModel, MlpModel, ScoreModel, _layer_shapes
-from .schedule import NoiseSchedule, _real, build_linear_schedule
+from .schedule import NoiseSchedule, _count, _real, build_linear_schedule
 from .svgplot import line_plot_svg, table_svg
 
 __all__ = [
@@ -102,7 +101,7 @@ def build_schedule(spec: dict) -> NoiseSchedule:
             _keys(spec, "explicit schedule", ("alpha",))
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         _keys(spec, "linear schedule", ("T", "beta_min", "beta_max"))
-        T = _integer(spec["T"], 2, "schedule T", MAX_SIZE)
+        T = _integer(spec["T"], "schedule T", 2, MAX_SIZE)
         return build_linear_schedule(T, spec["beta_min"], spec["beta_max"])
 
 
@@ -112,7 +111,7 @@ MAX_MLP_PARAMETERS = 4 * MAX_SIZE**2
 
 def _mlp_widths(widths: Any) -> list[int]:
     """The widths, checked before any weight array is allocated."""
-    widths = [_integer(w, 1, "mlp widths entry", MAX_SIZE) for w in widths]
+    widths = [_integer(w, "mlp widths entry", 1, MAX_SIZE) for w in widths]
     params = sum((fan_in + 1) * fan_out for fan_out, fan_in in _layer_shapes(widths))
     if params > MAX_MLP_PARAMETERS:
         raise ConfigError(f"mlp widths hold {params} parameters, over MAX_MLP_PARAMETERS = {MAX_MLP_PARAMETERS}")
@@ -137,9 +136,9 @@ def build_model(spec: dict) -> ScoreModel:
                     _keys(layer, "mlp weights layer", ("W", "b"))
                     layers.append((_real_array(layer["W"], "mlp layer W"), _real_array(layer["b"], "mlp layer b")))
                 seed = obj.get("seed")
-                return MlpModel(widths, layers, None if seed is None else _integer(seed, 0, "mlp weights file seed"))
+                return MlpModel(widths, layers, None if seed is None else _integer(seed, "mlp weights file seed"))
             _keys(spec, "mlp model", ("kind", "widths"), ("seed",))
-            return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), 0, "mlp seed"))
+            return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), "mlp seed"))
         if kind == "affine":
             _keys(spec, "affine model", ("kind", "matrix"), ("offset",))
             offset = None if spec.get("offset") is None else _real_array(spec["offset"], "affine offset")
@@ -175,25 +174,22 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     with _rejected_as("bad guidance spec: "):
         _keys(spec, "guidance", _GUIDANCE_REQUIRED, _GUIDANCE_OPTIONAL)
         guidance = GuidanceConfig(
-            window=tuple(_integer(k, 1, "guidance window step") for k in spec["window"]),
+            window=tuple(_integer(k, "guidance window step", 1) for k in spec["window"]),
             rho=spec["rho"],
-            **{k: _integer(spec[k], 1, f"guidance {k}", MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
+            **{k: _integer(spec[k], f"guidance {k}", 1, MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
         )
         guidance.validate_for(schedule)
         return guidance
 
 
-def _integer(value: Any, least: int, what: str, most: int = sys.maxsize) -> int:
-    """A JSON integer in [least, most]; integral floats such as 2.0 count, booleans do not.
-
-    The default upper bound keeps every count a machine-sized integer that
-    numpy and range() accept.
-    """
+def _integer(value: Any, what: str, least: int = 0, most: int = sys.maxsize) -> int:
+    """A JSON integer by schedule._count's rule, plus JSON's allowance: an integral float such as 2.0 counts."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not least <= value <= most:
-        raise ConfigError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
-    return int(value)
+    try:
+        return _count(value, what, least, most)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _real_array(value: Any, what: str) -> np.ndarray:
@@ -217,9 +213,9 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
     "rho_list": ([0.0, 0.05, 0.2, 1.0], lambda config, v: config.with_guidance(rho=v).rho),
     "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
     "windows": (None, lambda config, v: config.with_guidance(window=v).window),
-    "d_list": ([2, 4], lambda config, v: _integer(v, 1, "d", MAX_SIZE)),
+    "d_list": ([2, 4], lambda config, v: _integer(v, "d", 1, MAX_SIZE)),
     "m_curve_samples": (
-        [200], lambda config, v: _integer(v, MIN_ERROR_SAMPLES, "m_curve_samples", MAX_SIZE)
+        [200], lambda config, v: _integer(v, "m_curve_samples", MIN_ERROR_SAMPLES, MAX_SIZE)
     ),
 }
 
@@ -251,8 +247,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Frozen: parsed values and built objects bypass the dataclass guard.
-        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, 1, "num_seeds", MAX_SIZE))
-        object.__setattr__(self, "base_seed", _integer(self.base_seed, 0, "base_seed"))
+        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, "num_seeds", 1, MAX_SIZE))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         _keys(self.sweep, "sweep", (), _SWEEP_AXES)

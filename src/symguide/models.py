@@ -216,14 +216,6 @@ class GmmModel(ScoreModel):
         return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * noise
 
 
-def _seed(seed: object) -> int:
-    """seed as a non-negative int; None, a bool, a float or a string is rejected as _count rejects it."""
-    seed = _count(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
-    return seed
-
-
 def _layer_shapes(widths: Sequence[int]) -> list[tuple[int, int]]:
     """Each layer's W shape (fan_out, fan_in); sigma is one more input to layer 0."""
     return [(w_out, w + (l == 0)) for l, (w, w_out) in enumerate(zip(widths, widths[1:]))]
@@ -246,16 +238,14 @@ class MlpModel(ScoreModel):
         layers: Sequence[tuple[np.ndarray, np.ndarray]],
         seed: int | None = None,
     ) -> None:
-        widths = [_count(w, "width") for w in widths]
+        widths = [_count(w, "width", 1) for w in widths]
         if len(widths) < 2 or widths[0] != widths[-1]:
             raise ValueError("widths must have first == last == data dimension")
-        if any(w < 1 for w in widths):
-            raise ValueError("layer widths must be positive")
         if len(layers) != len(widths) - 1:
             raise ValueError(f"expected {len(widths) - 1} layers, got {len(layers)}")
         self.widths = widths
         self.dim = widths[0]
-        self.seed = None if seed is None else _seed(seed)
+        self.seed = None if seed is None else _count(seed, "seed")
         frozen = []
         for l, ((W, b), (fan_out, fan_in)) in enumerate(zip(layers, _layer_shapes(widths))):
             W, b = _frozen(W, f"layer {l} W"), _frozen(b, f"layer {l} b")
@@ -272,9 +262,9 @@ class MlpModel(ScoreModel):
     @classmethod
     def random(cls, widths: Sequence[int], seed: int) -> "MlpModel":
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init from a recorded seed, a non-negative integer."""
-        seed = _seed(seed)
+        seed = _count(seed, "seed")
         rng = np.random.default_rng(seed)
-        widths = [_count(w, "width") for w in widths]
+        widths = [_count(w, "width", 1) for w in widths]
         layers = []
         for fan_out, fan_in in _layer_shapes(widths):
             bound = 1.0 / np.sqrt(fan_in)
@@ -350,7 +340,7 @@ class AffineModel(ScoreModel):
 
     @classmethod
     def zero(cls, dim: int) -> "AffineModel":
-        return cls(np.zeros((_count(dim, "dim"),) * 2))
+        return cls(np.zeros((_count(dim, "dim", 1),) * 2))
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")

@@ -13,11 +13,17 @@ in which the deterministic sampler becomes an ODE d x_bar = eps_bar d sigma.
 sigma is strictly increasing in t and sigma(0) = 0.  All arithmetic is
 float64.  This module owns the step geometry: the step range, the pull-back
 to scaled coordinates, the sub-step sigma grids of the n-step estimate
-(make_sub_schedule), and the one rule for every count and step index of the
-public API (_count), for every real parameter (_real), for every
-state-sized vector (_vector) and for every array an object keeps (_frozen).
+(make_sub_schedule), and the one rule for every count, step index and seed
+(_count), for every real parameter (_real), for every state-sized vector
+(_vector) and for every array an object keeps (_frozen).
 A schedule's values are immutable after construction; its only mutable part
 is a memo of the read-only sub-step grids, at most one per (t, n).
+
+_count(value, what, least, most) is the only check of an integer's type
+and range, configs included: a bool, a float (2.0 too), a string or None
+raises ValueError: <what> must be an integer, got <value>, and an integer
+outside [least, most] (by default [0, sys.maxsize]) raises ValueError:
+<what> must be in [<least>, <most>], got <value>.
 
 Every array an object keeps (a schedule's alpha, log alpha and sub-step
 grids, a tableau's a, b, c and A, a loss's target or Gram matrix and
@@ -43,13 +49,15 @@ import numpy as np
 __all__ = ["NoiseSchedule", "build_linear_schedule", "make_sub_schedule"]
 
 
-def _count(value: object, what: str) -> int:
-    """An int or numpy integer as an int; a bool, a float (2.0 too) or a string is rejected, not truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _count(value: object, what: str, least: int = 0, most: int = sys.maxsize) -> int:
+    """value as an int in [least, most]; a bool, a float (2.0 too), a string or None is rejected, not truncated."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if not least <= value <= most:
+        raise ValueError(f"{what} must be in [{least}, {most}], got {value!r}")
+    return value
 
 
 def _real(value: object, what: str) -> float:
@@ -126,10 +134,7 @@ class NoiseSchedule:
 
     def _check_step(self, t: int, least: int = 0) -> int:
         """t as an int in [least, T]; a step that starts an update needs least = 1."""
-        t = _count(t, "step index")
-        if not least <= t <= self.num_steps:
-            raise ValueError(f"step index {t} outside [{least}, {self.num_steps}]")
-        return t
+        return _count(t, "step index", least, self.num_steps)
 
     def sigma(self, t: int) -> float:
         """sqrt(1 - alpha_t) / sqrt(alpha_t); exactly 0 at t = 0."""
@@ -156,9 +161,7 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     array.
     """
     t = schedule._check_step(t, 1)
-    n = _count(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count(n, "n", 1)
     sigma = schedule._sub_grids.get((t, n))
     if sigma is not None:
         return sigma
@@ -194,9 +197,7 @@ def build_linear_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSche
     beta_s runs linearly from beta_min (s=1) to beta_max (s=T) and
     alpha[t] = prod_{s<=t} (1 - beta_s), alpha[0] = 1.
     """
-    T = _count(T, "T")
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
+    T = _count(T, "T", 2)
     beta_min, beta_max = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
     for name, b in (("beta_min", beta_min), ("beta_max", beta_max)):
         if not 0.0 < b < 1.0:

@@ -1,9 +1,10 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_T, CountingModel, NanModel, rel_err
@@ -16,6 +17,7 @@ from symguide import (
     NoiseSchedule,
     build_linear_schedule,
     estimate_clean,
+    estimate_clean_rk,
     estimation_error_curve,
     make_sub_schedule,
     symplectic_euler_grad,
@@ -175,6 +177,33 @@ class TestEstimateClean:
         with pytest.raises(ValueError):
             estimate_clean(gmm2, schedule, np.zeros(3), 30, 2)
 
+    # A one-component GMM with unit covariance has x_t ~ N(sqrt(alpha_t) mu, I), so its flow
+    # d x_bar / d sigma = sigma (x_bar - mu) / (1 + sigma^2) ends exactly at
+    # x_0 = x_t + (1 - sqrt(alpha_t)) mu: an oracle that shares no code with the integrator.
+    # Doubling n must shrink the error by 2^order.  For t < 10 the orders read lower at these n
+    # (0.83 and 1.73 at t = 1), so t starts at 10.
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        mu=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        x_t=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        t=st.integers(10, 50),
+    )
+    @example(mu=[0.7, -1.3], x_t=[0.4, 2.0], t=40)  # errors 1.17e-1 -> 1.48e-2 and 4.26e-3 -> 7.30e-5
+    def test_error_falls_at_the_tableau_order(self, mu, x_t, t):
+        sch = build_linear_schedule(50, 1e-4, 0.02)
+        mu, x_t = np.array(mu), np.array(x_t)
+        assume(np.linalg.norm(x_t - math.sqrt(sch.alpha[t]) * mu) > 0.1)
+        model = GmmModel([1.0], [mu])
+        exact = x_t + (1.0 - math.sqrt(sch.alpha[t])) * mu
+        solvers = {
+            "euler": (lambda n: estimate_clean(model, sch, x_t, t, n), 0.9, 1.1),
+            "heun": (lambda n: estimate_clean_rk(model, sch, x_t, t, n, ButcherTableau.heun()), 1.8, 2.2),
+        }
+        for name, (solve, low, high) in solvers.items():
+            errors = [np.linalg.norm(solve(n).clean_output - exact) for n in (4, 8, 16, 32)]
+            orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+            assert all(low <= p <= high for p in orders), (name, orders)
+
 
 def _elementwise_check(x, tau, what):
     """The guard without its dot-product screen: the verdict the screen must keep."""
@@ -291,7 +320,7 @@ class TestErrorCurve:
         ]
 
     def test_validation_errors(self, schedule, gmm2):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, {sys.maxsize}\], got 0$"):
             estimation_error_curve(gmm2, schedule, 35, [0, 1], 16, 50, seed=0)
         with pytest.raises(ValueError, match="n_ref"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2, 4], 16, 50, seed=0)

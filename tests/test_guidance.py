@@ -245,7 +245,7 @@ class TestGuidanceConfig:
 
     def test_n_steps_ceiling(self):
         assert GuidanceConfig(window=(1, 5), rho=0.1, n_steps=MAX_SIZE).n_steps == MAX_SIZE
-        with pytest.raises(ValueError, match="MAX_SIZE"):
+        with pytest.raises(ValueError, match=rf"^n_steps must be in \[1, {MAX_SIZE}\], got {MAX_SIZE + 1}$"):
             GuidanceConfig(window=(1, 5), rho=0.1, n_steps=MAX_SIZE + 1)
 
     def test_rho_zero_outside_window(self):

@@ -352,7 +352,7 @@ class TestMlp:
             MlpModel.random([3], seed=0)
         with pytest.raises(ValueError):
             MlpModel([2, 2], [(np.zeros((2, 2)), np.zeros(2))])  # missing sigma column
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=rf"^width must be in \[1, {sys.maxsize}\], got 0$"):
             MlpModel([2, 0, 2], [])
         with pytest.raises(ValueError, match="expected 2 layers, got 1"):
             MlpModel([2, 4, 2], [(np.zeros((4, 3)), np.zeros(4))])

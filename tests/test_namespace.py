@@ -102,6 +102,26 @@ def test_counts_are_converted_by_one_rule():
                     if used & bound:
                         truncating.append(f"{name}.py:{call.lineno}")
     assert truncating == []
+    # _count is also the one test of an integer's type: numbers.Integral appears in it alone,
+    # and no module keeps a _seed of its own.
+    def integral(node):
+        return sum(
+            getattr(n, "attr", None) == "Integral" or getattr(n, "id", None) == "Integral"
+            or isinstance(n, ast.alias) and n.name == "Integral"
+            for n in ast.walk(node)
+        )
+
+    referenced = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert "_seed" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}, path.name
+        if integral(tree):
+            referenced[path.stem] = integral(tree)
+    count = next(
+        node for node in ast.walk(ast.parse((package / "schedule.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_count"
+    )
+    assert referenced == {"schedule": integral(count)}
 
 
 def test_state_vectors_are_checked_by_one_rule():

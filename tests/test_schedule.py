@@ -1,10 +1,14 @@
+import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import TASK_BETAS, TASK_MEANS, TASK_T, TASK_TARGET, CountingModel
+from symguide.estimator import MIN_ERROR_SAMPLES
+from symguide.guidance import MAX_SIZE
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -16,6 +20,7 @@ from symguide import (
     NoiseSchedule,
     build_linear_schedule,
     conservation_probe,
+    ddim_rollout,
     ddim_step,
     direct_backprop_grad,
     finite_diff_vjp,
@@ -157,50 +162,68 @@ def _traj(model, schedule, tableau=ButcherTableau.euler()):
     return estimate_clean_rk(model.inner, schedule, np.ones(2), 35, 4, tableau)
 
 
-def _curve(model, schedule, n, n_ref, num_samples):
-    points = estimation_error_curve(model, schedule, 35, [n], n_ref, num_samples, 0)
+def _curve(model, schedule, n, n_ref, num_samples, seed=0):
+    points = estimation_error_curve(model, schedule, 35, [n], n_ref, num_samples, seed)
     return [(p.mean_error, p.stderr) for p in points]
 
 
-# Every count and step index of the public API: a call that puts v in that one
-# argument, on a model m and the task schedule, and the value it runs with.
+def _sample(model, schedule, seed):
+    # The record as JSON: a numpy seed must be recorded as the int it equals.
+    config = GuidanceConfig(window=(15, 35), rho=0.1, n_steps=2)
+    return json.dumps(sag_sample(model, schedule, L2TargetLoss(TASK_TARGET), config, seed).to_json_dict())
+
+
+MAX = sys.maxsize
+
+# Every count, step index and seed of the public API: a call that puts v in that one
+# argument, on a model m and the task schedule, the value it runs with, and the bounds
+# [least, most] the argument must lie in.
 INTEGER_ARGUMENTS = {
-    "sigma t": (lambda m, sch, v: sch.sigma(v), 35),
-    "to_scaled t": (lambda m, sch, v: sch.to_scaled(np.ones(2), v), 35),
-    "make_sub_schedule t": (lambda m, sch, v: make_sub_schedule(sch, v, 4), 35),
-    "make_sub_schedule n": (lambda m, sch, v: make_sub_schedule(sch, 35, v), 4),
-    "build_linear_schedule T": (lambda m, sch, v: build_linear_schedule(v, *TASK_BETAS).alpha, TASK_T),
-    "MlpModel.random width": (lambda m, sch, v: _mlp_eps([2, v, 2]), 8),
-    "MlpModel width": (lambda m, sch, v: _mlp_eps([2, v, 2], MLP_LAYERS), 3),
-    "AffineModel.zero dim": (lambda m, sch, v: AffineModel.zero(v).matrix, 2),
+    "sigma t": (lambda m, sch, v: sch.sigma(v), 35, 0, TASK_T),
+    "to_scaled t": (lambda m, sch, v: sch.to_scaled(np.ones(2), v), 35, 0, TASK_T),
+    "make_sub_schedule t": (lambda m, sch, v: make_sub_schedule(sch, v, 4), 35, 1, TASK_T),
+    "make_sub_schedule n": (lambda m, sch, v: make_sub_schedule(sch, 35, v), 4, 1, MAX),
+    "build_linear_schedule T": (lambda m, sch, v: build_linear_schedule(v, *TASK_BETAS).alpha, TASK_T, 2, MAX),
+    "MlpModel.random width": (lambda m, sch, v: _mlp_eps([2, v, 2]), 8, 1, MAX),
+    "MlpModel.random seed": (lambda m, sch, v: MlpModel.random([2, 3, 2], v).eps(np.ones(2), 1.0), 5, 0, MAX),
+    "MlpModel width": (lambda m, sch, v: _mlp_eps([2, v, 2], MLP_LAYERS), 3, 1, MAX),
+    "AffineModel.zero dim": (lambda m, sch, v: AffineModel.zero(v).matrix, 2, 1, MAX),
     "GmmModel.sample_marginal t": (
-        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, v, 50), 35
+        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, v, 50), 35, 0, TASK_T
     ),
     "GmmModel.sample_marginal size": (
-        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, 35, v), 50
+        lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, 35, v), 50, 0, MAX
     ),
-    "ddim_step t": (lambda m, sch, v: ddim_step(m, sch, np.ones(2), v), 35),
+    "GuidanceConfig window step": (lambda m, sch, v: GuidanceConfig(window=(v, 35), rho=0.1).window, 15, 1, MAX),
+    "GuidanceConfig repeats": (lambda m, sch, v: GuidanceConfig(window=(15, 35), rho=0.1, repeats=v).repeats, 2, 1, MAX),
+    "GuidanceConfig n_steps": (
+        lambda m, sch, v: GuidanceConfig(window=(15, 35), rho=0.1, n_steps=v).n_steps, 4, 1, MAX_SIZE
+    ),
+    "ddim_step t": (lambda m, sch, v: ddim_step(m, sch, np.ones(2), v), 35, 1, TASK_T),
+    "ddim_rollout seed": (lambda m, sch, v: ddim_rollout(m, sch, v), 3, 0, MAX),
+    "sag_sample seed": (lambda m, sch, v: _sample(m, sch, v), 3, 0, MAX),
     "time_travel_renoise t": (
-        lambda m, sch, v: time_travel_renoise(np.ones(2), sch, v, np.random.default_rng(0)), 35
+        lambda m, sch, v: time_travel_renoise(np.ones(2), sch, v, np.random.default_rng(0)), 35, 1, TASK_T
     ),
-    "estimate_clean t": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), v, 4).states, 35),
-    "estimate_clean n": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), 35, v).states, 4),
-    "estimation_error_curve n": (lambda m, sch, v: _curve(m, sch, v, 8, 50), 1),
-    "estimation_error_curve n_ref": (lambda m, sch, v: _curve(m, sch, 1, v, 50), 8),
-    "estimation_error_curve num_samples": (lambda m, sch, v: _curve(m, sch, 1, 8, v), 50),
+    "estimate_clean t": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), v, 4).states, 35, 1, TASK_T),
+    "estimate_clean n": (lambda m, sch, v: estimate_clean(m, sch, np.ones(2), 35, v).states, 4, 1, MAX),
+    "estimation_error_curve n": (lambda m, sch, v: _curve(m, sch, v, 8, 50), 1, 1, MAX),
+    "estimation_error_curve n_ref": (lambda m, sch, v: _curve(m, sch, 1, v, 50), 8, 0, MAX),
+    "estimation_error_curve num_samples": (lambda m, sch, v: _curve(m, sch, 1, 8, v), 50, MIN_ERROR_SAMPLES, MAX),
+    "estimation_error_curve seed": (lambda m, sch, v: _curve(m, sch, 1, 8, 50, v), 3, 0, MAX),
     "symplectic_euler_grad t": (
-        lambda m, sch, v: symplectic_euler_grad(m, _traj(m, sch), np.ones(2), sch, v), 35
+        lambda m, sch, v: symplectic_euler_grad(m, _traj(m, sch), np.ones(2), sch, v), 35, 0, TASK_T
     ),
     "vanilla_adjoint_grad t": (
-        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, v, 4), 35
+        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, v, 4), 35, 1, TASK_T
     ),
     "vanilla_adjoint_grad n_back": (
-        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, 35, v), 4
+        lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, 35, v), 4, 1, MAX
     ),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
 @pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
 def test_non_integer_count_is_rejected_before_any_model_call(schedule, gmm2, argument, value):
     # A fraction is never truncated, a bool never counts as 1, a string is never parsed.
@@ -210,9 +233,22 @@ def test_non_integer_count_is_rejected_before_any_model_call(schedule, gmm2, arg
     assert model.calls == dict.fromkeys(model.calls, 0)
 
 
+@pytest.mark.parametrize("side", ["least - 1", "most + 1"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_count_out_of_range_is_rejected_before_any_model_call(schedule, gmm2, argument, side):
+    # Each bound is one argument to schedule._count: a width of 0 never reaches 1/sqrt(fan_in),
+    # a negative size or seed never reaches numpy, and a step index past T is never looked up.
+    call, _, least, most = INTEGER_ARGUMENTS[argument]
+    value = least - 1 if side == "least - 1" else most + 1
+    model = CountingModel(gmm2)
+    with pytest.raises(ValueError, match=rf"must be in \[{least}, {most}\], got {value}$"):
+        call(model, schedule, value)
+    assert model.calls == dict.fromkeys(model.calls, 0)
+
+
 @pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
 def test_numpy_integer_count_gives_the_same_bits(schedule, gmm2, argument):
-    call, value = INTEGER_ARGUMENTS[argument]
+    call, value, _, _ = INTEGER_ARGUMENTS[argument]
     model = CountingModel(gmm2)
     expected = np.asarray(call(model, schedule, value))
     for numpy_value in (np.int64(value), np.int32(value)):
