@@ -102,7 +102,9 @@ def _costate_sweep(
 
     Costate stages run in reverse order (A is strictly upper) and every
     transpose-Jacobian product is evaluated at a RESTORED stage point.
-    trace, if given, receives lam after each step at rows 1..n.
+    trace, if given, receives lam after each step at rows 1..n.  Each step
+    reads its two sigmas with ndarray.item: a list of the whole grid would
+    make the symplectic sweep's peak memory O(n).
     """
     tb = traj.tableau
     s = tb.stages
@@ -110,7 +112,7 @@ def _costate_sweep(
     sig = traj.sigma
     vjps: list[np.ndarray | None] = [None] * s
     for tau in range(traj.n):
-        lo, hi = float(sig[tau]), float(sig[tau + 1])
+        lo, hi = sig.item(tau), sig.item(tau + 1)
         H = hi - lo  # positive backward step
         for i in range(s - 1, -1, -1):
             lam_i = lam

@@ -162,8 +162,8 @@ class CheckpointTrajectory:
 
     def stage(self, k: int, i: int) -> tuple[np.ndarray, float]:
         """Point and sigma at which step record k evaluated its stage i."""
-        hi = float(self.sigma[k + 1])
-        sigma = hi + float(self.tableau.c[i]) * (float(self.sigma[k]) - hi)
+        hi = self.sigma.item(k + 1)
+        sigma = hi + self.tableau.c.item(i) * (self.sigma.item(k) - hi)
         return (self.states[k + 1] if i == 0 else self.stage_states[k, i - 1]), sigma
 
 

@@ -35,10 +35,10 @@ __all__ = [
     "sag_sample",
 ]
 
-# Ceiling on every size and count: n_steps here, and in a run config
-# (symguide.harness) T, each MLP width and d_list value, num_seeds,
-# m_curve_samples and repeats.  Past it numpy would be asked for terabytes,
-# or a run would take hours.
+# Ceiling on every size and count: repeats and n_steps here, and in a run
+# config (symguide.harness) T, each MLP width and d_list value, num_seeds and
+# m_curve_samples.  Past it numpy would be asked for terabytes, or a run would
+# take hours.
 MAX_SIZE = 2**12
 
 
@@ -127,7 +127,7 @@ class GuidanceConfig:
     Guidance is active for t in [window[0], window[1]] (inclusive), with
     0 < K1 < K2 < T.  Inside the window each step applies strength rho,
     repeats `repeats` times and estimates the clean output in n_steps
-    sub-steps, at most MAX_SIZE; outside it rho is 0 and each step
+    sub-steps, each count at most MAX_SIZE; outside it rho is 0 and each step
     runs once.  Steps whose rho is 0 skip the gradient computation
     entirely (output-equivalent, and keeps guidance-off runs bitwise equal
     to plain rollouts).  The window steps, repeats and n_steps are
@@ -148,7 +148,7 @@ class GuidanceConfig:
         object.__setattr__(self, "rho", _real(self.rho, "rho"))
         if self.rho < 0.0:
             raise ValueError(f"rho must be non-negative, got {self.rho!r}")
-        object.__setattr__(self, "repeats", _count(self.repeats, "repeats", 1))
+        object.__setattr__(self, "repeats", _count(self.repeats, "repeats", 1, MAX_SIZE))
         object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1, MAX_SIZE))
 
     def validate_for(self, schedule: NoiseSchedule) -> None:
@@ -216,8 +216,9 @@ def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: in
     """
     t = schedule._check_step(t, 1)
     sqrt_a, sqrt_1ma = schedule.sqrt_alpha, schedule.sqrt_one_minus_alpha
+    x_t = np.asarray(x_t, dtype=np.float64)
     eps = model.eps(schedule.to_scaled(x_t, t), schedule.sigmas[t])
-    xhat0 = (np.asarray(x_t, dtype=np.float64) - sqrt_1ma[t] * eps) / sqrt_a[t]
+    xhat0 = (x_t - sqrt_1ma[t] * eps) / sqrt_a[t]
     return sqrt_a[t - 1] * xhat0 + sqrt_1ma[t - 1] * eps
 
 

@@ -169,14 +169,15 @@ _GUIDANCE_OPTIONAL = [f.name for f in fields(GuidanceConfig) if f.default is not
 def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     """The guidance a config section describes, checked against the schedule.
 
-    Keys the section leaves out take their GuidanceConfig defaults.
+    Keys the section leaves out take their GuidanceConfig defaults.  Each count
+    is range-checked by GuidanceConfig alone; _integer adds only JSON's 2.0 allowance.
     """
     with _rejected_as("bad guidance spec: "):
         _keys(spec, "guidance", _GUIDANCE_REQUIRED, _GUIDANCE_OPTIONAL)
         guidance = GuidanceConfig(
-            window=tuple(_integer(k, "guidance window step", 1) for k in spec["window"]),
+            window=tuple(_integer(k, "guidance window step") for k in spec["window"]),
             rho=spec["rho"],
-            **{k: _integer(spec[k], f"guidance {k}", 1, MAX_SIZE) for k in _GUIDANCE_OPTIONAL if k in spec},
+            **{k: _integer(spec[k], f"guidance {k}") for k in _GUIDANCE_OPTIONAL if k in spec},
         )
         guidance.validate_for(schedule)
         return guidance

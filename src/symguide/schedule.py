@@ -48,6 +48,11 @@ import numpy as np
 
 __all__ = ["NoiseSchedule", "build_linear_schedule", "make_sub_schedule"]
 
+# numpy's native float64 dtype: an identity test against it is cheaper than dtype ==.  Any other
+# dtype object takes np.asarray's conversion; for an equal one (an unpickled array's) that is a view
+# of the same values.
+_DOUBLE = np.dtype(np.float64)
+
 
 def _count(value: object, what: str, least: int = 0, most: int = sys.maxsize) -> int:
     """value as an int in [least, most]; a bool, a float (2.0 too), a string or None is rejected, not truncated."""
@@ -69,7 +74,7 @@ def _real(value: object, what: str) -> float:
 
 def _vector(x: object, dim: int, what: str) -> np.ndarray:
     """x as a float64 (dim,) array, converted only if it is not one; another shape is rejected, never broadcast."""
-    if type(x) is not np.ndarray or x.dtype != np.float64:
+    if type(x) is not np.ndarray or x.dtype is not _DOUBLE:
         x = np.asarray(x, dtype=np.float64)
     if x.shape != (dim,):
         raise ValueError(f"{what} has shape {x.shape}, expected ({dim},)")
@@ -134,7 +139,7 @@ class NoiseSchedule:
 
     def _check_step(self, t: int, least: int = 0) -> int:
         """t as an int in [least, T]; a step that starts an update needs least = 1."""
-        return _count(t, "step index", least, self.num_steps)
+        return _count(t, "step index", least, len(self.alpha) - 1)
 
     def sigma(self, t: int) -> float:
         """sqrt(1 - alpha_t) / sqrt(alpha_t); exactly 0 at t = 0."""

@@ -182,6 +182,7 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "guidance", {"n_steps": 2**62}),
         ("ablate-n", "sweep", {"n_list": [2**62]}),
         ("sample", "guidance", {"n_steps": MAX_SIZE + 1}),
+        ("sample", "guidance", {"repeats": 5000}),
         # Sizes past the ceiling, for which numpy would be asked for terabytes.
         ("sample", "schedule", {"T": 2**40}),
         ("sample", "model", {"kind": "mlp", "widths": [2, 2**40, 2]}),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import at_offset, rel_err
 from symguide import models
 from symguide.harness import build_model
+from symguide.schedule import _vector
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -177,6 +178,76 @@ class TestGmm:
         # Inputs that are not float64 ndarrays are converted first, to the same bits.
         assert model.eps(x_bar.tolist(), sigma).tobytes() == eps.tobytes()
         assert model.vjp(x_bar.tolist(), sigma, v.tolist()).tobytes() == vjp.tobytes()
+
+
+def max_reduce_gmm_eps_vjp(model: GmmModel, x_bar, sigma, v):
+    """GmmModel.eps and .vjp with the logits shifted by np.maximum.reduce and exponentiated into
+    a new array, as _mixture did before it took the Python max of their list."""
+    a = 1.0 / (1.0 + sigma * sigma)
+    c = sigma / (1.0 + sigma * sigma)
+    diffs = x_bar - model.means
+    logits = model.log_weights - 0.5 * a * np.einsum("kd,kd->k", diffs, diffs)
+    logits -= np.maximum.reduce(logits)
+    r = np.exp(logits)
+    r /= np.add.reduce(r)
+    per_k = diffs.dot(v)
+    dr_v = a * r * (float(r.dot(per_k)) - per_k)
+    return c * r.dot(diffs), c * (v + dr_v.dot(diffs))
+
+
+@st.composite
+def shift_cases(draw):
+    """A mixture, a point, a sigma and a cotangent; far points underflow some r_k to 0, and a
+    non-finite point makes every output NaN."""
+    k, d = draw(st.sampled_from([1, 2, 3, 8])), draw(st.sampled_from([1, 2, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.05, 1.0, k)
+    model = GmmModel(w / w.sum(), rng.standard_normal((k, d)) * 3.0)
+    x_bar = rng.standard_normal(d) * draw(st.sampled_from([0.1, 1.0, 30.0, 3000.0]))
+    if draw(st.booleans()):
+        x_bar[rng.integers(d)] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return model, x_bar, draw(st.sampled_from([0.0, 0.05, 1.3, 40.0])), rng.standard_normal(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=shift_cases())
+def test_python_max_shift_gives_the_bits_of_the_ufunc_reduce(case):
+    model, x_bar, sigma, v = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = max_reduce_gmm_eps_vjp(model, x_bar, sigma, v)
+        eps, tape = model.eps_with_tape(x_bar, sigma)
+        got = [model.eps(x_bar, sigma), model.vjp(x_bar, sigma, v), eps, model.vjp_from_tape(tape, v)]
+    if np.isfinite(x_bar).all():
+        assert [g.tobytes() for g in got] == [want[0].tobytes(), want[1].tobytes()] * 2
+    else:
+        assert all(np.isnan(out).all() for out in [*got, *want])
+
+
+def test_far_points_underflow_responsibilities_to_zero():
+    # The far draws of shift_cases reach this case: one r_k is exactly 0 and the other is 1.
+    model = GmmModel([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]])
+    x_bar, v = np.array([3000.0, 1.0]), np.array([0.3, -0.7])
+    r = model._mixture(x_bar, 1.3)[0]
+    assert r.tolist() == [0.0, 1.0]
+    want = max_reduce_gmm_eps_vjp(model, x_bar, 1.3, v)
+    assert model.eps(x_bar, 1.3).tobytes() == want[0].tobytes()
+    assert model.vjp(x_bar, 1.3, v).tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("form", ["byte-swapped", "unpickled"])
+def test_float64_arrays_with_another_dtype_object_keep_their_values(form):
+    # _vector tests the dtype by identity with np.dtype(np.float64); an array whose float64 dtype is
+    # another object takes np.asarray's conversion and must give the same values and shape error.
+    native = np.array([0.3, -0.7])
+    x = native.astype(">f8") if form == "byte-swapped" else pickle.loads(pickle.dumps(native))
+    assert x.dtype is not np.dtype(np.float64)
+    got = _vector(x, 2, "x")
+    assert got.dtype is np.dtype(np.float64) and got.tobytes() == native.tobytes()
+    with pytest.raises(ValueError, match=r"^x has shape \(2,\), expected \(3,\)$"):
+        _vector(x, 3, "x")
+    model = GmmModel([0.5, 0.5], [[-1.0, 2.0], [1.0, -0.5]])
+    assert model.eps(x, 0.7).tobytes() == model.eps(native, 0.7).tobytes()
+    assert model.vjp(native, 0.7, x).tobytes() == model.vjp(native, 0.7, native).tobytes()
 
 
 def _fresh(model: GmmModel) -> GmmModel:

@@ -195,7 +195,9 @@ INTEGER_ARGUMENTS = {
         lambda m, sch, v: m.inner.sample_marginal(np.random.default_rng(0), sch, 35, v), 50, 0, MAX
     ),
     "GuidanceConfig window step": (lambda m, sch, v: GuidanceConfig(window=(v, 35), rho=0.1).window, 15, 1, MAX),
-    "GuidanceConfig repeats": (lambda m, sch, v: GuidanceConfig(window=(15, 35), rho=0.1, repeats=v).repeats, 2, 1, MAX),
+    "GuidanceConfig repeats": (
+        lambda m, sch, v: GuidanceConfig(window=(15, 35), rho=0.1, repeats=v).repeats, 2, 1, MAX_SIZE
+    ),
     "GuidanceConfig n_steps": (
         lambda m, sch, v: GuidanceConfig(window=(15, 35), rho=0.1, n_steps=v).n_steps, 4, 1, MAX_SIZE
     ),
