@@ -67,17 +67,19 @@ class AdjointStats:
     peak_state_vectors: int # simultaneously-live state-sized work buffers
 
 
-def _check_traj(model: ScoreModel, traj: CheckpointTrajectory, schedule: NoiseSchedule, t: int) -> None:
+def _check_traj(model: ScoreModel, traj: CheckpointTrajectory, schedule: NoiseSchedule, t: int) -> int:
+    """The checked step index t, at which traj's sigma grid must end on the schedule's sigma(t)."""
     if traj.states.shape[1] != model.dim:
         raise ValueError(
             f"trajectory dimension {traj.states.shape[1]} does not match model dimension {model.dim}"
         )
-    sigma_t = schedule.sigma(t)
-    if traj.sigma[-1] != sigma_t:
+    t = schedule._check_step(t)
+    end, sigma_t = traj.sigma.item(-1), schedule.sigmas[t]
+    if end != sigma_t:
         raise ValueError(
-            f"trajectory sigma grid ends at {traj.sigma[-1]!r}, "
-            f"but sigma({t}) = {sigma_t!r}; wrong schedule or step"
+            f"trajectory sigma grid ends at {end!r}, but sigma({t}) = {sigma_t!r}; wrong schedule or step"
         )
+    return t
 
 
 def _require_euler(traj: CheckpointTrajectory, solver: str) -> None:
@@ -102,29 +104,37 @@ def _costate_sweep(
 
     Costate stages run in reverse order (A is strictly upper) and every
     transpose-Jacobian product is evaluated at a RESTORED stage point.
-    trace, if given, receives lam after each step at rows 1..n.  Each step
-    reads its two sigmas with ndarray.item: a list of the whole grid would
-    make the symplectic sweep's peak memory O(n).
+    trace, if given, receives lam after each step at rows 1..n.  Each
+    sub-step does its numpy work and little else: s model.vjp calls at the
+    points traj.stage restores, the scaled sums of the costate stages and
+    of the update (one array product and one difference per nonzero
+    coefficient), and one _check_finite screen of the new costate.  model.vjp
+    and traj.stage are bound once, and each step reads its upper sigma with
+    ndarray.item and keeps it as the next step's lower one: a list of the
+    whole grid would make the symplectic sweep's peak memory O(n).
     """
     tb = traj.tableau
     s = tb.stages
     A, b = tb.A.tolist(), tb.b.tolist()
-    sig = traj.sigma
+    sig, stage, vjp = traj.sigma, traj.stage, model.vjp
     vjps: list[np.ndarray | None] = [None] * s
-    for tau in range(traj.n):
-        lo, hi = sig.item(tau), sig.item(tau + 1)
+    lo = sig.item(0)
+    for tau in range(len(sig) - 1):
+        hi = sig.item(tau + 1)
         H = hi - lo  # positive backward step
         for i in range(s - 1, -1, -1):
             lam_i = lam
             for j in range(i + 1, s):
                 if A[i][j] != 0.0:
                     lam_i = lam_i - H * A[i][j] * vjps[j]
-            vjps[i] = model.vjp(*traj.stage(tau, i), lam_i)
+            x, sigma = stage(tau, i)
+            vjps[i] = vjp(x, sigma, lam_i)
         for i in range(s):
             lam = lam - H * b[i] * vjps[i]
         _check_finite(lam, tau + 1, "costate")
         if trace is not None:
             trace[tau + 1] = lam
+        lo = hi
     return lam
 
 
@@ -143,7 +153,7 @@ def _symplectic_grad(
     and keep the costate and s transpose-Jacobian products live, plus one
     costate stage when A couples the stages.
     """
-    _check_traj(model, traj, schedule, t)
+    t = _check_traj(model, traj, schedule, t)
     grad = schedule.to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
     _check_finite(grad, traj.n, "gradient")
     if not return_stats:
@@ -186,7 +196,7 @@ def _taped_backprop(
     w_i = b_i g + h sum_{m>i} a_mi J_m^T w_m and g += h sum_i J_i^T w_i.
     With b = [1] that is g + h J^T g.
     """
-    _check_traj(model, traj, schedule, t)
+    t = _check_traj(model, traj, schedule, t)
     g = _costate_start(model, grad_at_clean)
     s = traj.tableau.stages
     a, b = traj.tableau.a.tolist(), traj.tableau.b.tolist()
@@ -306,8 +316,10 @@ def conservation_probe(
     """
     lambda0 = _costate_start(model, lambda0, "lambda0")
     v0 = _vector(v0, model.dim, "v0")
+    # The walk asks for its slopes in step order k = n-1..0, stage by stage: so are the points read.
+    points = (traj.stage(k, i) for k in range(traj.n - 1, -1, -1) for i in range(traj.tableau.stages))
     deltas, _ = _walk(
-        v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _, k, i: model.jvp(*traj.stage(k, i), d_i), "tangent"
+        v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _: model.jvp(*next(points), d_i), "tangent"
     )
     lams = np.empty((traj.n + 1, len(lambda0)))
     lams[0] = lambda0

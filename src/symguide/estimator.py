@@ -146,7 +146,7 @@ class CheckpointTrajectory:
 
     def __post_init__(self) -> None:
         for arr in (self.sigma, self.states, self.stage_states):
-            arr.setflags(write=False)
+            arr.setflags(False)  # write=False, passed by position: the keyword parse costs as much as the call
 
     def __reduce__(self):
         return type(self), (self.sigma, self.tableau, self.states, self.stage_states)
@@ -187,20 +187,27 @@ def _finite_norm(x: np.ndarray) -> float:
 
 
 def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what: str = "state"):
-    """The forward RK loop from y0 at sig[n] down to sig[0]; slope(x, sigma, k, i) is stage i of step k.
+    """The forward RK loop from y0 at sig[n] down to sig[0]; slope(x, sigma) is a stage's slope.
 
     Returns the n+1 step values, each checked finite, and the (n, s-1, d) stage points 1..s-1.
+    Each sub-step does its numpy work and little else: s slope calls, the scaled sums of its
+    stage points and of its update (one array product and one sum per nonzero coefficient), one
+    store of the new value and one _check_finite screen of it.  The running value stays in a
+    local, each step reads its lower sigma once, and the update adds b_i h slope_i as each slope
+    arrives, in the order i = 0..s-1 of the weighted sum.
     """
     n, s = len(sig) - 1, tableau.stages
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     ys = np.empty((n + 1, len(y0)))
     stage_states = np.empty((n, s - 1, len(y0)))
-    ys[n] = y0
-    _check_finite(ys[n], n, what)
+    _check_finite(y0, n, what)
+    ys[n] = y = y0
     slopes: list[np.ndarray | None] = [None] * s
+    hi = sig[n]
     for k in range(n - 1, -1, -1):
-        y = ys[k + 1]
-        h = sig[k] - sig[k + 1]  # signed, negative
+        lo = sig[k]
+        h = lo - hi  # signed, negative
+        y_next = y
         for i in range(s):
             x = y
             for j in range(i):
@@ -208,11 +215,11 @@ def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what
                     x = x + h * a[i][j] * slopes[j]
             if i:
                 stage_states[k, i - 1] = x
-            slopes[i] = slope(x, sig[k + 1] + c[i] * h, k, i)
-        for i in range(s):
-            y = y + h * b[i] * slopes[i]
-        ys[k] = y
+            slopes[i] = slope_i = slope(x, hi + c[i] * h)
+            y_next = y_next + h * b[i] * slope_i
+        ys[k] = y = y_next
         _check_finite(y, k, what)
+        hi = lo
     return ys, stage_states
 
 
@@ -228,10 +235,8 @@ def _integrate(
     """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
     x_t = _vector(x_t, model.dim, "x_t")
     sigma = make_sub_schedule(schedule, t, n)
-    states, stage_states = _walk(
-        schedule.to_scaled(x_t, t), sigma.tolist(), tableau, lambda x, sig, k, i: model.eps(x, sig)
-    )
-    return CheckpointTrajectory(sigma=sigma, tableau=tableau, states=states, stage_states=stage_states)
+    states, stage_states = _walk(schedule.to_scaled(x_t, t), sigma.tolist(), tableau, model.eps)
+    return CheckpointTrajectory(sigma, tableau, states, stage_states)
 
 
 def estimate_clean(

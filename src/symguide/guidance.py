@@ -287,6 +287,7 @@ def sag_sample(
         raise ValueError(f"loss dimension {loss.dim} does not match model dimension {model.dim}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(model.dim)
+    n = config.n_steps
     guided_steps: list[dict] = []
     guided_ns = 0
     for t in range(schedule.num_steps, 0, -1):
@@ -300,13 +301,12 @@ def sag_sample(
                 )
             if rho_t > 0.0:
                 t0 = time.perf_counter_ns()
-                traj = estimate_clean(model, schedule, x, t, config.n_steps)
-                value = loss.value(traj.clean_output)
+                traj = estimate_clean(model, schedule, x, t, n)
+                x0 = traj.clean_output
+                value = loss.value(x0)
                 if not math.isfinite(value):
                     raise DivergenceError(f"non-finite guidance loss at t={t} repeat={rep}")
-                grad = symplectic_euler_grad(
-                    model, traj, loss.grad(traj.clean_output), schedule, t
-                )
+                grad = symplectic_euler_grad(model, traj, loss.grad(x0), schedule, t)
                 gnorm = math.sqrt(grad.dot(grad))  # NaN or inf if any entry is, or if it overflows
                 if not math.isfinite(gnorm):
                     raise DivergenceError(f"non-finite guidance gradient at t={t} repeat={rep}")
@@ -316,7 +316,7 @@ def sag_sample(
                     {
                         "t": t,
                         "repeat": rep,
-                        "n": config.n_steps,
+                        "n": n,
                         "rho": rho_t,
                         "loss": value,
                         "grad_norm": gnorm,

@@ -136,9 +136,9 @@ def build_model(spec: dict) -> ScoreModel:
                     _keys(layer, "mlp weights layer", ("W", "b"))
                     layers.append((_real_array(layer["W"], "mlp layer W"), _real_array(layer["b"], "mlp layer b")))
                 seed = obj.get("seed")
-                return MlpModel(widths, layers, None if seed is None else _integer(seed, "mlp weights file seed"))
+                return MlpModel(widths, layers, None if seed is None else _json_int(seed))
             _keys(spec, "mlp model", ("kind", "widths"), ("seed",))
-            return MlpModel.random(_mlp_widths(spec["widths"]), _integer(spec.get("seed", 0), "mlp seed"))
+            return MlpModel.random(_mlp_widths(spec["widths"]), _json_int(spec.get("seed", 0)))
         if kind == "affine":
             _keys(spec, "affine model", ("kind", "matrix"), ("offset",))
             offset = None if spec.get("offset") is None else _real_array(spec["offset"], "affine offset")
@@ -170,25 +170,34 @@ def build_guidance(spec: dict, schedule: NoiseSchedule) -> GuidanceConfig:
     """The guidance a config section describes, checked against the schedule.
 
     Keys the section leaves out take their GuidanceConfig defaults.  Each count
-    is range-checked by GuidanceConfig alone; _integer adds only JSON's 2.0 allowance.
+    is checked by GuidanceConfig alone, after _json_int's 2.0 allowance.
     """
     with _rejected_as("bad guidance spec: "):
         _keys(spec, "guidance", _GUIDANCE_REQUIRED, _GUIDANCE_OPTIONAL)
         guidance = GuidanceConfig(
-            window=tuple(_integer(k, "guidance window step") for k in spec["window"]),
+            window=tuple(_json_int(k) for k in spec["window"]),
             rho=spec["rho"],
-            **{k: _integer(spec[k], f"guidance {k}") for k in _GUIDANCE_OPTIONAL if k in spec},
+            **{k: _json_int(spec[k]) for k in _GUIDANCE_OPTIONAL if k in spec},
         )
         guidance.validate_for(schedule)
         return guidance
 
 
-def _integer(value: Any, what: str, least: int = 0, most: int = sys.maxsize) -> int:
-    """A JSON integer by schedule._count's rule, plus JSON's allowance: an integral float such as 2.0 counts."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+def _json_int(value: Any) -> Any:
+    """JSON's allowance for an integer: an integral float such as 2.0 reads as 2; any other value is kept.
+
+    A value kept as it is meets the check of the constructor it is passed to.
+    """
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _integer(value: Any, what: str, least: int, most: int) -> int:
+    """A JSON integer in [least, most] by schedule._count's rule, after _json_int's allowance.
+
+    Only for a config value that no library constructor bounds: each caller passes its bounds.
+    """
     try:
-        return _count(value, what, least, most)
+        return _count(_json_int(value), what, least, most)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -249,7 +258,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Frozen: parsed values and built objects bypass the dataclass guard.
         object.__setattr__(self, "num_seeds", _integer(self.num_seeds, "num_seeds", 1, MAX_SIZE))
-        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed"))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed", 0, sys.maxsize))
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         _keys(self.sweep, "sweep", (), _SWEEP_AXES)

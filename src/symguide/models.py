@@ -180,8 +180,8 @@ class GmmModel(ScoreModel):
         logits -= max(logits.tolist())
         r = np.exp(logits, out=logits)
         r /= np.add.reduce(r)
-        r.setflags(write=False)
-        diffs.setflags(write=False)
+        r.setflags(False)  # write=False, passed by position: the keyword parse costs as much as the call
+        diffs.setflags(False)
         return r, diffs, a, c
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:

@@ -168,8 +168,12 @@ class TestSymplecticEuler:
         traj = estimate_clean(gmm2, schedule, np.zeros(2), 30, 2)
         with pytest.raises(ValueError, match="dimension"):
             symplectic_euler_grad(mlp3, traj, np.zeros(3), schedule, 30)
-        with pytest.raises(ValueError, match="sigma grid|schedule"):
-            symplectic_euler_grad(gmm2, traj, np.zeros(2), schedule, 29)
+        # Both ends print as plain floats, the grid's too (not as np.float64(...)).
+        end, wrong = "5.508370156107347", "sigma(31) = 6.242507370297454"
+        for t in (31, np.int64(31)):
+            with pytest.raises(ValueError) as info:
+                symplectic_euler_grad(gmm2, traj, np.zeros(2), schedule, t)
+            assert str(info.value) == f"trajectory sigma grid ends at {end}, but {wrong}; wrong schedule or step"
         with pytest.raises(ValueError, match="grad_at_clean has shape"):
             symplectic_euler_grad(gmm2, traj, np.zeros(3), schedule, 30)
         with pytest.raises(ValueError, match=r"^v0 has shape \(3,\), expected \(2,\)$"):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -162,6 +163,7 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "guidance", {"n_steps": True}),
         ("sample", "guidance", {"repeats": 2.7}),
         ("sample", "guidance", {"window": [15.7, 35]}),
+        ("sample", "guidance", {"window": [-3, 35]}),
         ("ablate-n", "sweep", {"n_list": [1.5]}),
         ("compare-adjoint", "sweep", {"d_list": [2.5]}),
         # Float keys: booleans and strings are not numbers.
@@ -220,6 +222,35 @@ def test_missing_config_exits_2(tmp_path):
     ],
 )
 def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, section, values):
+    assert _run_with(config_path, tmp_path, command, section, values) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    # The message names a key the case sets (--seed sets base_seed).
+    assert any(re.search(rf"\b{re.escape(key)}\b", err) for key in values or ["base_seed"]), err
+
+
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        # GuidanceConfig is the one range check of a guidance count, so -3 and 0 read alike.
+        ("guidance", {"window": [-3, 35]}, f"bad guidance spec: window step must be in [1, {sys.maxsize}], got -3"),
+        ("guidance", {"window": [0, 35]}, f"bad guidance spec: window step must be in [1, {sys.maxsize}], got 0"),
+        ("guidance", {"n_steps": 0}, f"bad guidance spec: n_steps must be in [1, {MAX_SIZE}], got 0"),
+        ("guidance", {"repeats": -2.0}, f"bad guidance spec: repeats must be in [1, {MAX_SIZE}], got -2"),
+        # So is MlpModel's check of its seed; a base seed, which no constructor bounds, has the config's.
+        ("model", {"kind": "mlp", "widths": [2, 4, 2], "seed": -1},
+         f"bad model spec: seed must be in [0, {sys.maxsize}], got -1"),
+        (None, {"base_seed": -1}, f"base_seed must be in [0, {sys.maxsize}], got -1"),
+    ],
+    ids=["window-step-minus-3", "window-step-0", "n_steps-0", "repeats-minus-2.0", "mlp-seed-minus-1", "base_seed-minus-1"],
+)
+def test_a_count_error_reads_as_the_check_that_owns_the_count(config_path, tmp_path, capsys, section, values, message):
+    assert _run_with(config_path, tmp_path, "sample", section, values) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _run_with(config_path, tmp_path, command, section, values):
+    """The exit code of command on the test config with values set in section (None: the top level)."""
     obj = json.loads(config_path.read_text())
     target = obj[section] if section else obj
     if "kind" in values:  # the section's other keys belong to its old kind
@@ -227,11 +258,7 @@ def test_malformed_config_exits_2(config_path, tmp_path, capsys, command, sectio
     target.update(values)
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(obj))
-    assert main([*command.split(), "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    # The message names a key the case sets (--seed sets base_seed).
-    assert any(re.search(rf"\b{re.escape(key)}\b", err) for key in values or ["base_seed"]), err
+    return main([*command.split(), "--config", str(bad), "--out", str(tmp_path / "o")])
 
 
 def _string_first_W(weights):

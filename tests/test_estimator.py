@@ -24,6 +24,7 @@ from symguide import (
     symplectic_rk_grad,
 )
 from symguide import estimator
+from symguide.estimator import MIN_ERROR_SAMPLES
 
 
 class TestSubSchedule:
@@ -381,6 +382,20 @@ class TestErrorCurve:
             estimation_error_curve(gmm2, schedule, 35, [1, 2, 4], 16, 50, seed=0)
         with pytest.raises(ValueError, match="num_samples"):
             estimation_error_curve(gmm2, schedule, 35, [1, 2], 16, 10, seed=0)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        n_list=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+        extra=st.integers(0, 5),
+        num_samples=st.integers(MIN_ERROR_SAMPLES, MIN_ERROR_SAMPLES + 10),
+    )
+    def test_model_call_counts(self, schedule, gmm2, n_list, extra, num_samples):
+        # Per sample, one n_ref-step reference and one n-step estimate per n, each an eps call a
+        # sub-step: num_samples * (n_ref + sum(n_list)) eps calls and no other model call.
+        model = CountingModel(gmm2)
+        n_ref = 8 * max(n_list) + extra
+        estimation_error_curve(model, schedule, 35, n_list, n_ref, num_samples, seed=0)
+        assert model.calls == {**dict.fromkeys(model.calls, 0), "eps": num_samples * (n_ref + sum(n_list))}
 
     def test_empty_n_list_is_named_before_any_model_call(self, schedule, gmm2):
         model = CountingModel(gmm2)

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     TASK_BETAS,
@@ -36,6 +38,7 @@ from symguide import (
     sag_sample,
 )
 from symguide.cli import main
+from symguide.estimator import MIN_ERROR_SAMPLES
 from symguide.harness import MAX_SIZE, ExperimentReport, build_model, default_window_thirds
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -491,6 +494,45 @@ class TestAdjointComparison:
         # The first model is the config's own, which config.build() makes and the cell never calls.
         unused = dict.fromkeys(expected, 0)
         assert [model.calls for model in counted] == [unused, expected, expected]
+
+
+@st.composite
+def ablate_n_cases(draw):
+    """A small T, a window (K1, K2) inside it, repeats r, rho, an n_list, a seed count and M-curve samples."""
+    T = draw(st.integers(3, 10))
+    k1 = draw(st.integers(1, T - 2))
+    k2 = draw(st.integers(k1 + 1, T - 1))
+    rho = draw(st.sampled_from([0.0, TASK_RHO]))
+    n_list = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    num_seeds = draw(st.integers(1, 3))
+    return T, k1, k2, draw(st.integers(1, 2)), rho, n_list, num_seeds, draw(st.integers(MIN_ERROR_SAMPLES, 55))
+
+
+class TestAblateN:
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(case=ablate_n_cases())
+    @example(case=(50, 15, 35, 1, TASK_RHO, [1, 2, 4, 8], 50, 200))  # configs/default.json: 41550 eps, 15750 vjp
+    def test_model_call_counts(self, case):
+        # Each of the num_seeds samples per n makes T + (r-1)*W ddim_step eps calls and, at each
+        # of its G = r*W guided steps (none when rho = 0), an n-call estimate and an n-call
+        # costate sweep.  The M-curve adds m * (n_ref + sum(n_list)) eps calls, n_ref = 8 * max(n_list).
+        T, k1, k2, r, rho, n_list, num_seeds, m = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "build_model", lambda spec: CountingModel(build_model(spec)))
+            config = task_config(
+                schedule={"T": T, "beta_min": TASK_BETAS[0], "beta_max": TASK_BETAS[1]},
+                guidance={"window": [k1, k2], "rho": rho, "repeats": r, "n_steps": 1},
+                sweep={"n_list": n_list, "m_curve_samples": [m]},
+                num_seeds=num_seeds,
+            )
+        model = config.build()[1]
+        report = run_ablation_n(config)
+        assert not any(row["diverged"] for row in report.rows)
+        W = k2 - k1 + 1
+        G = r * W if rho > 0.0 else 0
+        eps = sum(num_seeds * (T + (r - 1) * W + G * n) for n in n_list) + m * (8 * max(n_list) + sum(n_list))
+        vjp = sum(num_seeds * G * n for n in n_list)
+        assert model.calls == {**dict.fromkeys(model.calls, 0), "eps": eps, "vjp": vjp}
 
 
 class TestPlots:

@@ -158,6 +158,9 @@ def _mlp_eps(widths, layers=None):
 MLP_LAYERS = [(np.full((3, 3), 0.1), np.zeros(3)), (np.full((2, 3), 0.1), np.zeros(2))]
 
 
+HEUN = ButcherTableau.heun()
+
+
 def _traj(model, schedule, tableau=ButcherTableau.euler()):
     return estimate_clean_rk(model.inner, schedule, np.ones(2), 35, 4, tableau)
 
@@ -215,6 +218,15 @@ INTEGER_ARGUMENTS = {
     "estimation_error_curve seed": (lambda m, sch, v: _curve(m, sch, 1, 8, 50, v), 3, 0, MAX),
     "symplectic_euler_grad t": (
         lambda m, sch, v: symplectic_euler_grad(m, _traj(m, sch), np.ones(2), sch, v), 35, 0, TASK_T
+    ),
+    "symplectic_rk_grad t": (
+        lambda m, sch, v: symplectic_rk_grad(m, _traj(m, sch, HEUN), np.ones(2), sch, v), 35, 0, TASK_T
+    ),
+    "direct_backprop_grad t": (
+        lambda m, sch, v: direct_backprop_grad(m, _traj(m, sch), np.ones(2), sch, v), 35, 0, TASK_T
+    ),
+    "rk_direct_backprop_grad t": (
+        lambda m, sch, v: rk_direct_backprop_grad(m, _traj(m, sch, HEUN), np.ones(2), sch, v), 35, 0, TASK_T
     ),
     "vanilla_adjoint_grad t": (
         lambda m, sch, v: vanilla_adjoint_grad(m, np.ones(2), np.ones(2), sch, v, 4), 35, 1, TASK_T
@@ -284,7 +296,6 @@ def test_numpy_real_parameter_gives_the_same_bits(name):
     assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
 
 
-HEUN = ButcherTableau.heun()
 X_BAR = np.array([0.3, -0.7])
 
 
