@@ -109,9 +109,8 @@ def _costate_sweep(
     points traj.stage restores, the scaled sums of the costate stages and
     of the update (one array product and one difference per nonzero
     coefficient), and one _check_finite screen of the new costate.  model.vjp
-    and traj.stage are bound once, and each step reads its upper sigma with
-    ndarray.item and keeps it as the next step's lower one: a list of the
-    whole grid would make the symplectic sweep's peak memory O(n).
+    and traj.stage are bound once, and each step reads its upper sigma and
+    keeps it as the next step's lower one (the estimator's grid rule).
     """
     tb = traj.tableau
     s = tb.stages
@@ -203,8 +202,10 @@ def _taped_backprop(
     tapes = [model.eps_with_tape(*traj.stage(tau, i))[1] for tau in range(traj.n) for i in range(s)]
     sig = traj.sigma
     w: list[np.ndarray | None] = [None] * s
+    lo = sig.item(0)
     for tau in range(traj.n):
-        h = sig[tau] - sig[tau + 1]  # signed forward step, negative
+        hi = sig.item(tau + 1)
+        h = lo - hi  # signed forward step, negative
         step_tapes = tapes[tau * s : (tau + 1) * s]
         for i in range(s - 1, -1, -1):
             w[i] = b[i] * g
@@ -216,6 +217,7 @@ def _taped_backprop(
             pulled = pulled + model.vjp_from_tape(step_tapes[i], w[i])
         g = g + h * pulled
         _check_finite(g, tau + 1, "costate")
+        lo = hi
     grad = schedule.to_scaled(g, t)
     _check_finite(grad, traj.n, "gradient")
     return grad, sum(len(tape) for tape in tapes)
@@ -261,14 +263,17 @@ def vanilla_adjoint_grad(
     x_bar = _vector(x_clean, model.dim, "x_clean")  # sqrt(alpha_0) = 1
     _check_finite(x_bar, 0)
     lam = _costate_start(model, grad_at_clean)
+    lo = sig.item(0)
     for tau in range(n_back):
-        h = sig[tau + 1] - sig[tau]
-        e = model.eps(x_bar, float(sig[tau]))
-        g = model.vjp(x_bar, float(sig[tau]), lam)
+        hi = sig.item(tau + 1)
+        h = hi - lo
+        e = model.eps(x_bar, lo)
+        g = model.vjp(x_bar, lo, lam)
         x_bar = x_bar + h * e
         lam = lam - h * g
         _check_finite(x_bar, tau + 1)
         _check_finite(lam, tau + 1, "costate")
+        lo = hi
     grad = schedule.to_scaled(lam, t)
     _check_finite(grad, n_back, "gradient")
     return grad
@@ -318,9 +323,7 @@ def conservation_probe(
     v0 = _vector(v0, model.dim, "v0")
     # The walk asks for its slopes in step order k = n-1..0, stage by stage: so are the points read.
     points = (traj.stage(k, i) for k in range(traj.n - 1, -1, -1) for i in range(traj.tableau.stages))
-    deltas, _ = _walk(
-        v0, traj.sigma.tolist(), traj.tableau, lambda d_i, _: model.jvp(*next(points), d_i), "tangent"
-    )
+    deltas, _ = _walk(v0, traj.sigma, traj.tableau, lambda d_i, _: model.jvp(*next(points), d_i), "tangent")
     lams = np.empty((traj.n + 1, len(lambda0)))
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)

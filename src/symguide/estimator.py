@@ -14,6 +14,13 @@ its sigma grid: the n+1 checkpoints plus, for s > 1 stages, the stage points
 That is exactly what the symplectic adjoint solvers consume; for Euler it is
 the n+1 checkpoints alone.
 
+Grid rule.  The read-only make_sub_schedule array is the one form of the
+grid any loop reads, here and in the adjoint module: each step reads its
+knots in place with ndarray.item and carries the knot it shares with the
+next step, and no loop copies the grid into a list or indexes it into
+numpy scalars.  A forward estimate and a symplectic sweep together thus
+hold what the trajectory stores and O(1) more, whatever n.
+
 Overflow rule.  Every public estimator and solver, and every sampler, runs
 under its own np.errstate(over="ignore", invalid="ignore") and checks the
 states it steps and the value it returns, so a blow-up ends in a
@@ -186,7 +193,7 @@ def _finite_norm(x: np.ndarray) -> float:
     return top * float(np.linalg.norm(finite / top)) if top else 0.0
 
 
-def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what: str = "state"):
+def _walk(y0: np.ndarray, sig: np.ndarray, tableau: ButcherTableau, slope, what: str = "state"):
     """The forward RK loop from y0 at sig[n] down to sig[0]; slope(x, sigma) is a stage's slope.
 
     Returns the n+1 step values, each checked finite, and the (n, s-1, d) stage points 1..s-1.
@@ -203,9 +210,9 @@ def _walk(y0: np.ndarray, sig: list[float], tableau: ButcherTableau, slope, what
     _check_finite(y0, n, what)
     ys[n] = y = y0
     slopes: list[np.ndarray | None] = [None] * s
-    hi = sig[n]
+    hi = sig.item(n)
     for k in range(n - 1, -1, -1):
-        lo = sig[k]
+        lo = sig.item(k)
         h = lo - hi  # signed, negative
         y_next = y
         for i in range(s):
@@ -235,7 +242,7 @@ def _integrate(
     """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
     x_t = _vector(x_t, model.dim, "x_t")
     sigma = make_sub_schedule(schedule, t, n)
-    states, stage_states = _walk(schedule.to_scaled(x_t, t), sigma.tolist(), tableau, model.eps)
+    states, stage_states = _walk(schedule.to_scaled(x_t, t), sigma, tableau, model.eps)
     return CheckpointTrajectory(sigma, tableau, states, stage_states)
 
 

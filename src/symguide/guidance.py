@@ -311,6 +311,7 @@ def sag_sample(
                 if not math.isfinite(gnorm):
                     raise DivergenceError(f"non-finite guidance gradient at t={t} repeat={rep}")
                 x_prev = x_prev - rho_t * grad
+                del traj, x0  # else the next step's estimate is built while this one's checkpoints live
                 guided_ns += time.perf_counter_ns() - t0
                 guided_steps.append(
                     {

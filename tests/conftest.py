@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def at_offset(a: np.ndarray, offset: int) -> np.ndarray:
     out[...] = a
     assert out.ctypes.data % 64 == offset
     return out
+
+
+def traced_peak(call):
+    """Peak bytes traced during call(), above those live when it started; its second run counts."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        call()  # the first call settles any lazily allocated state
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def rel_err(a, b):

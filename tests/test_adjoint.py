@@ -1,6 +1,5 @@
 import contextlib
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingModel, NanModel, rel_err
+from conftest import TASK_MEANS, CountingModel, NanModel, rel_err, traced_peak
 from symguide import (
     AdjointStats,
     AffineModel,
@@ -457,6 +456,24 @@ class TestConservation:
         assert np.abs(S - S[0]).max() <= 1e-10 * abs(S[0])
 
 
+def _symplectic_rest(model, schedule, solver, n):
+    """Peak bytes of an n-step estimate and its symplectic gradient, less the states its trajectory stores."""
+    rng = np.random.default_rng(8)
+    x, g = rng.standard_normal(model.dim), rng.standard_normal(model.dim)
+    stored = []
+
+    def forward_and_backward():
+        if solver == "euler":
+            traj = estimate_clean(model, schedule, x, 35, n)
+            symplectic_euler_grad(model, traj, g, schedule, 35)
+        else:
+            traj = estimate_clean_rk(model, schedule, x, 35, n, ButcherTableau.heun())
+            symplectic_rk_grad(model, traj, g, schedule, 35)
+        stored.append(traj.states.nbytes + traj.stage_states.nbytes)
+
+    return traced_peak(forward_and_backward) - stored[-1]
+
+
 class TestMemoryAccounting:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_symplectic_is_constant_extra_state(self, schedule, mlp3, n):
@@ -501,13 +518,36 @@ class TestMemoryAccounting:
         for n in (8, 64):
             for solver, tableau in solvers:
                 traj = estimate_clean_rk(mlp, schedule, x, t, n, tableau)
-                peaks[solver.__name__, n] = _traced_peak(lambda: solver(mlp, traj, g, schedule, t))
+                peaks[solver.__name__, n] = traced_peak(lambda: solver(mlp, traj, g, schedule, t))
         for name in ("direct_backprop_grad", "rk_direct_backprop_grad"):
             assert peaks[name, 64] >= 4 * peaks[name, 8], peaks
         # Less than one extra state vector at 8x the sub-steps: an O(n) solver would add >= 56.
         vector = sys.getsizeof(np.empty(8))
         for name in ("symplectic_euler_grad", "symplectic_rk_grad"):
             assert peaks[name, 64] - peaks[name, 8] < vector, peaks
+
+    @pytest.mark.parametrize(
+        "model", [AffineModel(-0.1 * np.eye(2)), MlpModel.random([2, 16, 16, 2], seed=1)], ids=["affine", "mlp"]
+    )
+    def test_symplectic_forward_and_backward_keep_the_trajectory_and_o1_more(self, schedule, model):
+        # The rest stays flat in n.  One float per sub-step of any extra term (a list of the grid,
+        # a second trajectory) would add 15 KiB between n = 128 and n = 2048.
+        for solver in ("euler", "heun"):
+            rest = [_symplectic_rest(model, schedule, solver, n) for n in (128, 512, 2048)]
+            assert max(rest) - min(rest) < 1024, (solver, rest)
+
+    def test_gmm_symplectic_memory_is_bounded_by_its_memo(self, schedule):
+        # A GmmModel also keeps up to 64 memo entries, whose bytes bound its rest at every n.
+        def fill_a_memo():
+            model = GmmModel([0.5, 0.5], TASK_MEANS)
+            for i in range(64):
+                model.eps(np.full(2, 0.1 * i), 0.5)
+
+        memo = traced_peak(fill_a_memo)
+        model = GmmModel([0.5, 0.5], TASK_MEANS)
+        for solver in ("euler", "heun"):
+            rest = [_symplectic_rest(model, schedule, solver, n) for n in (128, 512, 2048)]
+            assert max(rest) < memo + 4096, (solver, rest, memo)
 
 
 # The eight public estimators and solvers, each called so that its own arithmetic
@@ -603,18 +643,3 @@ class TestOverflowRule:
             vanilla_adjoint_grad(model, x_clean, np.ones(2), schedule, 35, 4)
         assert model.calls == dict.fromkeys(model.calls, 0)
 
-
-def _traced_peak(call):
-    """Peak bytes traced during call(), above those live when it started; its second run counts."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        call()  # the first call settles any lazily allocated state
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()

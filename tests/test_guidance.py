@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, at_offset, rel_err
+from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, at_offset, rel_err, traced_peak
 from symguide import models
 from symguide import (
     AffineModel,
@@ -299,6 +299,17 @@ class TestSagSample:
         with pytest.raises(ValueError, match="^loss dimension 1 does not match model dimension 2$"):
             sag_sample(model, schedule, L2TargetLoss([0.0]), cfg, 0)
         assert not any(model.calls.values())
+
+    def test_peak_memory_grows_by_one_steps_checkpoints(self, schedule, gmm2, task_loss):
+        # A warm sample holds one guided step's trajectory at a time and no copy of its grid, so
+        # from n = 128 to 1024 its peak grows by the extra checkpoints of one step, 896 x d floats,
+        # plus under 1 KiB measured at several seeds and windows.
+        peaks = {}
+        for n in (128, 1024):
+            cfg = GuidanceConfig(window=(20, 22), rho=TASK_RHO, n_steps=n)
+            peaks[n] = traced_peak(lambda: sag_sample(gmm2, schedule, task_loss, cfg, 0))
+        checkpoints = (1024 - 128) * gmm2.dim * 8
+        assert peaks[1024] - peaks[128] <= checkpoints + 2048, (peaks, checkpoints)
 
     @pytest.mark.parametrize("scale, t", [(1e3, 48), (1e40, 50)])
     def test_guidance_off_and_rollout_diverge_alike(self, schedule, scale, t):

@@ -290,3 +290,32 @@ def test_products_go_through_ndarray_dot():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert matmuls == []
+
+
+def test_sub_step_grids_are_read_in_place():
+    # The estimator's grid rule: the read-only make_sub_schedule array is the one form of the grid,
+    # so no sigma grid in estimator.py or adjoint.py (a sig or sigma name, or a trajectory's .sigma)
+    # is subscripted or passed to tolist(), and the loops that step along one read it with .item.
+    package = ROOT / "src" / "symguide"
+
+    def grid(node):
+        return getattr(node, "id", None) in ("sig", "sigma") or getattr(node, "attr", None) == "sigma"
+
+    copies, readers = [], set()
+    for name in ("estimator", "adjoint"):
+        for func in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and grid(node.value):
+                    copies.append(f"{name}.py:{node.lineno}")
+                elif isinstance(node, ast.Attribute) and grid(node.value):
+                    if node.attr == "tolist":
+                        copies.append(f"{name}.py:{node.lineno}")
+                    elif node.attr == "item":
+                        readers.add((name, func.name))
+    assert copies == []
+    assert sorted(readers) == [
+        ("adjoint", "_check_traj"), ("adjoint", "_costate_sweep"), ("adjoint", "_taped_backprop"),
+        ("adjoint", "vanilla_adjoint_grad"), ("estimator", "_walk"), ("estimator", "stage"),
+    ]
