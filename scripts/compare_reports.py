@@ -5,9 +5,10 @@ Usage: python3 scripts/compare_reports.py REV
 
 Exports REV with `git archive` into a temporary directory.  Runs `sample`,
 `ablate-n`, `ablate-rho`, `study-window` and `compare-adjoint` on each of the
-working tree's configs/default.json and configs/gram.json (the gram_style
-loss) at --seed 0 and --seed 3, once with REV's source and once with the
-working tree's, each side with the same relative --out.
+working tree's configs/default.json, configs/gram.json (the gram_style
+loss) and configs/mlp.json (an MlpModel) at --seed 0 and --seed 3, once
+with REV's source and once with the working tree's, each side with the
+same relative --out.
 Compares each report.json, report.csv, m_curve.csv and config.resolved.json
 byte for byte, and each timing.json with every row's wall_time_ns dropped.
 Prints "N of M identical" plus, for each file that differs, the largest
@@ -20,7 +21,7 @@ numbers).  Exits 1 on any difference.  The temporary directories are removed.
 Every run has its own interpreter, with its own hash seed, so with REV set
 to HEAD on an unmodified checkout (as CI runs it) the script checks that
 two processes write the same bytes for the same config and seed.  Takes
-under a minute: 40 runs, writing 84 files a side.
+about a minute: 60 runs, writing 126 files a side.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = (ROOT / "configs" / "default.json", ROOT / "configs" / "gram.json")
+CONFIGS = tuple(ROOT / "configs" / name for name in ("default.json", "gram.json", "mlp.json"))
 COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint")
 SEEDS = (0, 3)
 FILES = ("report.json", "report.csv", "m_curve.csv", "config.resolved.json", "timing.json")

@@ -153,7 +153,7 @@ def _symplectic_grad(
     costate stage when A couples the stages.
     """
     t = _check_traj(model, traj, schedule, t)
-    grad = schedule.to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
+    grad = schedule._to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
     _check_finite(grad, traj.n, "gradient")
     if not return_stats:
         return grad
@@ -218,7 +218,7 @@ def _taped_backprop(
         g = g + h * pulled
         _check_finite(g, tau + 1, "costate")
         lo = hi
-    grad = schedule.to_scaled(g, t)
+    grad = schedule._to_scaled(g, t)
     _check_finite(grad, traj.n, "gradient")
     return grad, sum(len(tape) for tape in tapes)
 
@@ -259,7 +259,7 @@ def vanilla_adjoint_grad(
     discretization error the symplectic solver avoids.
     """
     n_back = _count(n_back, "n_back", 1)
-    sig = make_sub_schedule(schedule, t, n_back)
+    sig = make_sub_schedule(schedule, t, n_back)  # checks t
     x_bar = _vector(x_clean, model.dim, "x_clean")  # sqrt(alpha_0) = 1
     _check_finite(x_bar, 0)
     lam = _costate_start(model, grad_at_clean)
@@ -274,7 +274,7 @@ def vanilla_adjoint_grad(
         _check_finite(x_bar, tau + 1)
         _check_finite(lam, tau + 1, "costate")
         lo = hi
-    grad = schedule.to_scaled(lam, t)
+    grad = schedule._to_scaled(lam, t)
     _check_finite(grad, n_back, "gradient")
     return grad
 

@@ -241,8 +241,8 @@ def _integrate(
 ) -> CheckpointTrajectory:
     """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
     x_t = _vector(x_t, model.dim, "x_t")
-    sigma = make_sub_schedule(schedule, t, n)
-    states, stage_states = _walk(schedule.to_scaled(x_t, t), sigma, tableau, model.eps)
+    sigma = make_sub_schedule(schedule, t, n)  # checks t
+    states, stage_states = _walk(schedule._to_scaled(x_t, t), sigma, tableau, model.eps)
     return CheckpointTrajectory(sigma, tableau, states, stage_states)
 
 

@@ -10,12 +10,12 @@ evaluated at arbitrary sigma >= 0 so the n-step estimator can query
 interpolated sub-steps.  Every output is a pure function of the model's
 parameters and the call's arguments.  MlpModel and AffineModel keep no
 state between calls.  GmmModel keeps one bounded memo: the mixture
-responsibilities of its last _MEMO_CAPACITY points, keyed on the exact
-bits of (x_bar, sigma) and evicted first in, first out, much as
-NoiseSchedule memoises its sub-step grids.  Entries are read-only and
-inserts and evictions hold a module lock, so a shared instance stays safe
-under concurrency.  A hit skips only the responsibility computation: the
-same points give the same bits whether the memo served them or not.  Every
+responsibilities of its last 64 points, keyed on the exact bits of
+(x_bar, sigma) and evicted first in, first out by schedule._memo_insert,
+the insert rule and lock that NoiseSchedule's sub-step grid memo shares.
+Entries are read-only, so a shared instance stays safe under concurrency.
+A hit skips only the responsibility computation: the same points give the
+same bits whether the memo served them or not.  Every
 model copies and pickles by rebuilding through its constructor, as every
 class that freezes its arrays does, so a copy's arrays stay read-only and a
 GmmModel copy starts with an empty memo.  Every parameter array (an MLP's W
@@ -43,6 +43,18 @@ np.vecdot and a stacked np.matmul differ from einsum from d = 2 on, and a
 multiply then sum(1) from d = 3 on; a Python sum adds in another order
 than numpy's unrolled reduce from K = 8 on.
 
+MLP kernel rule.  Each layer pass of MlpModel writes only into the array it
+has just allocated: the input is np.empty(d + 1) filled with x_bar and
+float(sigma), a hidden layer is z = W.dot(a); z += b; np.tanh(z, out=z),
+the output layer W.dot(a) then += b, and the reverse and tangent passes
+form tanh' = 1 - a * a in one scratch array and multiply it with their
+vector in place.  Each element gets the IEEE operations of the plain
+expressions (tanh(W.dot(a) + b), g * (1.0 - a * a), W.dot(u) * (...)) with
+their operands in the same order, so the bits are theirs, without a
+temporary for each bias add, tanh or product.  A tape array is never
+written after it is appended, so a tape can be replayed any number of
+times.
+
 For stored-activation backpropagation there is a taped variant:
 eps_with_tape returns (eps, tape) where tape is the list of arrays a
 conventional reverse pass has to keep alive; vjp_from_tape replays it.
@@ -66,12 +78,11 @@ from __future__ import annotations
 
 import abc
 import struct
-import threading
 from typing import Sequence
 
 import numpy as np
 
-from .schedule import NoiseSchedule, _count, _frozen, _real, _vector
+from .schedule import NoiseSchedule, _count, _frozen, _memo_insert, _real, _vector
 
 __all__ = [
     "ScoreModel",
@@ -82,13 +93,6 @@ __all__ = [
     "finite_diff_vjp",
 ]
 
-# Points a GmmModel keeps the responsibilities of.  A guided step computes n
-# points (ddim_step's and n - 1 sub-steps) and its costate sweep revisits all
-# n, so any n <= 64 finds them; past that a point is recomputed, to the same bits.
-_MEMO_CAPACITY = 64
-# One lock for every GmmModel's inserts and evictions: held for a dict update, and
-# kept off the instances so that a model still copies and pickles.
-_MEMO_LOCK = threading.Lock()
 _F64 = struct.Struct("<d")
 
 
@@ -165,10 +169,7 @@ class GmmModel(ScoreModel):
         out = self._memo.get(key)
         if out is None:
             out = self._mixture(x_bar, sigma)
-            with _MEMO_LOCK:
-                if len(self._memo) >= _MEMO_CAPACITY:
-                    del self._memo[next(iter(self._memo))]
-                self._memo[key] = out
+            _memo_insert(self._memo, key, out)
         return out
 
     def _mixture(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -288,13 +289,20 @@ class MlpModel(ScoreModel):
 
     def _forward(self, x_bar: np.ndarray, sigma: float) -> list[np.ndarray]:
         """Return the inputs to every linear layer (the backward tape), then the output."""
-        a = np.concatenate([x_bar, [float(sigma)]])
+        d = self.dim
+        a = np.empty(d + 1)
+        a[:d] = x_bar
+        a[d] = float(sigma)
         acts = [a]
         for W, b in self._hidden:
-            a = np.tanh(W.dot(a) + b)
+            a = W.dot(a)
+            a += b
+            np.tanh(a, out=a)
             acts.append(a)
         W, b = self._out
-        acts.append(W.dot(a) + b)
+        out = W.dot(a)
+        out += b
+        acts.append(out)
         return acts
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
@@ -308,18 +316,27 @@ class MlpModel(ScoreModel):
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         g = self._out[0].T.dot(_vector(v, self.dim, "v"))
-        # Hidden layer l's output is tape[l + 1]; tanh'(z) = 1 - tanh(z)^2.
+        # Hidden layer l's output is tape[l + 1]; tanh'(z) = 1 - tanh(z)^2, formed in a scratch array.
         for (W, _), a in zip(reversed(self._hidden), reversed(tape)):
-            g = W.T.dot(g * (1.0 - a * a))
+            t = a * a
+            np.subtract(1.0, t, out=t)
+            np.multiply(g, t, out=t)
+            g = W.T.dot(t)
         return g[: self.dim]
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
         v = _vector(v, self.dim, "v")
         acts = self._forward(x_bar, sigma)
-        u = np.concatenate([v, [0.0]])  # sigma is held fixed
+        d = self.dim
+        u = np.empty(d + 1)
+        u[:d] = v
+        u[d] = 0.0  # sigma is held fixed
         for (W, _), a in zip(self._hidden, acts[1:]):
-            u = W.dot(u) * (1.0 - a * a)
+            t = a * a
+            np.subtract(1.0, t, out=t)
+            u = W.dot(u)
+            u *= t
         return self._out[0].dot(u)
 
     def to_json_dict(self) -> dict:
@@ -375,8 +392,9 @@ def vjp_at_step(
     The scaled-coordinate Jacobian picks up a 1/sqrt(alpha_t) factor under
     the chain rule, so this pulls model.vjp(...) back with to_scaled.
     """
-    x_bar = schedule.to_scaled(x, t)
-    return schedule.to_scaled(model.vjp(x_bar, schedule.sigma(t), v), t)
+    t = schedule._check_step(t)
+    x_bar = schedule._to_scaled(np.asarray(x, dtype=np.float64), t)
+    return schedule._to_scaled(model.vjp(x_bar, schedule.sigmas[t], v), t)
 
 
 def finite_diff_vjp(
@@ -397,13 +415,15 @@ def finite_diff_vjp(
         raise ValueError(f"finite-difference step must be positive, got {h}")
     x = _vector(x, model.dim, "x")
     v = _vector(v, model.dim, "v")
+    t = schedule._check_step(t)
+    sigma = schedule.sigmas[t]
     out = np.empty_like(x)
     for j in range(len(x)):
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        fp = float(v.dot(model.eps(schedule.to_scaled(xp, t), schedule.sigma(t))))
-        fm = float(v.dot(model.eps(schedule.to_scaled(xm, t), schedule.sigma(t))))
+        fp = float(v.dot(model.eps(schedule._to_scaled(xp, t), sigma)))
+        fm = float(v.dot(model.eps(schedule._to_scaled(xm, t), sigma)))
         out[j] = (fp - fm) / (2.0 * h)
     return out

@@ -15,9 +15,19 @@ float64.  This module owns the step geometry: the step range, the pull-back
 to scaled coordinates, the sub-step sigma grids of the n-step estimate
 (make_sub_schedule), and the one rule for every count, step index and seed
 (_count), for every real parameter (_real), for every state-sized vector
-(_vector) and for every array an object keeps (_frozen).
+(_vector) and for every array an object keeps (_frozen).  A public call
+checks its step index once: to_scaled checks t, and a function that has
+checked t already, itself or through make_sub_schedule, pulls back through
+_to_scaled.
 A schedule's values are immutable after construction; its only mutable part
-is a memo of the read-only sub-step grids, at most one per (t, n).
+is a bounded memo of the read-only sub-step grids, at most one per (t, n).
+
+Bounded memos.  A schedule's sub-step grids and a GmmModel's mixture
+responsibilities are each kept in a dict of at most _MEMO_CAPACITY entries,
+evicted first in, first out.  _memo_insert is the one insert rule of both,
+and the only code that takes _MEMO_LOCK, so a shared schedule or model stays
+safe under concurrency.  An evicted entry is rebuilt on its next use, to the
+same bits.
 
 _count(value, what, least, most) is the only check of an integer's type
 and range, configs included: a bool, a float (2.0 too), a string or None
@@ -42,6 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +63,14 @@ __all__ = ["NoiseSchedule", "build_linear_schedule", "make_sub_schedule"]
 # dtype object takes np.asarray's conversion; for an equal one (an unpickled array's) that is a view
 # of the same values.
 _DOUBLE = np.dtype(np.float64)
+
+# Entries a bounded memo keeps.  A guided step computes n mixture points (ddim_step's and n - 1
+# sub-steps) and its costate sweep revisits all n, so any n <= 64 finds them.  A default sample
+# reads 21 sub-step grids; an ablate-n command reads 85 of its schedule's and builds 2 of them twice.
+_MEMO_CAPACITY = 64
+# One lock for every bounded memo's inserts and evictions: held for a dict update, and kept off
+# the objects that own the memos so that they still copy and pickle.
+_MEMO_LOCK = threading.Lock()
 
 
 def _count(value: object, what: str, least: int = 0, most: int = sys.maxsize) -> int:
@@ -81,6 +100,14 @@ def _vector(x: object, dim: int, what: str) -> np.ndarray:
     return x
 
 
+def _memo_insert(memo: dict, key: object, value: object) -> None:
+    """Store value under key, evicting the oldest entry first when memo holds _MEMO_CAPACITY."""
+    with _MEMO_LOCK:
+        if len(memo) >= _MEMO_CAPACITY:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+
 def _frozen(a: object, what: str) -> np.ndarray:
     """a as a read-only float64 copy whose data starts on a 64-byte boundary; an inf or NaN entry is rejected."""
     a = np.asarray(a, dtype=np.float64)
@@ -101,9 +128,9 @@ class NoiseSchedule:
     sigmas, sqrt_alpha and sqrt_one_minus_alpha hold the per-step values as
     Python floats, computed once, so per-step callers do no numpy-scalar
     arithmetic.  _sub_grids memoises the read-only sigma grid that
-    make_sub_schedule builds for each (t, n): each schedule owns its own
-    dict, and a grid never changes once stored.  Schedules compare by
-    identity.
+    make_sub_schedule builds for each (t, n), for the last _MEMO_CAPACITY
+    pairs: each schedule owns its own dict, and a grid never changes once
+    stored.  Schedules compare by identity.
     """
 
     alpha: np.ndarray
@@ -151,7 +178,11 @@ class NoiseSchedule:
         The same division pulls a gradient in scaled coordinates back to
         x_t: d x_bar / d x_t = 1 / sqrt(alpha_t).
         """
-        return np.asarray(x, dtype=np.float64) / self.sqrt_alpha[self._check_step(t)]
+        return self._to_scaled(np.asarray(x, dtype=np.float64), self._check_step(t))
+
+    def _to_scaled(self, x: np.ndarray, t: int) -> np.ndarray:
+        """to_scaled of a float64 array at a step index its caller has checked: one check per public call."""
+        return x / self.sqrt_alpha[t]
 
 
 def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
@@ -162,8 +193,8 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     sigma[n] = sigma(t), integer knots reproduce the parent schedule, and
     the grid is strictly increasing in tau.  t and n are checked on every
     call; the grid is built once per (t, n) and memoised on the schedule,
-    so every later call for the same (t, n) returns that same read-only
-    array.
+    so a later call for the same (t, n) returns that same read-only array
+    while the memo holds it, and an equal one after its eviction.
     """
     t = schedule._check_step(t, 1)
     n = _count(n, "n", 1)
@@ -179,7 +210,7 @@ def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     sigma = _frozen(np.sqrt((1.0 - sub_alpha) / sub_alpha), "sub-step sigma grid")
     if np.any(np.diff(sigma) <= 0.0):
         raise ValueError("sub-schedule sigma values are not strictly increasing")
-    schedule._sub_grids[t, n] = sigma
+    _memo_insert(schedule._sub_grids, (t, n), sigma)
     return sigma
 
 

@@ -1,6 +1,9 @@
+import gc
 import math
 import re
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,17 +17,21 @@ from symguide import (
     DivergenceError,
     ExperimentReport,
     GmmModel,
+    GuidanceConfig,
+    L2TargetLoss,
     NoiseSchedule,
     build_linear_schedule,
     estimate_clean,
     estimate_clean_rk,
     estimation_error_curve,
     make_sub_schedule,
+    sag_sample,
     symplectic_euler_grad,
     symplectic_rk_grad,
 )
 from symguide import estimator
 from symguide.estimator import MIN_ERROR_SAMPLES
+from symguide.schedule import _MEMO_CAPACITY
 
 
 class TestSubSchedule:
@@ -87,6 +94,65 @@ class TestSubScheduleMemo:
             sch._sub_grids[t, n] = grid
             with pytest.raises(ValueError):
                 make_sub_schedule(sch, t, n)
+
+    def test_keeps_the_last_capacity_grids_first_in_first_out(self):
+        sch = build_linear_schedule(200, *TASK_BETAS)
+        first = make_sub_schedule(sch, 1, 3)
+        for t in range(1, 201):
+            make_sub_schedule(sch, t, 3)
+        assert list(sch._sub_grids) == [(t, 3) for t in range(201 - _MEMO_CAPACITY, 201)]
+        rebuilt = make_sub_schedule(sch, 1, 3)  # evicted, so built again: a new array, the same bits
+        assert rebuilt is not first and rebuilt.tobytes() == first.tobytes()
+        assert len(sch._sub_grids) == _MEMO_CAPACITY and (201 - _MEMO_CAPACITY, 3) not in sch._sub_grids
+
+    def test_shared_schedule_under_threads(self):
+        # More threads than cores and a short switch interval, so inserts and evictions interleave.
+        sch = build_linear_schedule(200, *TASK_BETAS)
+        keys = [[(t, n) for t in range(1 + i, 201, 2) for n in (2, 3)] for i in range(4)]
+        cold = NoiseSchedule(sch.alpha)
+        expected = [[make_sub_schedule(cold, t, n).tobytes() for t, n in rows] for rows in keys]
+        got = [None] * len(keys)
+
+        def worker(i):
+            got[i] = [make_sub_schedule(sch, t, n).tobytes() for t, n in keys[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(keys))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == expected
+        assert len(sch._sub_grids) == _MEMO_CAPACITY
+
+    def test_retained_bytes_stay_flat_across_samples(self):
+        # Each sample guides 64 new steps, so every sample fills both memos (the schedule's grids
+        # and the model's mixture points) with new entries.  Numpy's traced data buffers, which hold
+        # the entries' arrays and nothing of the dicts, come to the same bytes after every sample.
+        sch = build_linear_schedule(200, 1e-4, 0.05)
+        model = GmmModel([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]])
+        loss = L2TargetLoss([-3.0, 0.0])
+        data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        retained = []
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            for k in range(3):
+                cfg = GuidanceConfig(window=(1 + 64 * k, 64 + 64 * k), rho=0.1, n_steps=8)
+                sag_sample(model, sch, loss, cfg, 0)
+                gc.collect()  # only what the memos hold stays; nothing waits on a collection
+                retained.append(sum(t.size for t in tracemalloc.take_snapshot().filter_traces([data]).traces))
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert retained[2] == retained[1] == retained[0], retained
+        assert len(sch._sub_grids) == len(model._memo) == _MEMO_CAPACITY
 
     def test_schedules_never_share_grids(self):
         a = build_linear_schedule(TASK_T, *TASK_BETAS)

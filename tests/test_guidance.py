@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TASK_BETAS, TASK_RHO, TASK_WINDOW, CountingModel, NanModel, at_offset, rel_err, traced_peak
-from symguide import models
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -26,6 +25,7 @@ from symguide import (
     time_travel_renoise,
 )
 from symguide.guidance import MAX_SIZE
+from symguide.schedule import _MEMO_CAPACITY
 
 
 def loss_fd_grad(loss, x0, h=1e-6):
@@ -338,13 +338,37 @@ class TestSagSample:
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(case=sample_cases())
+    @example(case=(50, 15, 35, 1, 4, TASK_RHO))  # configs/default.json: 92 checks
+    def test_each_public_call_checks_its_step_once(self, gmm2, task_loss, case):
+        # ddim_step checks t once for its T + (r-1)*W calls and time_travel_renoise once for its
+        # (r-1)*W; each of the G guided steps checks it in estimate_clean's make_sub_schedule and in
+        # symplectic_euler_grad's _check_traj.  Every pull-back after those goes through _to_scaled.
+        T, k1, k2, r, n, rho = case
+        checks = []
+        check = NoiseSchedule._check_step
+
+        def counted(self, t, least=0):
+            checks.append(t)
+            return check(self, t, least)
+
+        cfg = GuidanceConfig(window=(k1, k2), rho=rho, repeats=r, n_steps=n)
+        sch = build_linear_schedule(T, *TASK_BETAS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NoiseSchedule, "_check_step", counted)
+            sag_sample(gmm2, sch, task_loss, cfg, 0)
+        W = k2 - k1 + 1
+        G = r * W if rho > 0.0 else 0
+        assert len(checks) == T + 2 * (r - 1) * W + 2 * G
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=sample_cases())
     @example(case=(50, 15, 35, 1, 4, TASK_RHO))  # configs/default.json: 113 of 218 evaluated
     def test_each_point_is_evaluated_once(self, gmm2, task_loss, case):
         # The calls above stay; the mixture is evaluated once per distinct point. A guided
         # step's first eps meets ddim_step's point and its costate sweep meets the n forward
         # points, so each of the G guided steps adds n - 1 points to the T + (r-1)*W steps.
         T, k1, k2, r, n, rho = case
-        assert n + 1 <= models._MEMO_CAPACITY
+        assert n + 1 <= _MEMO_CAPACITY
         model = GmmModel(gmm2.weights, gmm2.means)
         evaluated = []
         mixture = model._mixture
@@ -359,7 +383,7 @@ class TestSagSample:
         # Past the capacity the sweep recomputes the evicted points, to the same bits.
         memo_free = GmmModel(gmm2.weights, gmm2.means)
         memo_free._responsibilities = memo_free._mixture
-        cfg = GuidanceConfig(window=TASK_WINDOW, rho=TASK_RHO, repeats=2, n_steps=models._MEMO_CAPACITY + 36)
+        cfg = GuidanceConfig(window=TASK_WINDOW, rho=TASK_RHO, repeats=2, n_steps=_MEMO_CAPACITY + 36)
         records = [sag_sample(m, schedule, task_loss, cfg, 3) for m in (GmmModel(gmm2.weights, gmm2.means), memo_free)]
         assert records[0].final_state.tobytes() == records[1].final_state.tobytes()
         assert records[0].guided_steps == records[1].guided_steps

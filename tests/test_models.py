@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import at_offset, rel_err
 from symguide import models
 from symguide.harness import build_model
-from symguide.schedule import _vector
+from symguide.schedule import _MEMO_CAPACITY, _vector
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -319,7 +319,7 @@ class TestGmmMemo:
         computed = []
         mixture = model._mixture
         model._mixture = lambda x_bar, sigma: computed.append(1) or mixture(x_bar, sigma)
-        cap = models._MEMO_CAPACITY
+        cap = _MEMO_CAPACITY
         points = np.random.default_rng(4).standard_normal((3 * cap, 2))
         first = [model.eps(x, 0.9).tobytes() for x in points[:cap]]
         for x in points[cap:]:
@@ -363,7 +363,7 @@ class TestGmmMemo:
     def test_shared_instance_under_threads(self):
         # More threads than cores and a short switch interval, so inserts and evictions interleave.
         model = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
-        points = np.random.default_rng(5).standard_normal((4, 3 * models._MEMO_CAPACITY, 2))
+        points = np.random.default_rng(5).standard_normal((4, 3 * _MEMO_CAPACITY, 2))
         cold = _fresh(model)
         expected = [[cold.eps(x, 0.4).tobytes() for x in rows] for rows in points]
         got = [None] * len(points)
@@ -383,7 +383,7 @@ class TestGmmMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert got == expected
-        assert len(model._memo) == models._MEMO_CAPACITY
+        assert len(model._memo) == _MEMO_CAPACITY
 
 
 class TestMlp:
@@ -663,19 +663,26 @@ def _per_layer_mlp(layers, x_bar, sigma, u, v):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_mlp_bits_match_per_layer_expressions_on_misaligned_weights(seed):
-    # The (W, b) loops and the aligned weights change speed, not bits: the model gives the
-    # bytes of the per-layer expressions applied to copies 16 bytes past a 64-byte boundary.
+    # The (W, b) loops, the in-place layer passes and the aligned weights change speed, not bits:
+    # the model gives the bytes of the per-layer expressions applied to copies 16 bytes past a
+    # 64-byte boundary, for a float, np.float64 or int sigma.  A tape is distinct arrays that no
+    # pass writes after it is appended, so replaying it (the RK oracle does, up to 3 times) gives
+    # the same bits and leaves it as it was.
     mlp = MlpModel.random([16, 256, 256, 16], seed)
     layers = [(at_offset(W, 16), at_offset(b, 16)) for W, b in [*mlp._hidden, mlp._out]]
     rng = np.random.default_rng(seed)
-    for sigma in (0.01, 0.8, 35.0):
+    for sigma in (0.01, 0.8, 35.0, np.float64(2.5), 3):
         x_bar, u, v = rng.standard_normal((3, 16))
         eps, tape, jv, g = _per_layer_mlp(layers, x_bar, sigma, u, v)
         got_eps, got_tape = mlp.eps_with_tape(x_bar, sigma)
+        taped = [a.tobytes() for a in got_tape]
+        assert len({id(a) for a in [*got_tape, got_eps]}) == len(got_tape) + 1
         assert got_eps.tobytes() == mlp.eps(x_bar, sigma).tobytes() == eps.tobytes()
-        assert [a.tobytes() for a in got_tape] == [a.tobytes() for a in tape]
+        assert taped == [a.tobytes() for a in tape]
         assert mlp.jvp(x_bar, sigma, u).tobytes() == jv.tobytes()
-        assert mlp.vjp_from_tape(got_tape, v).tobytes() == mlp.vjp(x_bar, sigma, v).tobytes() == g.tobytes()
+        replays = [mlp.vjp_from_tape(got_tape, v).tobytes() for _ in range(2)]
+        assert replays == [mlp.vjp(x_bar, sigma, v).tobytes(), g.tobytes()]
+        assert [a.tobytes() for a in got_tape] == taped
 
 
 def _matmul_reference(obj, x, sigma, v):

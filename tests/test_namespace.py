@@ -153,26 +153,36 @@ def test_state_vectors_are_checked_by_one_rule():
 
 def test_one_method_reads_and_writes_the_gmm_memo():
     # GmmModel.__init__ creates the memo, also for a copy, which __reduce__ rebuilds through it;
-    # only _responsibilities reads it or takes its lock, so key, bound and eviction live in one place.
+    # only _responsibilities reads it, so its key lives in one place.  The schedule's grid memo
+    # is likewise created in NoiseSchedule.__init__ and read only by make_sub_schedule.  Both
+    # write through schedule._memo_insert, the one bound, eviction and lock of a memo.
     package = ROOT / "src" / "symguide"
     uses = []
     for path in [*package.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         tree = ast.parse(path.read_text())
         scopes = {}
-        for cls in [node for node in tree.body if isinstance(node, ast.ClassDef)]:
-            for func in cls.body:
-                if isinstance(func, ast.FunctionDef):
-                    scopes.update({id(n): f"{cls.name}.{func.name}" for n in ast.walk(func)})
+        for top in tree.body:
+            if isinstance(top, (ast.ClassDef, ast.FunctionDef)):
+                scopes.update({id(n): top.name for n in ast.walk(top)})
+            if isinstance(top, ast.ClassDef):
+                for func in top.body:
+                    if isinstance(func, ast.FunctionDef):
+                        scopes.update({id(n): f"{top.name}.{func.name}" for n in ast.walk(func)})
         for node in ast.walk(tree):
             name = {ast.Attribute: "attr", ast.Name: "id", ast.Constant: "value"}.get(type(node))
-            if getattr(node, name or "", None) in ("_memo", "_MEMO_LOCK"):
+            if getattr(node, name or "", None) in ("_memo", "_sub_grids", "_memo_insert", "_MEMO_LOCK"):
                 ctx = type(getattr(node, "ctx", None)).__name__
                 uses.append((path.name, scopes.get(id(node), "<module>"), getattr(node, name), ctx))
     assert sorted(set(uses)) == [
-        ("models.py", "<module>", "_MEMO_LOCK", "Store"),
         ("models.py", "GmmModel.__init__", "_memo", "Store"),
-        ("models.py", "GmmModel._responsibilities", "_MEMO_LOCK", "Load"),
         ("models.py", "GmmModel._responsibilities", "_memo", "Load"),
+        ("models.py", "GmmModel._responsibilities", "_memo_insert", "Load"),
+        ("schedule.py", "<module>", "_MEMO_LOCK", "Store"),
+        ("schedule.py", "NoiseSchedule", "_sub_grids", "Store"),
+        ("schedule.py", "NoiseSchedule.__init__", "_sub_grids", "NoneType"),
+        ("schedule.py", "_memo_insert", "_MEMO_LOCK", "Load"),
+        ("schedule.py", "make_sub_schedule", "_memo_insert", "Load"),
+        ("schedule.py", "make_sub_schedule", "_sub_grids", "Load"),
     ]
 
 
