@@ -12,11 +12,13 @@ same relative --out.
 Compares each report.json, report.csv, m_curve.csv and config.resolved.json
 byte for byte, and each timing.json with every row's wall_time_ns dropped.
 Prints "N of M identical" plus, for each file that differs, the largest
-difference between the numbers it holds; for a CSV file also each column
-whose cells differ, with how many do.  When any file differs, ends with
-"worst numeric difference X in RUN/FILE", the largest of those differences
-(inf for a file written on one side only or holding a different count of
-numbers).  Exits 1 on any difference.  The temporary directories are removed.
+absolute difference |x - y| and the largest relative difference
+|x - y| / max(|x|, |y|) between the numbers it holds; for a CSV file also
+each column whose cells differ, with how many do.  When any file differs,
+ends with "worst numeric difference X in RUN/FILE; worst relative
+difference R in RUN/FILE", the largest of each over all files (inf for a
+file written on one side only or holding a different count of numbers).
+Exits 1 on any difference.  The temporary directories are removed.
 
 Every run has its own interpreter, with its own hash seed, so with REV set
 to HEAD on an unmodified checkout (as CI runs it) the script checks that
@@ -72,13 +74,20 @@ def _compared_bytes(path: Path) -> bytes:
     return json.dumps({**obj, "rows": rows}, sort_keys=True, indent=2).encode()
 
 
-def _largest_difference(a: bytes, b: bytes) -> tuple[str, float]:
-    """How the numbers of two files differ, and their largest difference (inf if their counts differ)."""
+def _relative(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|), and 0 where x == y (both 0 included)."""
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def _largest_differences(a: bytes, b: bytes) -> tuple[str, float, float]:
+    """How the numbers of two files differ, with their largest absolute and relative differences (inf if counts differ)."""
     xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
     if len(xs) != len(ys):
-        return f"{len(xs)} vs {len(ys)} numbers", math.inf
-    largest = max((abs(float(x) - float(y)) for x, y in zip(xs, ys)), default=0.0)
-    return f"largest numeric difference {largest!r}", largest
+        return f"{len(xs)} vs {len(ys)} numbers", math.inf, math.inf
+    pairs = [(float(x), float(y)) for x, y in zip(xs, ys)]
+    largest = max((abs(x - y) for x, y in pairs), default=0.0)
+    relative = max((_relative(x, y) for x, y in pairs), default=0.0)
+    return f"largest numeric difference {largest!r}, largest relative difference {relative:.3g}", largest, relative
 
 
 def _differing_columns(a: bytes, b: bytes) -> str:
@@ -115,13 +124,13 @@ def main(argv: list[str]) -> int:
                     continue
                 if not (a.exists() and b.exists()):
                     differing.append(f"{run}/{name}: written on one side only")
-                    deltas.append((math.inf, f"{run}/{name}"))
+                    deltas.append((math.inf, math.inf, f"{run}/{name}"))
                 elif _compared_bytes(a) == _compared_bytes(b):
                     same += 1
                 else:
                     a, b = _compared_bytes(a), _compared_bytes(b)
-                    text, largest = _largest_difference(a, b)
-                    deltas.append((largest, f"{run}/{name}"))
+                    text, largest, relative = _largest_differences(a, b)
+                    deltas.append((largest, relative, f"{run}/{name}"))
                     line = f"{run}/{name}: {text}"
                     if name.endswith(".csv"):
                         line += f"; cells differ in {_differing_columns(a, b)}"
@@ -130,8 +139,10 @@ def main(argv: list[str]) -> int:
     for line in differing:
         print(f"  differs: {line}")
     if deltas:
-        largest, where = max(deltas, key=lambda delta: delta[0])
-        print(f"worst numeric difference {largest!r} in {where}")
+        largest, _, where = max(deltas, key=lambda delta: delta[0])
+        _, relative, where_relative = max(deltas, key=lambda delta: delta[1])
+        print(f"worst numeric difference {largest!r} in {where}; "
+              f"worst relative difference {relative:.3g} in {where_relative}")
     return 1 if differing else 0
 
 

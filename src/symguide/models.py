@@ -287,32 +287,34 @@ class MlpModel(ScoreModel):
     def num_layers(self) -> int:
         return len(self._hidden) + 1
 
-    def _forward(self, x_bar: np.ndarray, sigma: float) -> list[np.ndarray]:
-        """Return the inputs to every linear layer (the backward tape), then the output."""
+    def _tape(self, x_bar: np.ndarray, sigma: float) -> list[np.ndarray]:
+        """The inputs to every linear layer: concat(x_bar, sigma), then each hidden layer's output."""
         d = self.dim
         a = np.empty(d + 1)
         a[:d] = x_bar
         a[d] = float(sigma)
-        acts = [a]
+        tape = [a]
         for W, b in self._hidden:
             a = W.dot(a)
             a += b
             np.tanh(a, out=a)
-            acts.append(a)
+            tape.append(a)
+        return tape
+
+    def _output(self, a: np.ndarray) -> np.ndarray:
         W, b = self._out
         out = W.dot(a)
         out += b
-        acts.append(out)
-        return acts
+        return out
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
-        return self._forward(x_bar, sigma)[-1]
+        return self._output(self._tape(x_bar, sigma)[-1])
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         x_bar = _vector(x_bar, self.dim, "x")
-        acts = self._forward(x_bar, sigma)
-        return acts[-1], acts[:-1]
+        tape = self._tape(x_bar, sigma)
+        return self._output(tape[-1]), tape
 
     def vjp_from_tape(self, tape: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         g = self._out[0].T.dot(_vector(v, self.dim, "v"))
@@ -327,12 +329,12 @@ class MlpModel(ScoreModel):
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
         v = _vector(v, self.dim, "v")
-        acts = self._forward(x_bar, sigma)
+        tape = self._tape(x_bar, sigma)
         d = self.dim
         u = np.empty(d + 1)
         u[:d] = v
         u[d] = 0.0  # sigma is held fixed
-        for (W, _), a in zip(self._hidden, acts[1:]):
+        for (W, _), a in zip(self._hidden, tape[1:]):
             t = a * a
             np.subtract(1.0, t, out=t)
             u = W.dot(u)

@@ -15,7 +15,9 @@ float64.  This module owns the step geometry: the step range, the pull-back
 to scaled coordinates, the sub-step sigma grids of the n-step estimate
 (make_sub_schedule), and the one rule for every count, step index and seed
 (_count), for every real parameter (_real), for every state-sized vector
-(_vector) and for every array an object keeps (_frozen).  A public call
+(_vector) and for every array an object keeps (_frozen).  A sub-step grid
+is linear in sigma, the ODE's variable, between the schedule's integer
+steps, so each tableau keeps its order down to t = 1.  A public call
 checks its step index once: to_scaled checks t, and a function that has
 checked t already, itself or through make_sub_schedule, pulls back through
 _to_scaled.
@@ -35,9 +37,9 @@ raises ValueError: <what> must be an integer, got <value>, and an integer
 outside [least, most] (by default [0, sys.maxsize]) raises ValueError:
 <what> must be in [<least>, <most>], got <value>.
 
-Every array an object keeps (a schedule's alpha, log alpha and sub-step
-grids, a tableau's a, b, c and A, a loss's target or Gram matrix and
-feature map, and every model parameter) is stored by _frozen: a read-only
+Every array an object keeps (a schedule's alpha and sub-step grids, a
+tableau's a, b, c and A, a loss's target or Gram matrix and feature map,
+and every model parameter) is stored by _frozen: a read-only
 float64 copy, checked finite, whose data starts on a 64-byte boundary.  An
 inf or NaN entry raises ValueError: <what> must be finite.  OpenBLAS's gemv
 is faster on that boundary: with numpy 2.4 and OpenBLAS 0.3.31 on one
@@ -134,7 +136,6 @@ class NoiseSchedule:
     """
 
     alpha: np.ndarray
-    log_alpha: np.ndarray = field(repr=False)
     sigmas: tuple[float, ...] = field(repr=False)
     sqrt_alpha: tuple[float, ...] = field(repr=False)
     sqrt_one_minus_alpha: tuple[float, ...] = field(repr=False)
@@ -144,7 +145,6 @@ class NoiseSchedule:
         alpha = _frozen(alpha, "alpha")
         _validate_alpha(alpha)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "log_alpha", _frozen(np.log(alpha), "log alpha"))
         with np.errstate(over="ignore"):
             sigmas = np.sqrt((1.0 - alpha) / alpha)
         if not np.all(np.isfinite(sigmas)):
@@ -188,26 +188,22 @@ class NoiseSchedule:
 def make_sub_schedule(schedule: NoiseSchedule, t: int, n: int) -> np.ndarray:
     """The read-only (n+1,) sigma grid of n sub-steps between step t and 0.
 
-    Sub-steps are placed uniformly in step-index space and alpha is
-    interpolated in log space, exact at integer knots, so sigma[0] = 0,
-    sigma[n] = sigma(t), integer knots reproduce the parent schedule, and
-    the grid is strictly increasing in tau.  t and n are checked on every
-    call; the grid is built once per (t, n) and memoised on the schedule,
-    so a later call for the same (t, n) returns that same read-only array
-    while the memo holds it, and an equal one after its eviction.
+    Knot tau sits at step tau * t / n, where sigma is linear between the
+    schedule's sigmas at the integer steps around it.  So sigma[0] = 0,
+    sigma[n] = sigma(t), each integer knot k is schedule.sigmas[k] bit for
+    bit, and the grid is strictly increasing in tau.  t and n are checked on
+    every call; the grid is built once per (t, n) and memoised on the
+    schedule, so a later call for the same (t, n) returns that same read-only
+    array while the memo holds it, and an equal one after its eviction.
     """
     t = schedule._check_step(t, 1)
     n = _count(n, "n", 1)
     sigma = schedule._sub_grids.get((t, n))
     if sigma is not None:
         return sigma
-    grid = np.arange(n + 1) * t / n  # fractional step indices, tau = 0..n; exact at integers
-    log_alpha = schedule.log_alpha
-    sub_alpha = np.exp(np.interp(grid, np.arange(len(log_alpha)), log_alpha))
-    # Exact values at integer knots (endpoints included) beat the exp/log trip.
-    on_knot = grid == np.round(grid)
-    sub_alpha[on_knot] = schedule.alpha[np.round(grid[on_knot]).astype(int)]
-    sigma = _frozen(np.sqrt((1.0 - sub_alpha) / sub_alpha), "sub-step sigma grid")
+    # Fractional step indices tau * t / n, exact at integers, where np.interp returns the knot itself.
+    steps = np.arange(n + 1) * t / n
+    sigma = _frozen(np.interp(steps, np.arange(len(schedule.sigmas)), schedule.sigmas), "sub-step sigma grid")
     if np.any(np.diff(sigma) <= 0.0):
         raise ValueError("sub-schedule sigma values are not strictly increasing")
     _memo_insert(schedule._sub_grids, (t, n), sigma)
