@@ -13,11 +13,13 @@ Compares each report.json, report.csv, m_curve.csv and config.resolved.json
 byte for byte, and each timing.json with every row's wall_time_ns dropped.
 Prints "N of M identical" plus, for each file that differs, the largest
 absolute difference |x - y| and the largest relative difference
-|x - y| / max(|x|, |y|) between the numbers it holds; for a CSV file also
-each column whose cells differ, with how many do.  When any file differs,
-ends with "worst numeric difference X in RUN/FILE; worst relative
-difference R in RUN/FILE", the largest of each over all files (inf for a
-file written on one side only or holding a different count of numbers).
+|x - y| / max(|x|, |y|) between the numbers it holds, where a pair whose
+larger magnitude is below a roundoff floor of 1e-12 counts as 0 (an exact
+solver's error of 0 on one side and 3e-16 on the other is no change of 1);
+for a CSV file also each column whose cells differ, with how many do.  When
+any file differs, ends with "worst numeric difference X in RUN/FILE; worst
+relative difference R in RUN/FILE", the largest of each over all files (inf
+for a file written on one side only or holding a different count of numbers).
 Exits 1 on any difference.  The temporary directories are removed.
 
 Every run has its own interpreter, with its own hash seed, so with REV set
@@ -46,6 +48,8 @@ COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint
 SEEDS = (0, 3)
 FILES = ("report.json", "report.csv", "m_curve.csv", "config.resolved.json", "timing.json")
 _NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+# Below this magnitude a number is roundoff, and its relative difference is taken as 0.
+ROUNDOFF = 1e-12
 
 
 def _run_all(src: Path, out: Path) -> None:
@@ -75,8 +79,9 @@ def _compared_bytes(path: Path) -> bytes:
 
 
 def _relative(x: float, y: float) -> float:
-    """|x - y| / max(|x|, |y|), and 0 where x == y (both 0 included)."""
-    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+    """|x - y| / max(|x|, |y|), and 0 where x == y or max(|x|, |y|) is below ROUNDOFF."""
+    scale = max(abs(x), abs(y))
+    return 0.0 if x == y or scale < ROUNDOFF else abs(x - y) / scale
 
 
 def _largest_differences(a: bytes, b: bytes) -> tuple[str, float, float]:

@@ -101,7 +101,7 @@ def build_schedule(spec: dict) -> NoiseSchedule:
             _keys(spec, "explicit schedule", ("alpha",))
             return NoiseSchedule(_real_array(spec["alpha"], "schedule alpha"))
         _keys(spec, "linear schedule", ("T", "beta_min", "beta_max"))
-        T = _integer(spec["T"], "schedule T", 2, MAX_SIZE)
+        T = _count(_json_int(spec["T"]), "schedule T", 2, MAX_SIZE)
         return build_linear_schedule(T, spec["beta_min"], spec["beta_max"])
 
 
@@ -111,7 +111,7 @@ MAX_MLP_PARAMETERS = 4 * MAX_SIZE**2
 
 def _mlp_widths(widths: Any) -> list[int]:
     """The widths, checked before any weight array is allocated."""
-    widths = [_integer(w, "mlp widths entry", 1, MAX_SIZE) for w in widths]
+    widths = [_count(_json_int(w), "mlp widths entry", 1, MAX_SIZE) for w in widths]
     params = sum((fan_in + 1) * fan_out for fan_out, fan_in in _layer_shapes(widths))
     if params > MAX_MLP_PARAMETERS:
         raise ConfigError(f"mlp widths hold {params} parameters, over MAX_MLP_PARAMETERS = {MAX_MLP_PARAMETERS}")
@@ -191,17 +191,6 @@ def _json_int(value: Any) -> Any:
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _integer(value: Any, what: str, least: int, most: int) -> int:
-    """A JSON integer in [least, most] by schedule._count's rule, after _json_int's allowance.
-
-    Only for a config value that no library constructor bounds: each caller passes its bounds.
-    """
-    try:
-        return _count(_json_int(value), what, least, most)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _real_array(value: Any, what: str) -> np.ndarray:
     """A JSON number or (nested) list of them, each checked by _real, as a float64 array."""
     stack = [value]
@@ -223,9 +212,9 @@ _SWEEP_AXES: dict[str, tuple[list | None, Callable[["RunConfig", Any], Any]]] = 
     "rho_list": ([0.0, 0.05, 0.2, 1.0], lambda config, v: config.with_guidance(rho=v).rho),
     "repeats_list": ([1, 2, 3], lambda config, v: config.with_guidance(repeats=v).repeats),
     "windows": (None, lambda config, v: config.with_guidance(window=v).window),
-    "d_list": ([2, 4], lambda config, v: _integer(v, "d", 1, MAX_SIZE)),
+    "d_list": ([2, 4], lambda config, v: _count(_json_int(v), "d", 1, MAX_SIZE)),
     "m_curve_samples": (
-        [200], lambda config, v: _integer(v, "m_curve_samples", MIN_ERROR_SAMPLES, MAX_SIZE)
+        [200], lambda config, v: _count(_json_int(v), "m_curve_samples", MIN_ERROR_SAMPLES, MAX_SIZE)
     ),
 }
 
@@ -257,8 +246,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Frozen: parsed values and built objects bypass the dataclass guard.
-        object.__setattr__(self, "num_seeds", _integer(self.num_seeds, "num_seeds", 1, MAX_SIZE))
-        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed", 0, sys.maxsize))
+        with _rejected_as(""):
+            object.__setattr__(self, "num_seeds", _count(_json_int(self.num_seeds), "num_seeds", 1, MAX_SIZE))
+            object.__setattr__(self, "base_seed", _count(_json_int(self.base_seed), "base_seed"))
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         _keys(self.sweep, "sweep", (), _SWEEP_AXES)

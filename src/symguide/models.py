@@ -6,8 +6,8 @@ Every model implements the scaled-coordinate interface
     vjp(x_bar, sigma, v)   -> v^T (d eps / d x_bar), exact
     jvp(x_bar, sigma, v)   -> (d eps / d x_bar) v, exact
 
-evaluated at arbitrary sigma >= 0 so the n-step estimator can query
-interpolated sub-steps.  Every output is a pure function of the model's
+evaluated at any finite sigma (schedule._real checks it) so the n-step
+estimator queries sub-steps.  Every output is a pure function of the model's
 parameters and the call's arguments.  MlpModel and AffineModel keep no
 state between calls.  GmmModel keeps one bounded memo: the mixture
 responsibilities of its last 64 points, keyed on the exact bits of
@@ -45,7 +45,7 @@ than numpy's unrolled reduce from K = 8 on.
 
 MLP kernel rule.  Each layer pass of MlpModel writes only into the array it
 has just allocated: the input is np.empty(d + 1) filled with x_bar and
-float(sigma), a hidden layer is z = W.dot(a); z += b; np.tanh(z, out=z),
+the checked sigma, a hidden layer is z = W.dot(a); z += b; np.tanh(z, out=z),
 the output layer W.dot(a) then += b, and the reverse and tangent passes
 form tanh' = 1 - a * a in one scratch array and multiply it with their
 vector in place.  Each element gets the IEEE operations of the plain
@@ -159,16 +159,16 @@ class GmmModel(ScoreModel):
     def _responsibilities(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(r, diffs, a, c) at a float64 (d,) x_bar, served from the memo when these bits came before.
 
-        The key is x_bar's bytes and sigma's bits, so -0.0 and 0.0 differ.  Only a
-        float sigma (np.float64 included) is memoised: any other type keeps its own
-        arithmetic and is computed afresh.
+        The key is x_bar's bytes and sigma's bits, so -0.0 and 0.0 differ.  Any sigma but
+        a Python float is converted by _real first, so it shares its float value's entry; a
+        float sigma is checked on a miss only, as a hit's key holds the bits of one that passed.
         """
-        if not isinstance(sigma, float):
-            return self._mixture(x_bar, sigma)
+        if type(sigma) is not float:
+            sigma = _real(sigma, "sigma")
         key = x_bar.tobytes() + _F64.pack(sigma)
         out = self._memo.get(key)
         if out is None:
-            out = self._mixture(x_bar, sigma)
+            out = self._mixture(x_bar, _real(sigma, "sigma"))
             _memo_insert(self._memo, key, out)
         return out
 
@@ -292,7 +292,7 @@ class MlpModel(ScoreModel):
         d = self.dim
         a = np.empty(d + 1)
         a[:d] = x_bar
-        a[d] = float(sigma)
+        a[d] = _real(sigma, "sigma")
         tape = [a]
         for W, b in self._hidden:
             a = W.dot(a)
@@ -372,10 +372,12 @@ class AffineModel(ScoreModel):
 
     def eps(self, x_bar: np.ndarray, sigma: float) -> np.ndarray:
         x_bar = _vector(x_bar, self.dim, "x")
+        _real(sigma, "sigma")  # unread, but checked as every family checks it
         return self.matrix.dot(x_bar) + self.offset
 
     def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        _vector(x_bar, self.dim, "x")  # unread, but checked as every family checks it
+        _vector(x_bar, self.dim, "x")  # x and sigma unread, but checked as every family checks them
+        _real(sigma, "sigma")
         return self.matrix.dot(_vector(v, self.dim, "v"))
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:

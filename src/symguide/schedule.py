@@ -14,13 +14,13 @@ sigma is strictly increasing in t and sigma(0) = 0.  All arithmetic is
 float64.  This module owns the step geometry: the step range, the pull-back
 to scaled coordinates, the sub-step sigma grids of the n-step estimate
 (make_sub_schedule), and the one rule for every count, step index and seed
-(_count), for every real parameter (_real), for every state-sized vector
-(_vector) and for every array an object keeps (_frozen).  A sub-step grid
-is linear in sigma, the ODE's variable, between the schedule's integer
-steps, so each tableau keeps its order down to t = 1.  A public call
-checks its step index once: to_scaled checks t, and a function that has
-checked t already, itself or through make_sub_schedule, pulls back through
-_to_scaled.
+(_count), for every real parameter and every sigma a model is given
+(_real), for every state-sized vector (_vector) and for every array an
+object keeps (_frozen).  A sub-step grid is linear in sigma, the ODE's
+variable, between the schedule's integer steps, so each tableau keeps its
+order down to t = 1.  A public call checks its step index once: to_scaled
+checks t, and a function that has checked t already, itself or through
+make_sub_schedule, pulls back through _to_scaled.
 A schedule's values are immutable after construction; its only mutable part
 is a bounded memo of the read-only sub-step grids, at most one per (t, n).
 
@@ -87,10 +87,17 @@ def _count(value: object, what: str, least: int = 0, most: int = sys.maxsize) ->
 
 
 def _real(value: object, what: str) -> float:
-    """value as a float; a bool, a string, None, an inf or a NaN (which fails the bound) is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+    """value as a float; a bool, a string, None, an inf or a NaN is rejected.
+
+    A finite float is returned as it is.  Another real is bounded as the float64 it converts to, not
+    in its own dtype (an np.float32 bound overflows), and an int exactly, so 10**400 is rejected.
+    """
+    x = value
+    if type(x) is not float and isinstance(x, numbers.Real) and not isinstance(x, bool):
+        x = float(x) if not isinstance(x, int) or abs(x) <= sys.float_info.max else x
+    if type(x) is not float or not math.isfinite(x):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _vector(x: object, dim: int, what: str) -> np.ndarray:
@@ -103,9 +110,9 @@ def _vector(x: object, dim: int, what: str) -> np.ndarray:
 
 
 def _memo_insert(memo: dict, key: object, value: object) -> None:
-    """Store value under key, evicting the oldest entry first when memo holds _MEMO_CAPACITY."""
+    """Store value under key, evicting the oldest entry first when memo holds _MEMO_CAPACITY other keys."""
     with _MEMO_LOCK:
-        if len(memo) >= _MEMO_CAPACITY:
+        if len(memo) >= _MEMO_CAPACITY and key not in memo:
             del memo[next(iter(memo))]
         memo[key] = value
 

@@ -31,7 +31,7 @@ from symguide import (
 )
 from symguide import estimator
 from symguide.estimator import MIN_ERROR_SAMPLES
-from symguide.schedule import _MEMO_CAPACITY
+from symguide.schedule import _MEMO_CAPACITY, _memo_insert
 
 
 class TestSubSchedule:
@@ -111,6 +111,16 @@ class TestSubScheduleMemo:
         rebuilt = make_sub_schedule(sch, 1, 3)  # evicted, so built again: a new array, the same bits
         assert rebuilt is not first and rebuilt.tobytes() == first.tobytes()
         assert len(sch._sub_grids) == _MEMO_CAPACITY and (201 - _MEMO_CAPACITY, 3) not in sch._sub_grids
+
+    def test_storing_a_held_key_again_evicts_nothing(self):
+        # Two threads that miss on the same (t, n) both build its grid and both store it.  The second
+        # store replaces the first in place and evicts nothing, so a shared schedule stays at capacity.
+        sch = build_linear_schedule(200, *TASK_BETAS)
+        for t in range(1, _MEMO_CAPACITY + 1):
+            make_sub_schedule(sch, t, 3)
+        keys = list(sch._sub_grids)
+        _memo_insert(sch._sub_grids, (5, 3), make_sub_schedule(NoiseSchedule(sch.alpha), 5, 3))
+        assert list(sch._sub_grids) == keys
 
     def test_shared_schedule_under_threads(self):
         # More threads than cores and a short switch interval, so inserts and evictions interleave.

@@ -341,14 +341,20 @@ class TestGmmMemo:
         with pytest.raises(ValueError):
             tape[1][0, 0] = 1.0
 
-    def test_non_float_sigma_is_not_memoised(self):
-        # A float32 sigma computes a and c in float32: it must not meet the float64 entry.
+    def test_a_non_float_sigma_shares_its_float_values_entry(self):
+        # schedule._real converts an np.float32, np.float64 or int sigma before the key is built, so
+        # it meets the entry of its float value and is computed, once, in float64.
         model = GmmModel([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]])
         x_bar = np.array([0.2, 0.1])
-        cold = _fresh(model).eps(x_bar, np.float32(0.7)).tobytes()
-        model.eps(x_bar, float(np.float32(0.7)))
-        assert model.eps(x_bar, np.float32(0.7)).tobytes() == cold
-        assert len(model._memo) == 1
+        computed = []
+        mixture = model._mixture
+        model._mixture = lambda x_bar, sigma: computed.append(type(sigma)) or mixture(x_bar, sigma)
+        cold = _fresh(model).eps(x_bar, float(np.float32(0.7))).tobytes()
+        for sigma in (np.float32(0.7), float(np.float32(0.7)), np.float64(np.float32(0.7))):
+            assert model.eps(x_bar, sigma).tobytes() == cold
+        three = _fresh(model).eps(x_bar, 3.0).tobytes()
+        assert model.eps(x_bar, 3).tobytes() == model.eps(x_bar, 3.0).tobytes() == three
+        assert computed == [float, float] and len(model._memo) == 2
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
     def test_a_copy_starts_cold_and_keeps_its_bits(self, clone):

@@ -124,6 +124,24 @@ def test_counts_are_converted_by_one_rule():
     assert referenced == {"schedule": integral(count)}
 
 
+def test_sigma_is_checked_by_one_rule():
+    # Every model method that takes sigma hands it to schedule._real, the rule of every real
+    # parameter: models.py neither converts sigma with float() nor branches on its type.
+    tree = ast.parse((ROOT / "src" / "symguide" / "models.py").read_text())
+    own = [
+        ast.unparse(call) for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("float", "isinstance")
+        and call.args and isinstance(call.args[0], ast.Name) and call.args[0].id == "sigma"
+    ]
+    assert own == []
+    checked = {
+        ast.unparse(call) for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_real"
+        and call.args and isinstance(call.args[0], ast.Name) and call.args[0].id == "sigma"
+    }
+    assert checked == {"_real(sigma, 'sigma')"}
+
+
 def test_state_vectors_are_checked_by_one_rule():
     # A state-sized input goes through schedule._vector, so widening states to (B, d) changes
     # one function: no other function compares a .shape with a (..dim,) tuple.  Trajectory

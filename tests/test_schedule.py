@@ -280,19 +280,25 @@ REAL_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, "0.1", None, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(True), "0.1", None, math.nan, math.inf, np.float32("inf"), np.float16("nan"), 10**400],
+)
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
 def test_non_real_parameter_is_rejected(name, value):
-    # rho=True guided at strength 1.0, and float("0.004") parsed a string.
+    # rho=True guided at strength 1.0, and float("0.004") parsed a string.  A numpy float is bounded
+    # as the float64 it converts to, since the bound overflows in float16 or float32, and an int
+    # exactly, so 10**400 fails the bound rather than overflowing float().
     with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {re.escape(repr(value))}$"):
         REAL_ARGUMENTS[name](value)
 
 
+@pytest.mark.parametrize("kind", [np.float64, np.float32, np.float16])
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
-def test_numpy_real_parameter_gives_the_same_bits(name):
-    value = {"beta_min": 0.004, "beta_max": 0.35, "rho": 0.1, "h": 1e-3}[name]
-    expected = np.asarray(REAL_ARGUMENTS[name](value))
-    got = np.asarray(REAL_ARGUMENTS[name](np.float64(value)))
+def test_numpy_real_parameter_gives_the_same_bits(name, kind):
+    value = kind({"beta_min": 0.004, "beta_max": 0.35, "rho": 0.1, "h": 1e-3}[name])
+    expected = np.asarray(REAL_ARGUMENTS[name](float(value)))
+    got = np.asarray(REAL_ARGUMENTS[name](value))
     assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
 
 
@@ -351,6 +357,45 @@ VECTOR_ARGUMENTS = {
     **_model_methods("MlpModel", MlpModel.random([2, 8, 2], seed=0)),
     **_model_methods("AffineModel", AffineModel(np.array([[0.5, -1.0], [0.25, 2.0]]), np.array([0.1, -0.2]))),
 }
+
+
+# Each model family, built fresh for each test so that no GmmModel memo entry carries over, and
+# each method that takes sigma, called at X_BAR with sigma s.
+SIGMA_MODELS = {
+    "GmmModel": lambda: GmmModel([0.5, 0.5], TASK_MEANS),
+    "MlpModel": lambda: MlpModel.random([2, 8, 2], seed=0),
+    "AffineModel": lambda: AffineModel(np.array([[0.5, -1.0], [0.25, 2.0]]), np.array([0.1, -0.2])),
+}
+SIGMA_METHODS = {
+    "eps": lambda m, s: m.eps(X_BAR, s),
+    "vjp": lambda m, s: m.vjp(X_BAR, s, np.array([1.0, -2.0])),
+    "jvp": lambda m, s: m.jvp(X_BAR, s, np.array([1.0, -2.0])),
+    "eps_with_tape": lambda m, s: m.eps_with_tape(X_BAR, s)[0],
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2.5", None])
+@pytest.mark.parametrize("method", sorted(SIGMA_METHODS))
+@pytest.mark.parametrize("family", sorted(SIGMA_MODELS))
+def test_malformed_sigma_is_rejected(family, method, value):
+    # No NaN or inf sigma reaches the arithmetic to return [nan nan]; True and "2.5" are not 1.0 and 2.5.
+    with pytest.raises(ValueError, match=rf"^sigma must be a finite number, got {re.escape(repr(value))}$"):
+        SIGMA_METHODS[method](SIGMA_MODELS[family](), value)
+
+
+@pytest.mark.parametrize("value", [0.7, np.float64(0.7), np.float32(0.7), 3, np.int64(3), -0.0], ids=repr)
+@pytest.mark.parametrize("method", sorted(SIGMA_METHODS))
+@pytest.mark.parametrize("family", sorted(SIGMA_MODELS))
+def test_real_sigma_gives_the_bits_of_its_float_value(family, method, value):
+    # Every family computes in float64, also at a float32 sigma.
+    call, make = SIGMA_METHODS[method], SIGMA_MODELS[family]
+    assert call(make(), value).tobytes() == call(make(), float(value)).tobytes()
+
+
+def test_negative_zero_sigma_keeps_its_sign():
+    # The MLP's input feature; TestGmmMemo checks that a mixture gives -0.0 and 0.0 their own bits.
+    mlp_input = SIGMA_MODELS["MlpModel"]().eps_with_tape(X_BAR, -0.0)[1][0]
+    assert math.copysign(1.0, mlp_input[-1]) == -1.0
 
 
 @pytest.mark.parametrize("value", [1.0, np.ones(1), np.ones((2, 1))], ids=["scalar", "short", "column"])
