@@ -8,9 +8,10 @@ Exports REV with `git archive` into a temporary directory.  Runs `sample`,
 working tree's configs/default.json, configs/gram.json (the gram_style
 loss) and configs/mlp.json (an MlpModel) at --seed 0 and --seed 3, once
 with REV's source and once with the working tree's, each side with the
-same relative --out.
-Compares each report.json, report.csv, m_curve.csv and config.resolved.json
-byte for byte, and each timing.json with every row's wall_time_ns dropped.
+same relative --out, and then `plot` in every run directory.
+Compares each report.json, report.csv, m_curve.csv, config.resolved.json
+and SVG figure byte for byte, and each timing.json with every row's
+wall_time_ns dropped.
 Prints "N of M identical" plus, for each file that differs, the largest
 absolute difference |x - y| and the largest relative difference
 |x - y| / max(|x|, |y|) between the numbers it holds, where a pair whose
@@ -25,7 +26,7 @@ Exits 1 on any difference.  The temporary directories are removed.
 Every run has its own interpreter, with its own hash seed, so with REV set
 to HEAD on an unmodified checkout (as CI runs it) the script checks that
 two processes write the same bytes for the same config and seed.  Takes
-about a minute: 60 runs, writing 126 files a side.
+about 40 s on a 2-core VM: 60 runs and 30 plots, writing 162 files a side.
 """
 
 from __future__ import annotations
@@ -46,14 +47,18 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = tuple(ROOT / "configs" / name for name in ("default.json", "gram.json", "mlp.json"))
 COMMANDS = ("sample", "ablate-n", "ablate-rho", "study-window", "compare-adjoint")
 SEEDS = (0, 3)
-FILES = ("report.json", "report.csv", "m_curve.csv", "config.resolved.json", "timing.json")
+FILES = (
+    "report.json", "report.csv", "m_curve.csv", "config.resolved.json", "timing.json",
+    "loss_curves.svg", "m_curve.svg", "rho_curve.svg", "window_study.svg", "adjoint_comparison.svg",
+)
 _NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 # Below this magnitude a number is roundoff, and its relative difference is taken as 0.
 ROUNDOFF = 1e-12
 
 
 def _run_all(src: Path, out: Path) -> None:
-    """Every command on every config at every seed with the package in `src`, each into out/<config>-<command>-<seed>.
+    """Every command on every config at every seed with the package in `src`, each into out/<config>-<command>-<seed>,
+    then plotted there.
 
     --out is relative to out, so both sides write the same out_dir into config.resolved.json.
     """
@@ -62,11 +67,12 @@ def _run_all(src: Path, out: Path) -> None:
     for config in CONFIGS:
         for command in COMMANDS:
             for seed in SEEDS:
-                argv = ["--config", str(config), "--seed", str(seed), "--out", f"{config.stem}-{command}-{seed}"]
-                subprocess.run(
-                    [sys.executable, "-m", "symguide.cli", command, *argv],
-                    env=env, cwd=out, check=True, stdout=subprocess.DEVNULL,
-                )
+                run = f"{config.stem}-{command}-{seed}"
+                for argv in ([command, "--config", str(config), "--seed", str(seed), "--out", run], ["plot", "--out", run]):
+                    subprocess.run(
+                        [sys.executable, "-m", "symguide.cli", *argv],
+                        env=env, cwd=out, check=True, stdout=subprocess.DEVNULL,
+                    )
 
 
 def _compared_bytes(path: Path) -> bytes:

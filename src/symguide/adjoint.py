@@ -312,18 +312,26 @@ def conservation_probe(
     """Stepwise invariant S_tau = lambda_tau . delta_tau of the forward map and its costate sweep.
 
     delta is pushed forward (tau = n..0) by the estimator's forward walk
-    through the exact linearisation of each RK step, its stage JVPs taken at
-    the restored stage points: d_i = delta + h sum_{j<i} a_ij K_j,
-    K_i = jvp(X_i, sigma_i, d_i) and delta' = delta + h sum_i b_i K_i.
-    lambda is pulled back (tau = 0..n) by the costate sweep.  For every
-    tableau whose costate coefficients satisfy the conjugacy identity, S is
-    constant up to roundoff.
+    through the exact linearisation of each RK step, its stage slopes taken
+    at the restored stage points: d_i = delta + h sum_{j<i} a_ij K_j,
+    K_i = J(X_i, sigma_i) d_i and delta' = delta + h sum_i b_i K_i.  Each
+    stage Jacobian J is built from its rows e_k^T J, one model.vjp call each,
+    so a stage point costs d vjp calls and the probe n*s*d, plus the n*s of
+    the costate sweep that pulls lambda back (tau = 0..n): both sides of the
+    pairing read the one Jacobian route.  For every tableau whose costate
+    coefficients satisfy the conjugacy identity, S is constant up to roundoff.
     """
     lambda0 = _costate_start(model, lambda0, "lambda0")
     v0 = _vector(v0, model.dim, "v0")
+    rows = np.eye(model.dim)
     # The walk asks for its slopes in step order k = n-1..0, stage by stage: so are the points read.
     points = (traj.stage(k, i) for k in range(traj.n - 1, -1, -1) for i in range(traj.tableau.stages))
-    deltas, _ = _walk(v0, traj.sigma, traj.tableau, lambda d_i, _: model.jvp(*next(points), d_i), "tangent")
+
+    def slope(d_i, _):
+        x, sigma = next(points)
+        return np.array([model.vjp(x, sigma, e) for e in rows]).dot(d_i)
+
+    deltas, _ = _walk(v0, traj.sigma, traj.tableau, slope, "tangent")
     lams = np.empty((traj.n + 1, len(lambda0)))
     lams[0] = lambda0
     _costate_sweep(model, traj, lambda0, trace=lams)

@@ -2,25 +2,28 @@
 
 Every model implements the scaled-coordinate interface
 
-    eps(x_bar, sigma)      -> predicted corruption noise
-    vjp(x_bar, sigma, v)   -> v^T (d eps / d x_bar), exact
-    jvp(x_bar, sigma, v)   -> (d eps / d x_bar) v, exact
+    eps(x_bar, sigma)            -> predicted corruption noise
+    eps_with_tape(x_bar, sigma)  -> (eps, tape)
+    vjp_from_tape(tape, v)       -> v^T (d eps / d x_bar), exact
+    vjp(x_bar, sigma, v)         -> the tape pair in one call
 
 evaluated at any finite sigma (schedule._real checks it) so the n-step
-estimator queries sub-steps.  Every output is a pure function of the model's
-parameters and the call's arguments.  MlpModel and AffineModel keep no
-state between calls.  GmmModel keeps one bounded memo: the mixture
-responsibilities of its last 64 points, keyed on the exact bits of
-(x_bar, sigma) and evicted first in, first out by schedule._memo_insert,
+estimator queries sub-steps.  Every derivative is a vector-Jacobian product,
+the only kind the symplectic adjoint takes; a caller that needs J v builds J
+from its rows e_k^T J, as conservation_probe does.  Every output is a pure
+function of the model's parameters and the call's arguments.  MlpModel and
+AffineModel keep no state between calls.  GmmModel keeps one bounded
+memo: the mixture responsibilities of its last 64 points, keyed on the exact bits
+of (x_bar, sigma) and evicted first in, first out by schedule._memo_insert,
 the insert rule and lock that NoiseSchedule's sub-step grid memo shares.
 Entries are read-only, so a shared instance stays safe under concurrency.
-A hit skips only the responsibility computation: the same points give the
-same bits whether the memo served them or not.  Every
-model copies and pickles by rebuilding through its constructor, as every
-class that freezes its arrays does, so a copy's arrays stay read-only and a
-GmmModel copy starts with an empty memo.  Every parameter array (an MLP's W
-and b, a mixture's weights and means, an affine map's matrix and offset) is
-stored by schedule._frozen: read-only, finite and 64-byte aligned.
+A hit skips only the responsibility computation: the same points give the same
+bits whether the memo served them or not.  Every model copies and pickles by
+rebuilding through its constructor, as every class that freezes its arrays
+does, so a copy's arrays stay read-only and a GmmModel copy starts with an
+empty memo.  Every parameter array (an MLP's W and b, a mixture's weights
+and means, an affine map's matrix and offset) is stored by schedule._frozen:
+read-only, finite and 64-byte aligned.
 
 Every matrix and vector product here and in the guidance losses is
 ndarray.dot, never `@`.  Over an axis of length 2 or more, dot makes the
@@ -46,18 +49,17 @@ than numpy's unrolled reduce from K = 8 on.
 MLP kernel rule.  Each layer pass of MlpModel writes only into the array it
 has just allocated: the input is np.empty(d + 1) filled with x_bar and
 the checked sigma, a hidden layer is z = W.dot(a); z += b; np.tanh(z, out=z),
-the output layer W.dot(a) then += b, and the reverse and tangent passes
-form tanh' = 1 - a * a in one scratch array and multiply it with their
-vector in place.  Each element gets the IEEE operations of the plain
-expressions (tanh(W.dot(a) + b), g * (1.0 - a * a), W.dot(u) * (...)) with
-their operands in the same order, so the bits are theirs, without a
-temporary for each bias add, tanh or product.  A tape array is never
-written after it is appended, so a tape can be replayed any number of
-times.
+the output layer W.dot(a) then += b, and the reverse pass forms
+tanh' = 1 - a * a in one scratch array and multiplies it with its vector
+in place.  Each element gets the IEEE operations of the plain expressions
+(tanh(W.dot(a) + b), g * (1.0 - a * a)) with their operands in the same
+order, so the bits are theirs, without a temporary for each bias add, tanh
+or product.  A tape array is never written after it is appended, so a tape
+can be replayed any number of times.
 
-For stored-activation backpropagation there is a taped variant:
-eps_with_tape returns (eps, tape) where tape is the list of arrays a
-conventional reverse pass has to keep alive; vjp_from_tape replays it.
+The tape pair serves stored-activation backpropagation: the tape is the
+list of arrays a conventional reverse pass has to keep alive, and
+vjp_from_tape replays it.
 vjp is defined once, in ScoreModel, as that pair, so the adjoint and the
 stored-activation oracle get the same bits from every family; GmmModel
 reaches them from its memo, without building a tape and an unused eps.
@@ -68,7 +70,7 @@ Three families ship:
   Gaussians; closed-form eps and (symmetric) Jacobian, so it doubles as
   a ground-truth generator.
 * MlpModel -- tanh multilayer perceptron with sigma appended as an input
-  feature; nonlinear, nonsymmetric Jacobian, manual reverse/forward mode.
+  feature; nonlinear, nonsymmetric Jacobian, manual reverse mode.
 * AffineModel -- eps(x_bar) = A x_bar + offset, sigma-independent; the
   closed-form workhorse for linear-recurrence oracles (A = 0 gives the
   zero model).
@@ -113,9 +115,6 @@ class ScoreModel(abc.ABC):
         return self.vjp_from_tape(tape, v)
 
     @abc.abstractmethod
-    def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]: ...
 
     @abc.abstractmethod
@@ -132,7 +131,7 @@ class GmmModel(ScoreModel):
         eps(x_bar, sigma) = sigma/(1+sigma^2) * sum_k r_k (x_bar - mu_k)
 
     which equals -sqrt(1-a) * grad_x log p_t(x).  The Jacobian
-    d eps/d x_bar = c (I - a Cov_r(mu)) is symmetric, so jvp == vjp.
+    d eps/d x_bar = c (I - a Cov_r(mu)) is symmetric.
     """
 
     def __init__(self, weights: Sequence[float], means: Sequence[Sequence[float]]) -> None:
@@ -201,10 +200,6 @@ class GmmModel(ScoreModel):
         v = _vector(v, self.dim, "v")
         return self._jtv(v, *self._responsibilities(_vector(x_bar, self.dim, "x"), sigma))
 
-    def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        # Jacobian is symmetric for this family.
-        return self.vjp(x_bar, sigma, v)
-
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         r, diffs, a, c = self._responsibilities(_vector(x_bar, self.dim, "x"), sigma)
         tape = [r, diffs, np.array([a, c])]
@@ -236,10 +231,10 @@ class MlpModel(ScoreModel):
 
     widths = [d, h1, ..., d]; layer l computes z_l = W_l a_{l-1} + b_l with
     a_l = tanh(z_l) on hidden layers and identity on the output layer.
-    The input is concat(x_bar, sigma), so W_1 has d+1 columns.  vjp/jvp are
-    manual reverse/forward mode through the recorded layer inputs, exact
-    for the same arithmetic eps performs.  seed, the one random() drew the
-    weights from, is None or a non-negative integer, as the weights file holds it.
+    The input is concat(x_bar, sigma), so W_1 has d+1 columns.  vjp is
+    manual reverse mode through the recorded layer inputs, exact for the
+    same arithmetic eps performs.  seed, the one random() drew the weights
+    from, is None or a non-negative integer, as the weights file holds it.
     """
 
     def __init__(
@@ -326,21 +321,6 @@ class MlpModel(ScoreModel):
             g = W.T.dot(t)
         return g[: self.dim]
 
-    def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        x_bar = _vector(x_bar, self.dim, "x")
-        v = _vector(v, self.dim, "v")
-        tape = self._tape(x_bar, sigma)
-        d = self.dim
-        u = np.empty(d + 1)
-        u[:d] = v
-        u[d] = 0.0  # sigma is held fixed
-        for (W, _), a in zip(self._hidden, tape[1:]):
-            t = a * a
-            np.subtract(1.0, t, out=t)
-            u = W.dot(u)
-            u *= t
-        return self._out[0].dot(u)
-
     def to_json_dict(self) -> dict:
         return {
             "widths": list(self.widths),
@@ -374,11 +354,6 @@ class AffineModel(ScoreModel):
         x_bar = _vector(x_bar, self.dim, "x")
         _real(sigma, "sigma")  # unread, but checked as every family checks it
         return self.matrix.dot(x_bar) + self.offset
-
-    def jvp(self, x_bar: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        _vector(x_bar, self.dim, "x")  # x and sigma unread, but checked as every family checks them
-        _real(sigma, "sigma")
-        return self.matrix.dot(_vector(v, self.dim, "v"))
 
     def eps_with_tape(self, x_bar: np.ndarray, sigma: float) -> tuple[np.ndarray, list[np.ndarray]]:
         # Linear map: the backward pass needs no stored activations.

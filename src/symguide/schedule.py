@@ -79,11 +79,21 @@ def _count(value: object, what: str, least: int = 0, most: int = sys.maxsize) ->
     """value as an int in [least, most]; a bool, a float (2.0 too), a string or None is rejected, not truncated."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
+            raise ValueError(f"{what} must be an integer, got {_shown(value)}")
         value = int(value)
     if not least <= value <= most:
-        raise ValueError(f"{what} must be in [{least}, {most}], got {value!r}")
+        raise ValueError(f"{what} must be in [{least}, {most}], got {_shown(value)}")
     return value
+
+
+def _shown(value: object) -> str:
+    """repr(value), which raises past sys.get_int_max_str_digits(): such an int is shown by its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
 
 
 def _real(value: object, what: str) -> float:
@@ -96,7 +106,7 @@ def _real(value: object, what: str) -> float:
     if type(x) is not float and isinstance(x, numbers.Real) and not isinstance(x, bool):
         x = float(x) if not isinstance(x, int) or abs(x) <= sys.float_info.max else x
     if type(x) is not float or not math.isfinite(x):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
+        raise ValueError(f"{what} must be a finite number, got {_shown(value)}")
     return x
 
 

@@ -47,9 +47,6 @@ class NanModel(ScoreModel):
         self.vjp_calls += 1
         return self._output(self.vjp_calls, self.healthy_vjp_calls)
 
-    def jvp(self, x_bar, sigma, v):
-        return np.zeros(self.dim)
-
     def eps_with_tape(self, x_bar, sigma):
         return self.eps(x_bar, sigma), []
 
@@ -58,12 +55,12 @@ class NanModel(ScoreModel):
 
 
 class CountingModel(ScoreModel):
-    """Wraps a model and counts the calls of each of its five methods, by method name."""
+    """Wraps a model and counts the calls of each of its four methods, by method name."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
-        self.calls = dict.fromkeys(("eps", "vjp", "jvp", "eps_with_tape", "vjp_from_tape"), 0)
+        self.calls = dict.fromkeys(("eps", "vjp", "eps_with_tape", "vjp_from_tape"), 0)
 
     def _call(self, name, *args):
         self.calls[name] += 1
@@ -74,9 +71,6 @@ class CountingModel(ScoreModel):
 
     def vjp(self, x_bar, sigma, v):
         return self._call("vjp", x_bar, sigma, v)
-
-    def jvp(self, x_bar, sigma, v):
-        return self._call("jvp", x_bar, sigma, v)
 
     def eps_with_tape(self, x_bar, sigma):
         return self._call("eps_with_tape", x_bar, sigma)

@@ -455,6 +455,18 @@ class TestConservation:
         S = conservation_probe(mlp3, traj, v0, lam0)
         assert np.abs(S - S[0]).max() <= 1e-10 * abs(S[0])
 
+    @pytest.mark.parametrize("tableau", ["euler", "heun"])
+    @pytest.mark.parametrize("family", ["gmm", "mlp"])
+    def test_probe_reads_every_jacobian_through_vjp_alone(self, schedule, gmm2, mlp3, family, tableau):
+        # The tangent builds each stage point's Jacobian from its d rows e_k^T J, one vjp each, and
+        # the costate sweep makes one vjp per stage point: n*s*d + n*s calls, and no other method.
+        model = CountingModel({"gmm": gmm2, "mlp": mlp3}[family])
+        tb = getattr(ButcherTableau, tableau)()
+        n, s, d = 5, tb.stages, model.dim
+        traj = estimate_clean_rk(model.inner, schedule, np.ones(d), 30, n, tb)
+        conservation_probe(model, traj, np.ones(d), np.ones(d))
+        assert model.calls == {"eps": 0, "vjp": n * s * d + n * s, "eps_with_tape": 0, "vjp_from_tape": 0}
+
 
 def _symplectic_rest(model, schedule, solver, n):
     """Peak bytes of an n-step estimate and its symplectic gradient, less the states its trajectory stores."""
@@ -614,12 +626,13 @@ class TestOverflowRule:
 
     @pytest.mark.parametrize("tableau, tau", [("euler", 2), ("heun", 3)])
     def test_probe_stops_at_the_first_non_finite_tangent(self, schedule, tableau, tau):
-        # delta turns inf on the second jvp; no jvp or vjp runs after it.
+        # delta turns inf after the second stage Jacobian, two vjp rows each; no vjp runs after it,
+        # so the costate sweep never starts.
         euler, heun = _trajectories(AffineModel(-0.1 * np.eye(2)), schedule)
         model = CountingModel(AffineModel(-1e200 * np.eye(2)))
         with pytest.raises(DivergenceError, match=rf"^non-finite tangent at sub-step tau={tau} "):
             conservation_probe(model, {"euler": euler, "heun": heun}[tableau], np.ones(2), np.ones(2))
-        assert (model.calls["jvp"], model.calls["vjp"]) == (2, 0)
+        assert model.calls == {"eps": 0, "vjp": 2 * 2, "eps_with_tape": 0, "vjp_from_tape": 0}
 
     @pytest.mark.parametrize("entry", sorted(COSTATE_ENTRIES))
     def test_non_finite_costate_is_rejected_before_any_model_call(self, schedule, entry):

@@ -523,8 +523,9 @@ def test_guidance_gradient_error_halves_with_n_and_is_largest_early(schedule, gm
     # reference, the RK4 gradient at n = 64.  As in sag_sample, each gradient starts from the loss
     # gradient at its own clean output.  This draw reads median errors at n = 1, 2, 4, 8, 16 of
     # 0.391/0.203/0.105/0.054/0.027 at t = 15, 0.653/0.393/0.211/0.113/0.059 at t = 25 and
-    # 0.799/0.672/0.296/0.163/0.073 at t = 35.  The n = 1 -> 2 ratio at t = 35 (1.19) is not yet
-    # first order; other draws of 50 points also read ratios from n = 2 on down to 1.4 there.
+    # 0.799/0.672/0.296/0.163/0.073 at t = 35.  Each halving is scored per point, as the median of
+    # err(n) / err(2n): a ratio of medians pairs different points, and reads 1.19 at t = 35 for
+    # n = 1 -> 2 on this draw.  The paired ratios read 1.60-1.96 here, and 1.60-2.38 over seeds 0-7.
     rk4 = ButcherTableau(
         np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
         np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
@@ -545,8 +546,8 @@ def test_guidance_gradient_error_halves_with_n_and_is_largest_early(schedule, gm
                 grad = symplectic_euler_grad(gmm2, traj, task_loss.grad(traj.clean_output), schedule, t)
                 row.append(rel_err(grad, exact))
             errors.append(row)
+        errors = np.array(errors)
         medians[t] = np.median(errors, axis=0)
-        ratios = medians[t][:-1] / medians[t][1:]
-        assert np.all(ratios > 1.0), (t, medians[t])
-        assert np.all((1.5 <= ratios[1:]) & (ratios[1:] <= 2.5)), (t, medians[t])
+        ratios = np.median(errors[:, :-1] / errors[:, 1:], axis=0)
+        assert np.all((1.5 <= ratios) & (ratios <= 2.5)), (t, ratios)
     assert medians[35][0] > medians[15][0]

@@ -490,7 +490,7 @@ class TestAdjointComparison:
         monkeypatch.setattr(harness, "GmmModel", counting(harness.GmmModel))
         monkeypatch.setattr(harness.MlpModel, "random", counting(harness.MlpModel.random))
         run_adjoint_comparison(task_config(sweep={"n_list": [n], "d_list": [2]}))
-        expected = {"eps": 4 * n, "vjp": 4 * n, "jvp": 0, "eps_with_tape": 3 * n, "vjp_from_tape": 4 * n}
+        expected = {"eps": 4 * n, "vjp": 4 * n, "eps_with_tape": 3 * n, "vjp_from_tape": 4 * n}
         # The first model is the config's own, which config.build() makes and the cell never calls.
         unused = dict.fromkeys(expected, 0)
         assert [model.calls for model in counted] == [unused, expected, expected]

@@ -5,7 +5,6 @@ import pickle
 import re
 import sys
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,12 +256,11 @@ def _fresh(model: GmmModel) -> GmmModel:
 
 
 def _all_calls(model: GmmModel, x_bar, sigma, v) -> list[bytes]:
-    """The bits of all five model methods at one point, taped vjp included."""
+    """The bits of all four model methods at one point, taped vjp included."""
     eps, tape = model.eps_with_tape(x_bar, sigma)
     return [
         model.eps(x_bar, sigma).tobytes(),
         model.vjp(x_bar, sigma, v).tobytes(),
-        model.jvp(x_bar, sigma, v).tobytes(),
         eps.tobytes(),
         *(arr.tobytes() for arr in tape),
         model.vjp_from_tape(tape, v).tobytes(),
@@ -542,15 +540,6 @@ class TestSharedInvariants:
             assert np.array_equal(model.eps(x_bar, 0.9), model.eps(x_bar, 0.9))
             assert np.array_equal(model.vjp(x_bar, 0.9, v), model.vjp(x_bar, 0.9, v))
 
-    def test_jvp_vjp_adjoint_identity(self):
-        rng = np.random.default_rng(10)
-        for model in self._models():
-            x_bar = rng.standard_normal(2)
-            u, v = rng.standard_normal(2), rng.standard_normal(2)
-            lhs = float(v @ model.jvp(x_bar, 0.8, u))
-            rhs = float(model.vjp(x_bar, 0.8, v) @ u)
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
     def test_taped_vjp_matches_fresh(self, schedule):
         # Bitwise: every family's vjp is its taped reverse pass.
         rng = np.random.default_rng(12)
@@ -647,25 +636,20 @@ def test_a_loaded_weights_file_is_read_only_on_64_byte_boundaries(tmp_path):
     assert all(arr.ctypes.data % 64 == 0 and not arr.flags.writeable for arr in params)
 
 
-def _per_layer_mlp(layers, x_bar, sigma, u, v):
-    """MlpModel's eps, tape, jvp and taped vjp as first written, one indexed layer at a time."""
+def _per_layer_mlp(layers, x_bar, sigma, v):
+    """MlpModel's eps, tape and taped vjp as first written, one indexed layer at a time."""
     Ws, bs = [W for W, _ in layers], [b for _, b in layers]
     L = len(Ws)
     acts = [np.concatenate([x_bar, [float(sigma)]])]
     for l in range(L):
         z = Ws[l] @ acts[l] + bs[l]
         acts.append(np.tanh(z) if l < L - 1 else z)
-    jv = np.concatenate([u, [0.0]])
-    for l in range(L):
-        jv = Ws[l] @ jv
-        if l < L - 1:
-            jv = jv * (1.0 - acts[l + 1] * acts[l + 1])
     g = v
     for l in range(L - 1, -1, -1):
         g = Ws[l].T @ g
         if l > 0:
             g = g * (1.0 - acts[l] * acts[l])
-    return acts[-1], acts[:-1], jv, g[: len(x_bar)]
+    return acts[-1], acts[:-1], g[: len(x_bar)]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -674,21 +658,18 @@ def test_mlp_bits_match_per_layer_expressions_on_misaligned_weights(seed):
     # the model gives the bytes of the per-layer expressions applied to copies 16 bytes past a
     # 64-byte boundary, for a float, np.float64 or int sigma.  A tape is distinct arrays that no
     # pass writes after it is appended, so replaying it (the RK oracle does, up to 3 times) gives
-    # the same bits and leaves it as it was.  jvp reads the tape alone: it never applies the
-    # output layer, whose value it has no use for.
+    # the same bits and leaves it as it was.
     mlp = MlpModel.random([16, 256, 256, 16], seed)
     layers = [(at_offset(W, 16), at_offset(b, 16)) for W, b in [*mlp._hidden, mlp._out]]
     rng = np.random.default_rng(seed)
     for sigma in (0.01, 0.8, 35.0, np.float64(2.5), 3):
-        x_bar, u, v = rng.standard_normal((3, 16))
-        eps, tape, jv, g = _per_layer_mlp(layers, x_bar, sigma, u, v)
+        x_bar, _, v = rng.standard_normal((3, 16))  # x_bar and v are rows 0 and 2 of the draw
+        eps, tape, g = _per_layer_mlp(layers, x_bar, sigma, v)
         got_eps, got_tape = mlp.eps_with_tape(x_bar, sigma)
         taped = [a.tobytes() for a in got_tape]
         assert len({id(a) for a in [*got_tape, got_eps]}) == len(got_tape) + 1
         assert got_eps.tobytes() == mlp.eps(x_bar, sigma).tobytes() == eps.tobytes()
         assert taped == [a.tobytes() for a in tape]
-        with mock.patch.object(mlp, "_output", side_effect=AssertionError("jvp applied the output layer")):
-            assert mlp.jvp(x_bar, sigma, u).tobytes() == jv.tobytes()
         replays = [mlp.vjp_from_tape(got_tape, v).tobytes() for _ in range(2)]
         assert replays == [mlp.vjp(x_bar, sigma, v).tobytes(), g.tobytes()]
         assert [a.tobytes() for a in got_tape] == taped
@@ -702,7 +683,7 @@ def _matmul_reference(obj, x, sigma, v):
         per_k = diffs @ v
         dr_v = a * r * (float(r @ per_k) - per_k)
         eps, jtv = c * (r @ diffs), c * (v + dr_v @ diffs)
-        return [eps, jtv, jtv, eps, r, diffs, np.array([a, c]), jtv]
+        return [eps, jtv, eps, r, diffs, np.array([a, c]), jtv]
     if isinstance(obj, MlpModel):
         *hidden, (W_out, b_out) = [*obj._hidden, obj._out]
         acts = [np.concatenate([x, [float(sigma)]])]
@@ -712,13 +693,10 @@ def _matmul_reference(obj, x, sigma, v):
         g = W_out.T @ v
         for (W, _), act in zip(reversed(hidden), reversed(acts)):
             g = W.T @ (g * (1.0 - act * act))
-        u = np.concatenate([v, [0.0]])
-        for (W, _), act in zip(hidden, acts[1:]):
-            u = (W @ u) * (1.0 - act * act)
-        return [eps, g[: obj.dim], W_out @ u, eps, *acts, g[: obj.dim]]
+        return [eps, g[: obj.dim], eps, *acts, g[: obj.dim]]
     if isinstance(obj, AffineModel):
         eps, jtv = obj.matrix @ x + obj.offset, obj.matrix.T @ v
-        return [eps, jtv, obj.matrix @ v, eps, jtv]
+        return [eps, jtv, eps, jtv]
     if isinstance(obj, L2TargetLoss):
         diff = x - obj.target
         return [np.float64(0.5 * float(diff @ diff)), x - obj.target]
@@ -733,8 +711,7 @@ def _outputs(obj, x, sigma, v):
     """What _matmul_reference writes out, from obj's own methods."""
     if isinstance(obj, ScoreModel):
         eps, tape = obj.eps_with_tape(x, sigma)
-        return [obj.eps(x, sigma), obj.vjp(x, sigma, v), obj.jvp(x, sigma, v), eps, *tape,
-                obj.vjp_from_tape(tape, v)]
+        return [obj.eps(x, sigma), obj.vjp(x, sigma, v), eps, *tape, obj.vjp_from_tape(tape, v)]
     return [np.float64(obj.value(x)), obj.grad(x)]
 
 

@@ -208,7 +208,9 @@ def test_each_model_family_has_one_jacobian_transpose_route():
     # vjp is the taped reverse pass, written once in ScoreModel, so the symplectic adjoint and the
     # stored-activation oracle share their bits.  GmmModel overrides it only to read its memo
     # instead of a tape, and both its routes apply the one contraction _jtv.
-    assert sorted(models.ScoreModel.__abstractmethods__) == ["eps", "eps_with_tape", "jvp", "vjp_from_tape"]
+    # There is no forward mode: conservation_probe reads its Jacobians through vjp as well.
+    assert sorted(models.ScoreModel.__abstractmethods__) == ["eps", "eps_with_tape", "vjp_from_tape"]
+    assert not any(hasattr(cls, "jvp") for cls in (models.GmmModel, models.MlpModel, models.AffineModel))
     assert models.MlpModel.vjp is models.AffineModel.vjp is models.ScoreModel.vjp
     tree = ast.parse((ROOT / "src" / "symguide" / "models.py").read_text())
     methods = {
@@ -264,7 +266,6 @@ def test_mlp_and_affine_models_keep_no_state_between_calls(make):
     for _ in range(2):
         model.eps(x_bar, 0.7)
         model.vjp(x_bar, 0.7, v)
-        model.jvp(x_bar, 0.7, v)
         model.vjp_from_tape(model.eps_with_tape(x_bar, 0.7)[1], v)
     assert vars(model).keys() == before.keys()
     for key, (value, items) in before.items():

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import TASK_BETAS, TASK_MEANS, TASK_T, TASK_TARGET, CountingModel
 from symguide.estimator import MIN_ERROR_SAMPLES
 from symguide.guidance import MAX_SIZE
+from symguide.schedule import _count
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -293,6 +295,24 @@ def test_non_real_parameter_is_rejected(name, value):
         REAL_ARGUMENTS[name](value)
 
 
+# Each check handed a number too long for repr (Python's int-to-string limit is 4300 digits),
+# and how its message shows the number.
+TOO_LONG_FOR_REPR = {
+    "rho": (lambda: REAL_ARGUMENTS["rho"](10**5000), "an integer of 16610 bits"),
+    "n": (lambda: _count(10**5000, "n", 1, 10), "an integer of 16610 bits"),
+    "seed": (lambda: _count(-10**5000, "seed"), "an integer of 16610 bits"),
+    "window step": (lambda: GuidanceConfig(window=(1, 10**5000), rho=0.1), "an integer of 16610 bits"),
+    "size": (lambda: _count(Fraction(10**5000), "size"), "a Fraction too long to print"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(TOO_LONG_FOR_REPR))
+def test_a_number_too_long_for_repr_keeps_its_message(what):
+    call, shown = TOO_LONG_FOR_REPR[what]
+    with pytest.raises(ValueError, match=rf"^{what} must be .*, got {shown}$"):
+        call()
+
+
 @pytest.mark.parametrize("kind", [np.float64, np.float32, np.float16])
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
 def test_numpy_real_parameter_gives_the_same_bits(name, kind):
@@ -311,10 +331,8 @@ def _model_methods(name, model):
         "eps x": (lambda m, sch, v: model.eps(v, 0.7), "x"),
         "eps_with_tape x": (lambda m, sch, v: model.eps_with_tape(v, 0.7)[0], "x"),
         "vjp v": (lambda m, sch, v: model.vjp(X_BAR, 0.7, v), "v"),
-        "jvp v": (lambda m, sch, v: model.jvp(X_BAR, 0.7, v), "v"),
         "vjp_from_tape v": (lambda m, sch, v: model.vjp_from_tape(model.eps_with_tape(X_BAR, 0.7)[1], v), "v"),
         "vjp x": (lambda m, sch, v: model.vjp(v, 0.7, X_BAR), "x"),
-        "jvp x": (lambda m, sch, v: model.jvp(v, 0.7, X_BAR), "x"),
     }
     return {f"{name}.{key}": call for key, call in calls.items()}
 
@@ -369,7 +387,6 @@ SIGMA_MODELS = {
 SIGMA_METHODS = {
     "eps": lambda m, s: m.eps(X_BAR, s),
     "vjp": lambda m, s: m.vjp(X_BAR, s, np.array([1.0, -2.0])),
-    "jvp": lambda m, s: m.jvp(X_BAR, s, np.array([1.0, -2.0])),
     "eps_with_tape": lambda m, s: m.eps_with_tape(X_BAR, s)[0],
 }
 
