@@ -216,7 +216,7 @@ def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: in
     """
     t = schedule._check_step(t, 1)
     sqrt_a, sqrt_1ma = schedule.sqrt_alpha, schedule.sqrt_one_minus_alpha
-    x_t = np.asarray(x_t, dtype=np.float64)
+    x_t = _vector(x_t, model.dim, "x_t")
     eps = model.eps(schedule._to_scaled(x_t, t), schedule.sigmas[t])
     xhat0 = (x_t - sqrt_1ma[t] * eps) / sqrt_a[t]
     return sqrt_a[t - 1] * xhat0 + sqrt_1ma[t - 1] * eps

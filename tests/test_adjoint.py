@@ -456,11 +456,12 @@ class TestConservation:
         assert np.abs(S - S[0]).max() <= 1e-10 * abs(S[0])
 
     @pytest.mark.parametrize("tableau", ["euler", "heun"])
-    @pytest.mark.parametrize("family", ["gmm", "mlp"])
+    @pytest.mark.parametrize("family", ["gmm", "mlp", "affine"])
     def test_probe_reads_every_jacobian_through_vjp_alone(self, schedule, gmm2, mlp3, family, tableau):
         # The tangent builds each stage point's Jacobian from its d rows e_k^T J, one vjp each, and
         # the costate sweep makes one vjp per stage point: n*s*d + n*s calls, and no other method.
-        model = CountingModel({"gmm": gmm2, "mlp": mlp3}[family])
+        affine = AffineModel(np.array([[-0.1, 0.2], [0.0, -0.3]]), np.array([0.5, -0.5]))
+        model = CountingModel({"gmm": gmm2, "mlp": mlp3, "affine": affine}[family])
         tb = getattr(ButcherTableau, tableau)()
         n, s, d = 5, tb.stages, model.dim
         traj = estimate_clean_rk(model.inner, schedule, np.ones(d), 30, n, tb)

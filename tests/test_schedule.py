@@ -333,6 +333,7 @@ def _model_methods(name, model):
         "vjp v": (lambda m, sch, v: model.vjp(X_BAR, 0.7, v), "v"),
         "vjp_from_tape v": (lambda m, sch, v: model.vjp_from_tape(model.eps_with_tape(X_BAR, 0.7)[1], v), "v"),
         "vjp x": (lambda m, sch, v: model.vjp(v, 0.7, X_BAR), "x"),
+        "vjp_from_tape x": (lambda m, sch, v: model.vjp_from_tape(model.eps_with_tape(v, 0.7)[1], X_BAR), "x"),
     }
     return {f"{name}.{key}": call for key, call in calls.items()}
 
@@ -340,6 +341,7 @@ def _model_methods(name, model):
 # Every state-sized input of the public API, on a model m of dimension 2 and the task
 # schedule: a call that puts v in that one input, and the name its message gives it.
 VECTOR_ARGUMENTS = {
+    "ddim_step x_t": (lambda m, sch, v: ddim_step(m, sch, v, 35), "x_t"),
     "estimate_clean x_t": (lambda m, sch, v: estimate_clean(m, sch, v, 35, 4).states, "x_t"),
     "estimate_clean_rk x_t": (lambda m, sch, v: estimate_clean_rk(m, sch, v, 35, 4, HEUN).states, "x_t"),
     "symplectic_euler_grad grad_at_clean": (
@@ -388,6 +390,7 @@ SIGMA_METHODS = {
     "eps": lambda m, s: m.eps(X_BAR, s),
     "vjp": lambda m, s: m.vjp(X_BAR, s, np.array([1.0, -2.0])),
     "eps_with_tape": lambda m, s: m.eps_with_tape(X_BAR, s)[0],
+    "vjp_from_tape": lambda m, s: m.vjp_from_tape(m.eps_with_tape(X_BAR, s)[1], np.array([1.0, -2.0])),
 }
 
 
