@@ -1,6 +1,8 @@
 """Guided deterministic sampling with n-step adjoint gradient guidance.
 
-The sampler walks t = T..1 with deterministic DDIM updates.  Inside a
+The sampler walks t = T..1 with deterministic DDIM updates, each one
+explicit Euler step of the estimator's ODE from step t to step t - 1, so the
+one-step clean estimate (n = 1) takes the sampler step's own slope.  Inside a
 configured window it estimates the clean output in n sub-steps, pulls the
 loss gradient back to x_t with the symplectic Euler adjoint, and subtracts
 rho times that gradient from x_{t-1}.  Each step in the window repeats r
@@ -209,17 +211,16 @@ class SampleRecord:
 
 
 def ddim_step(model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int) -> np.ndarray:
-    """Deterministic denoising update.
+    """Deterministic denoising update: one Euler step of the estimate ODE on the schedule's knots.
 
-    x_{t-1} = sqrt(a_{t-1}) xhat_0 + sqrt(1 - a_{t-1}) eps(x_t, t) with
-    xhat_0 the one-step clean estimate.
+    x_bar_{t-1} = x_bar_t + (sigma_{t-1} - sigma_t) eps(x_bar_t, sigma_t), returned as
+    x_{t-1} = sqrt(a_{t-1}) x_bar_{t-1}.  This is estimate_clean's step from knot t to knot t - 1,
+    so at t = 1 it is the n = 1 estimate bit for bit.
     """
     t = schedule._check_step(t, 1)
-    sqrt_a, sqrt_1ma = schedule.sqrt_alpha, schedule.sqrt_one_minus_alpha
-    x_t = _vector(x_t, model.dim, "x_t")
-    eps = model.eps(schedule._to_scaled(x_t, t), schedule.sigmas[t])
-    xhat0 = (x_t - sqrt_1ma[t] * eps) / sqrt_a[t]
-    return sqrt_a[t - 1] * xhat0 + sqrt_1ma[t - 1] * eps
+    sigmas = schedule.sigmas
+    x_bar = schedule._to_scaled(_vector(x_t, model.dim, "x_t"), t)
+    return schedule.sqrt_alpha[t - 1] * (x_bar + (sigmas[t - 1] - sigmas[t]) * model.eps(x_bar, sigmas[t]))
 
 
 def time_travel_renoise(

@@ -100,11 +100,12 @@ def _real(value: object, what: str) -> float:
     """value as a float; a bool, a string, None, an inf or a NaN is rejected.
 
     A finite float is returned as it is.  Another real is bounded as the float64 it converts to, not
-    in its own dtype (an np.float32 bound overflows), and an int exactly, so 10**400 is rejected.
+    in its own dtype (an np.float32 bound overflows), and a rational (an int, a Fraction) exactly,
+    so 10**400 and Fraction(10**400) are rejected.
     """
     x = value
     if type(x) is not float and isinstance(x, numbers.Real) and not isinstance(x, bool):
-        x = float(x) if not isinstance(x, int) or abs(x) <= sys.float_info.max else x
+        x = float(x) if not isinstance(x, numbers.Rational) or abs(x) <= sys.float_info.max else x
     if type(x) is not float or not math.isfinite(x):
         raise ValueError(f"{what} must be a finite number, got {_shown(value)}")
     return x
@@ -144,8 +145,8 @@ def _frozen(a: object, what: str) -> np.ndarray:
 class NoiseSchedule:
     """Cumulative signal coefficients alpha[0..T] and derived sigma values.
 
-    sigmas, sqrt_alpha and sqrt_one_minus_alpha hold the per-step values as
-    Python floats, computed once, so per-step callers do no numpy-scalar
+    sigmas and sqrt_alpha hold the per-step values as Python floats,
+    computed once, so per-step callers do no numpy-scalar
     arithmetic.  _sub_grids memoises the read-only sigma grid that
     make_sub_schedule builds for each (t, n), for the last _MEMO_CAPACITY
     pairs: each schedule owns its own dict, and a grid never changes once
@@ -155,7 +156,6 @@ class NoiseSchedule:
     alpha: np.ndarray
     sigmas: tuple[float, ...] = field(repr=False)
     sqrt_alpha: tuple[float, ...] = field(repr=False)
-    sqrt_one_minus_alpha: tuple[float, ...] = field(repr=False)
     _sub_grids: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
     def __init__(self, alpha: np.ndarray) -> None:
@@ -168,9 +168,6 @@ class NoiseSchedule:
             raise ValueError("alpha too small: sigma = sqrt((1 - alpha) / alpha) overflows float64")
         object.__setattr__(self, "sigmas", tuple(sigmas.tolist()))
         object.__setattr__(self, "sqrt_alpha", tuple(math.sqrt(a) for a in alpha.tolist()))
-        object.__setattr__(
-            self, "sqrt_one_minus_alpha", tuple(math.sqrt(1.0 - a) for a in alpha.tolist())
-        )
         object.__setattr__(self, "_sub_grids", {})
 
     def __reduce__(self):

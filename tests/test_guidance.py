@@ -46,13 +46,12 @@ class ZeroNoiseRng:
 
 
 def numpy_scalar_ddim_step(model, schedule, x_t, t):
-    """ddim_step as first written: numpy-scalar schedule arithmetic on every call."""
+    """ddim_step's Euler form with numpy-scalar schedule arithmetic on every call."""
     a_t = schedule.alpha[t]
     a_prev = schedule.alpha[t - 1]
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps = model.eps(x_t / np.sqrt(a_t), float(np.sqrt((1.0 - a_t) / a_t)))
-    xhat0 = (x_t - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-    return math.sqrt(a_prev) * xhat0 + math.sqrt(1.0 - a_prev) * eps
+    sigma_t, sigma_prev = float(np.sqrt((1.0 - a_t) / a_t)), float(np.sqrt((1.0 - a_prev) / a_prev))
+    x_bar = np.asarray(x_t, dtype=np.float64) / np.sqrt(a_t)
+    return math.sqrt(a_prev) * (x_bar + (sigma_prev - sigma_t) * model.eps(x_bar, sigma_t))
 
 
 class TestDdimStep:
@@ -85,6 +84,28 @@ class TestDdimStep:
         eps = gmm2.eps(schedule.to_scaled(x, 1), schedule.sigma(1))
         xhat0 = (x - math.sqrt(1 - a1) * eps) / math.sqrt(a1)
         assert rel_err(out, xhat0) < 1e-15
+
+    @pytest.mark.parametrize("family", ["gmm", "mlp", "gram gmm", "affine"])
+    def test_is_the_estimators_euler_step(self, schedule, gmm2, mlp3, family):
+        # ddim_step is estimate_clean's Euler step from knot t to knot t - 1: at t = 1 it is the
+        # n = 1 estimate bit for bit, and a rollout from t is the n = t estimate up to the roundoff
+        # of leaving and re-entering scaled coordinates at each step (<= 1.4e-15 measured).
+        model = {
+            "gmm": gmm2,
+            "mlp": mlp3,
+            "gram gmm": GmmModel([0.5, 0.5], [[-3.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]),  # configs/gram.json
+            "affine": AffineModel(np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([0.5, -0.25])),
+        }[family]
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x = 3.0 * rng.standard_normal(model.dim)
+            out = ddim_step(model, schedule, x, 1)
+            assert out.tobytes() == estimate_clean(model, schedule, x, 1, 1).clean_output.tobytes()
+            t = int(rng.integers(1, schedule.num_steps + 1))
+            y = x
+            for s in range(t, 0, -1):
+                y = ddim_step(model, schedule, y, s)
+            assert rel_err(y, estimate_clean(model, schedule, x, t, t).clean_output) <= 1e-13
 
     def test_rejects_t0(self, schedule, gmm2):
         with pytest.raises(ValueError):
@@ -401,8 +422,7 @@ class TestSagSample:
                 sigma_t = sch.sigma(t)
                 x_bar = x / math.sqrt(a_t)
                 eps = model.eps(x_bar, sigma_t)
-                xhat0 = (x - math.sqrt(1.0 - a_t) * eps) / math.sqrt(a_t)
-                x_prev = math.sqrt(a_prev) * xhat0 + math.sqrt(1.0 - a_prev) * eps
+                x_prev = math.sqrt(a_prev) * (x_bar + (sch.sigma(t - 1) - sigma_t) * eps)
                 if window[0] <= t <= window[1] and rho > 0.0:
                     g = loss.grad(x_bar + (0.0 - sigma_t) * eps)
                     grad = (g - sigma_t * model.vjp(x_bar, sigma_t, g)) / math.sqrt(a_t)
@@ -516,6 +536,14 @@ class TestSagSample:
         assert "wall_time_ns" not in payload
 
 
+RK4 = ButcherTableau(
+    np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+    np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
+    np.array([0.0, 0.5, 0.5, 1.0]),
+    name="rk4",
+)
+
+
 def test_guidance_gradient_error_halves_with_n_and_is_largest_early(schedule, gmm2, task_loss):
     # SAG's claim where guidance acts: a one-step estimate makes the guidance gradient inaccurate,
     # most of all early, and n sub-steps fix it.  On configs/default.json's task, 50 marginal points
@@ -526,19 +554,13 @@ def test_guidance_gradient_error_halves_with_n_and_is_largest_early(schedule, gm
     # 0.799/0.672/0.296/0.163/0.073 at t = 35.  Each halving is scored per point, as the median of
     # err(n) / err(2n): a ratio of medians pairs different points, and reads 1.19 at t = 35 for
     # n = 1 -> 2 on this draw.  The paired ratios read 1.60-1.96 here, and 1.60-2.38 over seeds 0-7.
-    rk4 = ButcherTableau(
-        np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
-        np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
-        np.array([0.0, 0.5, 0.5, 1.0]),
-        name="rk4",
-    )
     rng = np.random.default_rng(0)
     ns = (1, 2, 4, 8, 16)
     medians = {}
     for t in (15, 25, 35):
         errors = []
         for x in gmm2.sample_marginal(rng, schedule, t, 50):
-            ref = estimate_clean_rk(gmm2, schedule, x, t, 64, rk4)
+            ref = estimate_clean_rk(gmm2, schedule, x, t, 64, RK4)
             exact = symplectic_rk_grad(gmm2, ref, task_loss.grad(ref.clean_output), schedule, t)
             row = []
             for n in ns:
@@ -551,3 +573,32 @@ def test_guidance_gradient_error_halves_with_n_and_is_largest_early(schedule, gm
         ratios = np.median(errors[:, :-1] / errors[:, 1:], axis=0)
         assert np.all((1.5 <= ratios) & (ratios <= 2.5)), (t, ratios)
     assert medians[35][0] > medians[15][0]
+
+
+def test_best_tableau_per_model_call_budget_depends_on_t(schedule, gmm2, task_loss):
+    # n as a quality knob, per tableau at equal model calls (NFE): Euler at n = NFE, Heun at NFE / 2
+    # and RK4 at NFE / 4, on configs/default.json's task.  50 marginal points at each t are scored
+    # by their symplectic_rk_grad guidance gradient against the RK4 gradient at n = 64, each from the
+    # loss gradient at its own clean output, and each pair of tableaux by the median of the per-point
+    # error ratios.  Early in sampling (t = 35), at 4 calls, Euler is the most accurate: Heun reads
+    # 6.4-10.4x and RK4 5.0-5.6x worse over seeds 0-5.  At 16 calls Heun and RK4 beat Euler at
+    # every t: by 1.5-10.4x and 4.7-4203x over the same seeds.
+    tableaux = (ButcherTableau.euler(), ButcherTableau.heun(), RK4)
+
+    def grad(x, t, n, tableau):
+        traj = estimate_clean_rk(gmm2, schedule, x, t, n, tableau)
+        return symplectic_rk_grad(gmm2, traj, task_loss.grad(traj.clean_output), schedule, t)
+
+    rng = np.random.default_rng(0)
+    for t in (15, 25, 35):
+        errors = {4: [], 16: []}
+        for x in gmm2.sample_marginal(rng, schedule, t, 50):
+            exact = grad(x, t, 64, RK4)
+            for nfe, rows in errors.items():
+                rows.append([rel_err(grad(x, t, nfe // tab.stages, tab), exact) for tab in tableaux])
+        e = {nfe: np.array(rows) for nfe, rows in errors.items()}
+        gains = np.median(e[16][:, :1] / e[16][:, 1:], axis=0)  # Euler's error over Heun's and RK4's
+        assert np.all(gains >= 1.2), (t, gains)
+        if t == 35:
+            losses = np.median(e[4][:, 1:] / e[4][:, :1], axis=0)  # Heun's and RK4's error over Euler's
+            assert np.all(losses >= 3.0), losses

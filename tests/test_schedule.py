@@ -10,7 +10,7 @@ import pytest
 from conftest import TASK_BETAS, TASK_MEANS, TASK_T, TASK_TARGET, CountingModel
 from symguide.estimator import MIN_ERROR_SAMPLES
 from symguide.guidance import MAX_SIZE
-from symguide.schedule import _count
+from symguide.schedule import _count, _real
 from symguide import (
     AffineModel,
     ButcherTableau,
@@ -112,7 +112,6 @@ def test_per_step_floats_equal_numpy_scalar_arithmetic(schedule, alpha):
         a_t = sch.alpha[t]
         assert sch.sigma(t).hex() == float(np.sqrt((1.0 - a_t) / a_t)).hex()
         assert sch.sqrt_alpha[t].hex() == float(np.sqrt(a_t)).hex()
-        assert sch.sqrt_one_minus_alpha[t].hex() == math.sqrt(1.0 - a_t).hex()
         assert sch.to_scaled(x, t).tobytes() == (x / np.sqrt(a_t)).tobytes()
 
 
@@ -284,15 +283,22 @@ REAL_ARGUMENTS = {
 
 @pytest.mark.parametrize(
     "value",
-    [True, np.bool_(True), "0.1", None, math.nan, math.inf, np.float32("inf"), np.float16("nan"), 10**400],
+    [
+        True, np.bool_(True), "0.1", None, math.nan, math.inf, np.float32("inf"), np.float16("nan"), 10**400,
+        Fraction(10**400), Fraction(-(10**400), 3),
+    ],
 )
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
 def test_non_real_parameter_is_rejected(name, value):
     # rho=True guided at strength 1.0, and float("0.004") parsed a string.  A numpy float is bounded
-    # as the float64 it converts to, since the bound overflows in float16 or float32, and an int
-    # exactly, so 10**400 fails the bound rather than overflowing float().
+    # as the float64 it converts to, since the bound overflows in float16 or float32, and an int or
+    # a Fraction exactly, so 10**400 fails the bound rather than overflowing float().
     with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {re.escape(repr(value))}$"):
         REAL_ARGUMENTS[name](value)
+
+
+def test_fraction_converts_to_its_nearest_float():
+    assert _real(Fraction(1, 3), "rho").hex() == (1 / 3).hex()
 
 
 # Each check handed a number too long for repr (Python's int-to-string limit is 4300 digits),
