@@ -137,30 +137,6 @@ def _costate_sweep(
     return lam
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _symplectic_grad(
-    model: ScoreModel,
-    traj: CheckpointTrajectory,
-    grad_at_clean: np.ndarray,
-    schedule: NoiseSchedule,
-    t: int,
-    return_stats: bool,
-):
-    """Both symplectic solvers; their stats follow from the trajectory and its tableau.
-
-    They read all the trajectory holds (n+1 checkpoints, n(s-1) stage points)
-    and keep the costate and s transpose-Jacobian products live, plus one
-    costate stage when A couples the stages.
-    """
-    t = _check_traj(model, traj, schedule, t)
-    grad = schedule._to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
-    _check_finite(grad, traj.n, "gradient")
-    if not return_stats:
-        return grad
-    n, s = traj.n, traj.tableau.stages
-    return grad, AdjointStats(n + 1 + n * (s - 1), 0, 1 + s + bool(traj.tableau.A.any()))
-
-
 def symplectic_euler_grad(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -171,12 +147,12 @@ def symplectic_euler_grad(
 ):
     """Exact dL/dx_t via the costate recursion over restored checkpoints.
 
-    Consumes the n+1 stored states of an Euler trajectory and keeps O(1)
-    extra state vectors alive (the costate and the current
-    transpose-Jacobian product).
+    symplectic_rk_grad on an Euler trajectory, which it requires: it consumes
+    the n+1 stored states and keeps O(1) extra state vectors alive (the
+    costate and the current transpose-Jacobian product).
     """
     _require_euler(traj, "symplectic_euler_grad")
-    return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
+    return symplectic_rk_grad(model, traj, grad_at_clean, schedule, t, return_stats)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -279,6 +255,7 @@ def vanilla_adjoint_grad(
     return grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symplectic_rk_grad(
     model: ScoreModel,
     traj: CheckpointTrajectory,
@@ -287,8 +264,20 @@ def symplectic_rk_grad(
     t: int,
     return_stats: bool = False,
 ):
-    """Exact dL/dx_t through the RK forward map via conjugate coefficients."""
-    return _symplectic_grad(model, traj, grad_at_clean, schedule, t, return_stats)
+    """Exact dL/dx_t through the RK forward map via conjugate coefficients.
+
+    Its stats follow from the trajectory and its tableau: it reads all the
+    trajectory holds (n+1 checkpoints, n(s-1) stage points) and keeps the
+    costate and s transpose-Jacobian products live, plus one costate stage
+    when A couples the stages.
+    """
+    t = _check_traj(model, traj, schedule, t)
+    grad = schedule._to_scaled(_costate_sweep(model, traj, _costate_start(model, grad_at_clean)), t)
+    _check_finite(grad, traj.n, "gradient")
+    if not return_stats:
+        return grad
+    n, s = traj.n, traj.tableau.stages
+    return grad, AdjointStats(n + 1 + n * (s - 1), 0, 1 + s + bool(traj.tableau.A.any()))
 
 
 def rk_direct_backprop_grad(

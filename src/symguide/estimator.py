@@ -230,29 +230,14 @@ def _walk(y0: np.ndarray, sig: np.ndarray, tableau: ButcherTableau, slope, what:
     return ys, stage_states
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _integrate(
-    model: ScoreModel,
-    schedule: NoiseSchedule,
-    x_t: np.ndarray,
-    t: int,
-    n: int,
-    tableau: ButcherTableau,
-) -> CheckpointTrajectory:
-    """n explicit RK sub-steps of the estimate ODE: the forward walk of the scaled state."""
-    x_t = _vector(x_t, model.dim, "x_t")
-    sigma = make_sub_schedule(schedule, t, n)  # checks t
-    states, stage_states = _walk(schedule._to_scaled(x_t, t), sigma, tableau, model.eps)
-    return CheckpointTrajectory(sigma, tableau, states, stage_states)
-
-
 def estimate_clean(
     model: ScoreModel, schedule: NoiseSchedule, x_t: np.ndarray, t: int, n: int
 ) -> CheckpointTrajectory:
-    """Integrate the estimate ODE from x_t down to sigma = 0 in n Euler steps."""
-    return _integrate(model, schedule, x_t, t, n, _EULER)
+    """estimate_clean_rk with the Euler tableau: n Euler steps of the estimate ODE down to sigma = 0."""
+    return estimate_clean_rk(model, schedule, x_t, t, n, _EULER)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_clean_rk(
     model: ScoreModel,
     schedule: NoiseSchedule,
@@ -262,7 +247,10 @@ def estimate_clean_rk(
     tableau: ButcherTableau,
 ) -> CheckpointTrajectory:
     """s-stage explicit RK integration of the estimate ODE, stage points recorded."""
-    return _integrate(model, schedule, x_t, t, n, tableau)
+    x_t = _vector(x_t, model.dim, "x_t")
+    sigma = make_sub_schedule(schedule, t, n)  # checks t
+    states, stage_states = _walk(schedule._to_scaled(x_t, t), sigma, tableau, model.eps)
+    return CheckpointTrajectory(sigma, tableau, states, stage_states)
 
 
 @dataclass(frozen=True)

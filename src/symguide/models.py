@@ -137,6 +137,8 @@ class GmmModel(ScoreModel):
     def __init__(self, weights: Sequence[float], means: Sequence[Sequence[float]]) -> None:
         weights = _frozen(weights, "mixture weights")
         means = _frozen(means, "mixture means")
+        if weights.ndim != 1:
+            raise ValueError(f"mixture weights have shape {weights.shape}, expected (K,)")
         if means.ndim != 2 or len(weights) != len(means):
             raise ValueError("means must be (K, d) with one row per weight")
         if means.shape[1] < 1:

@@ -1,7 +1,9 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -215,6 +217,8 @@ def test_missing_config_exits_2(tmp_path):
         ("sample", "loss", {"target": -3.0}),
         # A repeated axis value would run its cells twice and draw one curve for them.
         ("ablate-n", "sweep", {"n_list": [2, 2]}),
+        # Mixture weights that are not a (K,) vector, which numpy would broadcast.
+        ("sample", "model", {"weights": [[0.5], [0.5]]}),
         # An asymmetric target Gram matrix whose c - c.T overflows.
         ("sample", None, {"loss": {
             "kind": "gram_style", "target_gram": [[1.0, 1e308], [-1e308, 1.0]], "feature_map": [[1.0, 0.0], [0.0, 1.0]],
@@ -632,3 +636,32 @@ def test_config_fuzz_never_crashes(case):
                 _strict_json(Path(out) / "report.json")
                 _strict_json(Path(out) / "timing.json")
                 assert main(["plot", "--out", out]) in (0, 2)
+
+
+_NUMPY_ONLY = """
+import sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None  # an import of any of them now raises ImportError
+import symguide
+from symguide.cli import main
+root, out = sys.argv[1:]
+for argv in (
+    ["sample", "--config", f"{root}/configs/default.json", "--out", f"{out}/sample"],
+    ["compare-adjoint", "--config", f"{root}/configs/mlp.json", "--out", f"{out}/compare-adjoint"],
+    ["plot", "--out", f"{out}/sample"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_the_runtime_needs_numpy_alone(tmp_path):
+    # The runtime stays numpy-only: scipy, hypothesis and pytest are test extras, so a run, a
+    # solver comparison and a plot succeed in a fresh interpreter that cannot import them.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _NUMPY_ONLY, str(root), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sample" / "loss_curves.svg").is_file()

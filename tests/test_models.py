@@ -156,6 +156,11 @@ class TestGmm:
         with pytest.raises(ValueError):
             gmm2.eps(np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("weights", [[[0.5], [0.5]], 0.5], ids=["column", "scalar"])
+    def test_weights_must_be_a_vector(self, weights):
+        with pytest.raises(ValueError, match=r"mixture weights have shape \(.*\), expected \(K,\)"):
+            GmmModel(weights, [[1.0, 0.0], [-1.0, 0.0]])
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             GmmModel([1.0], [[]])

@@ -348,3 +348,24 @@ def test_sub_step_grids_are_read_in_place():
         ("adjoint", "_check_traj"), ("adjoint", "_costate_sweep"), ("adjoint", "_taped_backprop"),
         ("adjoint", "vanilla_adjoint_grad"), ("estimator", "_walk"), ("estimator", "stage"),
     ]
+
+
+def test_each_euler_entry_is_its_rk_member():
+    # estimate_clean and symplectic_euler_grad are estimate_clean_rk and symplectic_rk_grad with
+    # the Euler tableau, so each family has one body and no private third function.
+    package = ROOT / "src" / "symguide"
+    for name, entry, member in (
+        ("estimator", "estimate_clean", "estimate_clean_rk"),
+        ("adjoint", "symplectic_euler_grad", "symplectic_rk_grad"),
+    ):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == entry)
+        called = {getattr(n.func, "id", None) for n in ast.walk(func) if isinstance(n, ast.Call)}
+        assert member in called, entry
+    defined = {
+        (path.name, node.name)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_integrate", "_symplectic_grad")
+    }
+    assert defined == set()
